@@ -1,10 +1,17 @@
 """Entropic quantities built on the sandwiched Renyi divergence.
 
-All logarithms are base 2 (values in bits) and 0*log(0) = 0.  Matrix powers
-follow the pseudoinverse convention of `linalg.frac_power`.  Optimised
-quantities (conditional entropy with optimisation, mutual informations) run a
-mirror-descent loop over density matrices; a Bloch-ball grid oracle is
-available for qubit cross-checks.
+All logarithms are base 2 (values in bits) and 0*log(0) = 0.  Every spectrum
+comes from the PSD spectral kernel of `linalg`, on single matrices and on the
+optimiser's stacks alike: per matrix, negative eigenvalues inside the clamp
+band count as 0 and lower ones raise `NotPositiveSemidefinite` (rho is checked
+where it enters, so its sandwich w rho w^dagger gets the product's rounding
+band), and eigenvalues below the support cutoff are dropped for every exponent
+and from every logarithm (pseudoinverse convention).  One formula,
+`_renyi_log_trace`, gives (1/(alpha-1)) log2 tr X^alpha for divergences,
+entropies and the optimiser's objective; `_tr_log2` gives their alpha -> 1
+limits.  Optimised quantities (conditional entropy with optimisation, mutual
+informations) run a mirror-descent loop over density matrices; a Bloch-ball
+grid oracle is available for qubit cross-checks.
 """
 
 from __future__ import annotations
@@ -16,17 +23,21 @@ import numpy as np
 import scipy.optimize
 
 from .linalg import (
-    EIG_CUTOFF,
     InvalidOrder,
     SystemLayout,
     as_layout,
+    check_hermitian,
+    congruence_eigvalsh,
     dagger,
+    embed_block,
     embed_factors,
     frac_power,
     partial_trace,
-    power_spectrum,
+    psd_eigh,
+    psd_eigvalsh,
     schatten_norm,
-    _psd_eigvals,
+    support_projector,
+    _hermitian,
 )
 from .states import DensityOperator, Pmf
 
@@ -39,9 +50,10 @@ class OptimizerDiverged(RuntimeError):
 
 
 def _mat(x) -> np.ndarray:
+    """The matrix of a state or weight given as a DensityOperator or an array."""
     if isinstance(x, DensityOperator):
         return x.mat
-    return np.asarray(x, dtype=complex)
+    return check_hermitian(x)
 
 
 # ---------------------------------------------------------------------------
@@ -102,23 +114,33 @@ def classical_renyi_divergence(p, q, alpha: float) -> float:
 
 def _support_flags(rho: np.ndarray, sigma: np.ndarray):
     """(overlapping, dominated) support relations of rho w.r.t. sigma."""
-    vals, vecs = _psd_eigvals(sigma)
-    live = power_spectrum(vals, 0.0)  # 1 on support, 0 off it
-    proj = (vecs * live) @ dagger(vecs)
+    proj = support_projector(sigma)
     inside = float(np.real(np.trace(proj @ rho @ proj)))
     total = float(np.real(np.trace(rho)))
     return inside > SUPPORT_TOL * max(total, 1.0), total - inside <= SUPPORT_TOL * max(total, 1.0)
 
 
+def _renyi_log_trace(lam: np.ndarray, live: np.ndarray, alpha: float) -> np.ndarray:
+    """(1/(alpha-1)) log2 tr X**alpha from the ascending spectra of a stack,
+    summed over each support; log2 lambda_max for alpha = inf."""
+    top = np.maximum(lam[..., -1], 1e-300)
+    if math.isinf(alpha):
+        return np.log2(top)
+    ratio = np.where(live, lam / top[..., None], 1.0)
+    logq = alpha * np.log2(top) + np.log2(np.sum(np.where(live, ratio ** alpha, 0.0), axis=-1))
+    return logq / (alpha - 1.0)
+
+
+def _tr_log2(rho: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """tr rho log2 sigma per matrix of a PSD stack, the log taken on each support
+    (so an optimiser's candidates must keep their eigenvalues above the cutoff)."""
+    w, v, live = psd_eigh(sigma)
+    logs = (v * np.log2(np.where(live, w, 1.0))[..., None, :]) @ v.conj().swapaxes(-1, -2)
+    return np.einsum("ij,...ji->...", rho, logs).real
+
+
 def _relative_entropy(rho: np.ndarray, sigma: np.ndarray) -> float:
-    rvals, rvecs = _psd_eigvals(rho)
-    svals, svecs = _psd_eigvals(sigma)
-    live_r = rvals > EIG_CUTOFF * rvals.max(initial=0.0)
-    term_r = float(np.sum(rvals[live_r] * np.log2(rvals[live_r])))
-    live_s = svals > EIG_CUTOFF * svals.max(initial=0.0)
-    weights = np.real(np.einsum("ij,jk,ki->i", dagger(svecs), rho, svecs))
-    term_s = float(np.sum(weights[live_s] * np.log2(svals[live_s])))
-    return term_r - term_s
+    return float(_tr_log2(rho, rho) - _tr_log2(rho, sigma))
 
 
 def quantum_relative_entropy(rho, sigma) -> float:
@@ -130,27 +152,23 @@ def quantum_relative_entropy(rho, sigma) -> float:
     return _relative_entropy(rho, sigma)
 
 
+def _sandwich_exponent(alpha: float) -> float:
+    """c with D_alpha = (1/(alpha-1)) log2 tr (sigma^c rho sigma^c)**alpha."""
+    return -0.5 if math.isinf(alpha) else (1.0 - alpha) / (2.0 * alpha)
+
+
 def _divergence_any_order(rho: np.ndarray, sigma: np.ndarray, alpha: float) -> float:
     """Sandwiched divergence for alpha in (0, inf]; no DPI-range gate."""
+    psd_eigvalsh(rho)   # the sandwich of a checked rho needs only the rounding band
     overlapping, dominated = _support_flags(rho, sigma)
     if not overlapping:
         return math.inf
     if alpha > 1.0 and not dominated:
         return math.inf
-    if math.isinf(alpha):
-        w = frac_power(sigma, -0.5)
-        vals, _ = _psd_eigvals(w @ rho @ w)
-        return float(np.log2(vals.max(initial=0.0)))
     if abs(alpha - 1.0) <= ALPHA_ONE_WINDOW:
         return _relative_entropy(rho, sigma)
-    w = frac_power(sigma, (1.0 - alpha) / (2.0 * alpha))
-    vals, _ = _psd_eigvals(w @ rho @ w)
-    top = vals.max(initial=0.0)
-    if top <= 0.0:
-        return math.inf
-    live = vals[vals > EIG_CUTOFF * top]
-    logq = alpha * np.log2(top) + np.log2(np.sum((live / top) ** alpha))
-    return float(logq / (alpha - 1.0))
+    w = frac_power(sigma, _sandwich_exponent(alpha))
+    return float(_renyi_log_trace(*congruence_eigvalsh(w, rho), alpha))
 
 
 def sandwiched_divergence(rho, sigma, alpha: float) -> float:
@@ -169,21 +187,15 @@ def renyi_entropy(rho, alpha: float) -> float:
     """H_alpha of a density operator; alpha in [0, inf]."""
     if alpha < 0.0:
         raise InvalidOrder("entropy order must be nonnegative")
-    vals, _ = _psd_eigvals(_mat(rho))
-    top = vals.max(initial=0.0)
-    live = vals[vals > EIG_CUTOFF * top]
-    if alpha == 0.0:
-        return float(np.log2(len(live)))
-    if math.isinf(alpha):
-        return float(-np.log2(top))
+    rho = _mat(rho)
     if abs(alpha - 1.0) <= ALPHA_ONE_WINDOW:
-        return float(-np.sum(live * np.log2(live)))
-    return float(np.log2(np.sum(live ** alpha)) / (1.0 - alpha))
+        return -float(_tr_log2(rho, rho))
+    return -float(_renyi_log_trace(*psd_eigvalsh(rho), alpha))
 
 
 def weighted_norm(y, p: float, sigma, tau) -> float:
     """|| sigma^(1/2p) Y tau^(1/2p) ||_p for strictly positive weights."""
-    y = _mat(y)
+    y = np.asarray(y, dtype=complex)
     e = 0.0 if math.isinf(p) else 0.5 / p
     return schatten_norm(frac_power(_mat(sigma), e) @ y @ frac_power(_mat(tau), e), p)
 
@@ -192,41 +204,14 @@ def weighted_norm(y, p: float, sigma, tau) -> float:
 # batched divergence objectives over a weight factor
 # ---------------------------------------------------------------------------
 
-def _embed_stack(stack: np.ndarray, front: int, back: int) -> np.ndarray:
-    """I_front (x) stack_k (x) I_back for a stack of square matrices."""
-    if front == 1 and back == 1:
-        return stack
-    k, d, _ = stack.shape
-    out = np.einsum(
-        "ij,kab,xy->kiaxjby",
-        np.eye(front, dtype=complex), stack, np.eye(back, dtype=complex),
-    )
-    n = front * d * back
-    return out.reshape(k, n, n)
-
-
-def _stack_power(stack: np.ndarray, a: float) -> np.ndarray:
-    """Pseudoinverse-convention power of a stack of PSD matrices."""
-    w, v = np.linalg.eigh(stack)
-    w = np.clip(w, 0.0, None)
-    top = w.max(axis=-1, keepdims=True)
-    live = w > EIG_CUTOFF * top
-    if a == 0.0:
-        wp = np.where(live, 1.0, 0.0)
-    else:
-        wp = np.where(live, np.where(live, w, 1.0) ** a, 0.0)
-    return (v * wp[..., None, :]) @ v.conj().swapaxes(-1, -2)
-
-
 @dataclass
 class _DivergenceObjective:
     """Vectorised sigma |-> D_alpha(rho || fixed (x) sigma) on one block."""
 
     rho: np.ndarray
     alpha: float
-    front: int
-    block: int
-    back: int
+    layout: SystemLayout
+    positions: list[int]
     fixed_pow: np.ndarray | None   # full-space fixed-weight factor, already at power c
     log_fixed_term: float = 0.0    # used only on the alpha = 1 route
     rho_block: np.ndarray | None = None
@@ -234,57 +219,29 @@ class _DivergenceObjective:
     def __call__(self, sigmas: np.ndarray) -> np.ndarray:
         a = self.alpha
         if abs(a - 1.0) <= ALPHA_ONE_WINDOW:
-            w, v = np.linalg.eigh(sigmas)
-            w = np.clip(w, 1e-300, None)
-            logs = (v * np.log2(w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
-            cross = np.einsum("ij,kji->k", self.rho_block, logs).real
-            vals = self.log_fixed_term - cross
-        else:
-            c = -0.5 if math.isinf(a) else (1.0 - a) / (2.0 * a)
-            wc = _embed_stack(_stack_power(sigmas, c), self.front, self.back)
-            if self.fixed_pow is not None:
-                wc = self.fixed_pow @ wc
-            s = wc @ self.rho @ wc.conj().swapaxes(-1, -2)
-            lam = np.clip(np.linalg.eigvalsh(s), 0.0, None)
-            if math.isinf(a):
-                vals = np.log2(np.maximum(lam[:, -1], 1e-300))
-            else:
-                top = np.maximum(lam[:, -1:], 1e-300)
-                ratio = np.where(lam > EIG_CUTOFF * top, lam / top, 0.0)
-                q = a * np.log2(top[:, 0]) + np.log2(np.sum(np.where(ratio > 0, ratio, 1.0) ** a * (ratio > 0), axis=1))
-                vals = q / (a - 1.0)
-        return vals
+            return self.log_fixed_term - _tr_log2(self.rho_block, sigmas)
+        wc = embed_block(self.layout, frac_power(sigmas, _sandwich_exponent(a)), self.positions)
+        if self.fixed_pow is not None:
+            wc = self.fixed_pow @ wc
+        return _renyi_log_trace(*congruence_eigvalsh(wc, self.rho), a)
 
 
 def _divergence_objective(rho: np.ndarray, alpha: float, dims, opt_positions, fixed: dict[int, np.ndarray]):
     """Build the vectorised objective for optimising one contiguous weight block."""
+    psd_eigvalsh(rho)
     layout = as_layout(dims)
     opt_positions = sorted(opt_positions)
-    if opt_positions != list(range(opt_positions[0], opt_positions[-1] + 1)):
-        raise ValueError("optimised subsystems must be contiguous")
     if set(fixed) & set(opt_positions):
         raise ValueError("fixed and optimised subsystems overlap")
-    front = int(np.prod(layout.dims[: opt_positions[0]])) if opt_positions[0] else 1
-    block = int(np.prod([layout.dims[k] for k in opt_positions]))
-    back_start = opt_positions[-1] + 1
-    back = int(np.prod(layout.dims[back_start:])) if back_start < len(layout.dims) else 1
-
     if abs(alpha - 1.0) <= ALPHA_ONE_WINDOW:
-        rvals, _ = _psd_eigvals(rho)
-        live = rvals[rvals > EIG_CUTOFF * rvals.max(initial=0.0)]
-        const = float(np.sum(live * np.log2(live)))
+        const = float(_tr_log2(rho, rho))
         for k, w in fixed.items():
-            marg = partial_trace(rho, layout, [k])
-            svals, svecs = _psd_eigvals(np.asarray(w, dtype=complex))
-            keep = svals > EIG_CUTOFF * svals.max(initial=0.0)
-            weights = np.real(np.einsum("ij,jk,ki->i", dagger(svecs), marg, svecs))
-            const -= float(np.sum(weights[keep] * np.log2(svals[keep])))
+            const -= float(_tr_log2(partial_trace(rho, layout, [k]), _hermitian(w)))
         rho_block = partial_trace(rho, layout, opt_positions)
-        return _DivergenceObjective(rho, alpha, front, block, back, None, const, rho_block)
-
-    c = -0.5 if math.isinf(alpha) else (1.0 - alpha) / (2.0 * alpha)
-    fixed_pow = embed_factors(layout, {k: frac_power(np.asarray(w, dtype=complex), c) for k, w in fixed.items()}) if fixed else None
-    return _DivergenceObjective(rho, alpha, front, block, back, fixed_pow)
+        return _DivergenceObjective(rho, alpha, layout, opt_positions, None, const, rho_block)
+    c = _sandwich_exponent(alpha)
+    fixed_pow = embed_factors(layout, {k: frac_power(w, c) for k, w in fixed.items()}) if fixed else None
+    return _DivergenceObjective(rho, alpha, layout, opt_positions, fixed_pow)
 
 
 # ---------------------------------------------------------------------------
@@ -498,19 +455,22 @@ def bloch_grid(n_r: int = 64, n_theta: int = 64, n_phi: int = 64) -> np.ndarray:
     return xyz.reshape(-1, 3)
 
 
+_R_MAX = 1.0 - 2e-11  # (1 - r)/2 = 1e-11, a decade above the cutoff like the floor
+
+
 def _ball_from_free(v: np.ndarray) -> np.ndarray:
-    """Unconstrained R^3 -> open Bloch ball, radius tanh(|v|)."""
+    """Unconstrained R^3 -> open Bloch ball, radius _R_MAX tanh(|v|)."""
     n = float(np.linalg.norm(v))
     if n < 1e-14:
         return np.zeros(3)
-    return v * (math.tanh(n) * (1.0 - 1e-12) / n)
+    return v * (math.tanh(n) * _R_MAX / n)
 
 
 def _free_from_ball(xyz: np.ndarray) -> np.ndarray:
     r = float(np.linalg.norm(xyz))
     if r < 1e-14:
         return np.zeros(3)
-    r = min(r, 1.0 - 1e-12)
+    r = min(r, _R_MAX)
     return xyz * (math.atanh(r) / float(np.linalg.norm(xyz)))
 
 
@@ -603,15 +563,6 @@ def cond_entropy_down(rho, alpha: float, dims=None) -> float:
     rest = list(range(1, len(layout.dims)))
     tau = partial_trace(rho, layout, rest)
     return -_divergence_any_order(rho, embed_block(layout, tau, rest), alpha)
-
-
-def embed_block(layout: SystemLayout, block: np.ndarray, positions) -> np.ndarray:
-    """Embed an operator living on contiguous positions, identity elsewhere."""
-    positions = sorted(positions)
-    front = int(np.prod(layout.dims[: positions[0]])) if positions[0] else 1
-    back_start = positions[-1] + 1
-    back = int(np.prod(layout.dims[back_start:])) if back_start < len(layout.dims) else 1
-    return np.kron(np.kron(np.eye(front, dtype=complex), block), np.eye(back, dtype=complex))
 
 
 def _layout_of(rho, dims) -> SystemLayout:

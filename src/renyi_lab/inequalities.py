@@ -21,8 +21,10 @@ from .entropies import (
     mutual_info_down,
     renyi_entropy,
     _divergence_any_order,
+    _mat,
+    _tr_log2,
 )
-from .linalg import as_layout, embed_factors, frac_power, partial_trace, power_spectrum, _psd_eigvals
+from .linalg import as_layout, embed_factors, frac_power, partial_trace, support_projector, swap_bipartite
 from .orders import (
     FORWARD,
     REVERSE,
@@ -34,20 +36,14 @@ from .orders import (
     sample_triple,
 )
 from .report import InequalityReport, finish, skipped, summarize
-from .states import DensityOperator, random_density, random_pure, trial_rng
+from .states import random_density, random_pure, trial_rng
 
 SUPPORT_LEAK_TOL = 1e-9
 
 
-def _mat(x):
-    return x.mat if isinstance(x, DensityOperator) else np.asarray(x, dtype=complex)
-
-
 def _dominates_embedded(rho: np.ndarray, weight: np.ndarray, layout, pos: int) -> bool:
     """Whether id (x) weight-at-pos dominates rho."""
-    vals, vecs = _psd_eigvals(np.asarray(weight, dtype=complex))
-    proj = (vecs * power_spectrum(vals, 0.0)) @ vecs.conj().T
-    full = embed_factors(layout, {pos: proj})
+    full = embed_factors(layout, {pos: support_projector(weight)})
     leak = float(np.real(np.trace(rho))) - float(np.real(np.trace(full @ rho @ full)))
     return leak <= SUPPORT_LEAK_TOL
 
@@ -55,10 +51,7 @@ def _dominates_embedded(rho: np.ndarray, weight: np.ndarray, layout, pos: int) -
 def _entropy_weight_term(gamma: float, rho_marg: np.ndarray, sigma: np.ndarray) -> float:
     """log (tr rho sigma^(1/gamma'))^(gamma'), the non-optimised entropy term."""
     if abs(gamma - 1.0) <= 1e-9:
-        vals, vecs = _psd_eigvals(sigma)
-        live = vals > 0
-        w = np.real(np.einsum("ij,jk,ki->i", vecs.conj().T, rho_marg, vecs))
-        return float(np.sum(w[live] * np.log2(vals[live])))
+        return float(_tr_log2(rho_marg, sigma))
     gp = hconj(gamma)
     return gp * float(np.log2(np.real(np.trace(rho_marg @ frac_power(sigma, 1.0 / gp)))))
 
@@ -218,7 +211,7 @@ def _suite_trial(tag: str, rng, dims, tolerance: float, seed: int, explore: bool
     if tag in ("decomp", "decomp-dup"):
         if rank_deficient:
             rho_swapped, tau_a = _rank_deficient_pair(rng, db, da)
-            rho = _swap_bipartite(rho_swapped, (db, da))
+            rho = swap_bipartite(rho_swapped, (db, da))
         else:
             rho = random_density(da * db, int(rng.integers(1, da * db + 1)), rng).mat
             tau_a = random_density(da, da, rng).mat
@@ -254,26 +247,30 @@ def _suite_trial(tag: str, rng, dims, tolerance: float, seed: int, explore: bool
     raise ValueError(f"unknown suite tag {tag!r}")
 
 
-def _swap_bipartite(rho: np.ndarray, dims) -> np.ndarray:
-    da, db = dims
-    t = rho.reshape(da, db, da, db)
-    return t.transpose(1, 0, 3, 2).reshape(da * db, da * db)
-
-
 DIVERGENCE_SUITES = ("general", "decomp", "bchain", "bchain-alt", "chain", "chain-dup",
                      "decomp-dup", "noncond")
 
 
 def run_suite(tag: str, trials: int, dims=(2, 2), master_seed: int = 0,
               tolerance: float = report.BASE_TOL, explore: bool = False):
-    """Run seeded independent trials of one inequality family."""
+    """Run seeded independent trials of one inequality family.
+
+    A trial that raises a numerical error (ValueError, ArithmeticError or
+    RuntimeError, which covers OptimizerDiverged) is recorded with verdict
+    `error` and the exception text as its note; the sweep goes on.
+    """
+    from . import uncertainty
     if tag in DIVERGENCE_SUITES:
         trial_fn = _suite_trial
-    else:
-        from . import uncertainty
+    elif tag in uncertainty.UNCERTAINTY_SUITES:
         trial_fn = uncertainty.suite_trial
+    else:
+        raise ValueError(f"unknown suite tag {tag!r}")
     reports = []
     for i in range(trials):
         rng = trial_rng(master_seed, i)
-        reports.append(trial_fn(tag, rng, dims, tolerance, i, explore))
+        try:
+            reports.append(trial_fn(tag, rng, dims, tolerance, i, explore))
+        except (ValueError, ArithmeticError, RuntimeError) as exc:
+            reports.append(report.errored(tag, i, as_layout(dims).dims, f"{type(exc).__name__}: {exc}"))
     return reports, summarize(tag, reports, master_seed, tolerance)

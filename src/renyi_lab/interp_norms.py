@@ -1,209 +1,37 @@
-"""Weighting super-operator, two/three-part operator norms, and the numerical
-log-convexity checks behind the interpolation machinery.
+"""Weighting map and the numerical log-convexity check behind the paper's
+complex-interpolation argument (Beigi, arXiv:1306.5920).
 
-Optimisations over strictly positive density weights are restricted to a
-qubit factor, done by Bloch-ball grid search plus Nelder-Mead refinement;
-larger factors are rejected loudly rather than silently approximated.
+Matrix powers follow the PSD spectral kernel of `linalg`, per matrix:
+negative eigenvalues inside the clamp band (relative to max(1, lambda_max))
+count as 0, lower ones raise `NotPositiveSemidefinite`, and eigenvalues below
+the support cutoff (relative to lambda_max) are off the support for every
+exponent, negative ones included (pseudoinverse convention).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
 
-from .entropies import _embed_stack, _stack_power, bloch_density, bloch_grid, refine_ball, weighted_norm
-from .linalg import LayoutMismatch, as_layout, dagger, frac_power, partial_trace, schatten_norm
+from .entropies import weighted_norm
+from .linalg import frac_power
 
-GRID_SHAPE = (64, 32, 32)   # radial x two angular resolutions on the Bloch ball
-REFINE_STEPS = 150          # Nelder-Mead budget; 20 steps leave ~2e-5 residuals
 COMMUTATOR_TOL = 1e-9
-
-
-class UnsupportedDim(ValueError):
-    pass
 
 
 class CommutatorViolation(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class GammaSpec:
-    """Two-sided weighting map M -> left^(e/2) M right^(e/2)."""
-
-    left: np.ndarray | None    # None means identity
-    right: np.ndarray | None
-    exponent: float = 1.0
-
-
-def gamma_apply(spec: GammaSpec, m: np.ndarray) -> np.ndarray:
-    m = np.asarray(m, dtype=complex)
-    out = m
-    if spec.left is not None:
-        out = frac_power(np.asarray(spec.left, dtype=complex), spec.exponent / 2.0) @ out
-    if spec.right is not None:
-        out = out @ frac_power(np.asarray(spec.right, dtype=complex), spec.exponent / 2.0)
-    return out
-
-
 def gamma_weight(m: np.ndarray, sigma, tau, exponent: float = 1.0) -> np.ndarray:
-    return gamma_apply(GammaSpec(sigma, tau, exponent), m)
-
-
-def _is_hermitian_psd(y: np.ndarray) -> bool:
-    if np.abs(y - dagger(y)).max() > 1e-10 * (1.0 + np.abs(y).max()):
-        return False
-    return float(np.linalg.eigvalsh((y + dagger(y)) / 2.0).min()) > -1e-10
-
-
-def _psd_norm_stack(stack: np.ndarray, q: float) -> np.ndarray:
-    """Schatten q-norm of a stack of PSD matrices via eigenvalues."""
-    lam = np.clip(np.linalg.eigvalsh(stack), 0.0, None)
-    if math.isinf(q):
-        return lam[:, -1]
-    top = np.maximum(lam[:, -1:], 1e-300)
-    s = np.sum((lam / top) ** q, axis=1)
-    return top[:, 0] * s ** (1.0 / q)
-
-
-def _clip_ball(v: np.ndarray, rmax: float = 0.999) -> np.ndarray:
-    v = np.asarray(v, dtype=float)
-    r = np.linalg.norm(v)
-    return v * (rmax / r) if r > rmax else v
-
-
-def _fibonacci_sphere(n: int) -> np.ndarray:
-    k = np.arange(n, dtype=float)
-    z = 1.0 - 2.0 * (k + 0.5) / n
-    phi = k * (np.pi * (3.0 - np.sqrt(5.0)))
-    s = np.sqrt(1.0 - z * z)
-    return np.stack([s * np.cos(phi), s * np.sin(phi), z], axis=-1)
-
-
-def _search_points() -> np.ndarray:
-    """Bloch lattice plus near-boundary shells (optima can hug the boundary)."""
-    dirs = _fibonacci_sphere(512)
-    shells = [dirs * (1.0 - 10.0 ** (-k)) for k in (4, 6, 8, 10)]
-    return np.concatenate([bloch_grid(*GRID_SHAPE)] + shells)
-
-
-def _radial_polish(value, xyz: np.ndarray):
-    """1-D search in log(1 - r) along the direction of xyz."""
-    d = float(np.linalg.norm(xyz))
-    if d < 1e-9:
-        return xyz, value(xyz)
-    u = xyz / d
-    res = scipy.optimize.minimize_scalar(
-        lambda t: value(u * (1.0 - 10.0 ** t)),
-        bounds=(-13.0, math.log10(max(1e-13, 1.0 - d))),
-        method="bounded", options={"xatol": 1e-4},
-    )
-    best = u * (1.0 - 10.0 ** float(res.x))
-    return (best, float(res.fun)) if res.fun < value(xyz) else (xyz, value(xyz))
-
-
-def two_part_norm(y: np.ndarray, p: float, q: float, dims, rng: np.random.Generator | None = None) -> float:
-    """Pisier-style (p, q) norm of an operator on A (x) B, optimised over A.
-
-    sup over weights for p >= q, inf for p <= q.  Positive operators use a
-    single weight (the optimum restricts to equal weights); general operators
-    use multi-start refinement over both weights.
-    """
-    y = np.asarray(y, dtype=complex)
-    layout = as_layout(dims)
-    layout.check(y.shape[0])
-    da = layout.dims[0]
-    if da != 2:
-        raise UnsupportedDim("two-part norm optimisation supports a qubit first factor only")
-    if p == q:
-        return schatten_norm(y, p)
-    inv = lambda x: 0.0 if math.isinf(x) else 1.0 / x
-    e = (inv(q) - inv(p)) / 2.0
-    maximize = p > q
-    sign = -1.0 if maximize else 1.0
-    db = y.shape[0] // da
-
-    if _is_hermitian_psd(y):
-        def batch(xyz: np.ndarray) -> np.ndarray:
-            g = _embed_stack(_stack_power(bloch_density(xyz), e), 1, db)
-            return _psd_norm_stack(g @ y @ g, q)
-
-        pts = _search_points()
-        vals = sign * batch(pts)
-        best = int(np.argmin(vals))
-
-        def scalar(xyz):
-            return sign * float(batch(np.asarray(xyz)[None])[0])
-
-        xyz, fref, _ = refine_ball(scalar, pts[best], REFINE_STEPS)
-        xyz, fref = _radial_polish(scalar, xyz)
-        return sign * min(fref, float(vals[best]))
-
-    # general operators: optimise both weights from several starts
-    eye = np.eye(db, dtype=complex)
-
-    def scalar2(params):
-        sig = bloch_density(_clip_ball(params[:3]))
-        tau = bloch_density(_clip_ball(params[3:]))
-        g1 = np.kron(frac_power(sig, e), eye)
-        g2 = np.kron(frac_power(tau, e), eye)
-        return sign * schatten_norm(g1 @ y @ g2, q)
-
-    rng = rng or np.random.default_rng(0)
-    best_val = math.inf
-    starts = [np.zeros(6)] + [rng.uniform(-0.9, 0.9, size=6) for _ in range(12)]
-    for s in starts:
-        res = scipy.optimize.minimize(scalar2, s, method="Nelder-Mead",
-                                      options={"maxiter": 400, "xatol": 1e-6, "fatol": 1e-10})
-        best_val = min(best_val, float(res.fun))
-    return sign * best_val
-
-
-def three_part_reduction_check(x: np.ndarray, p: float, q: float, dims) -> float:
-    """|difference| between the (p, q, 1) norm of a positive tripartite
-    operator and the (p, q) norm of its first-two-factor marginal, the two
-    sides evaluated through independent optimisation paths."""
-    x = np.asarray(x, dtype=complex)
-    layout = as_layout(dims)
-    layout.check(x.shape[0])
-    if len(layout.dims) != 3:
-        raise LayoutMismatch("expected a tripartite layout")
-    if not _is_hermitian_psd(x):
-        raise ValueError("reduction identity is stated for positive operators")
-    da, db, dc = layout.dims
-    if da != 2:
-        raise UnsupportedDim("optimisation supports a qubit first factor only")
-    inv = lambda t: 0.0 if math.isinf(t) else 1.0 / t
-    e = (inv(q) - inv(p)) / 2.0
-    maximize = p > q
-    sign = -1.0 if maximize else 1.0
-    dbc = db * dc
-
-    # side one: weight the full tripartite operator on A, collapse the trailing
-    # factor (the trivial inner block) by partial trace, then take the q-norm
-    def batch(xyz: np.ndarray) -> np.ndarray:
-        g = _embed_stack(_stack_power(bloch_density(xyz), e), 1, dbc)
-        w = g @ x @ g
-        k = w.shape[0]
-        w = w.reshape(k, da * db, dc, da * db, dc)
-        inner = np.einsum("kaxbx->kab", w)
-        return _psd_norm_stack(inner, q)
-
-    pts = _search_points()
-    vals = sign * batch(pts)
-    best = int(np.argmin(vals))
-
-    def scalar(xyz):
-        return sign * float(batch(np.asarray(xyz)[None])[0])
-
-    xyz, fref, _ = refine_ball(scalar, pts[best], REFINE_STEPS)
-    xyz, fref = _radial_polish(scalar, xyz)
-    lhs = sign * min(fref, float(vals[best]))
-    rhs = two_part_norm(partial_trace(x, layout, keep=[0, 1]), p, q, (da, db))
-    return abs(lhs - rhs)
+    """Two-sided weighting m -> sigma^(e/2) m tau^(e/2); None means identity."""
+    out = np.asarray(m, dtype=complex)
+    if sigma is not None:
+        out = frac_power(sigma, exponent / 2.0) @ out
+    if tau is not None:
+        out = out @ frac_power(tau, exponent / 2.0)
+    return out
 
 
 def log_convexity_check(y, sigma1, sigma2, tau1, tau2, f, q0: float, q1: float, theta: float) -> float:
@@ -234,14 +62,3 @@ def log_convexity_check(y, sigma1, sigma2, tau1, tau2, f, q0: float, q1: float, 
     lhs = side(f(theta), q_theta)
     rhs = side(f(0.0), q0) ** (1.0 - theta) * side(f(1.0), q1) ** theta
     return rhs - lhs
-
-
-def pqrt_spot_check(y: np.ndarray, p0: float, q0: float, p1: float, q1: float,
-                    theta: float, dims) -> dict:
-    """Interpolated two-part-norm comparison, reported but never asserted."""
-    inv = lambda t: 0.0 if math.isinf(t) else 1.0 / t
-    pt = 1.0 / ((1.0 - theta) * inv(p0) + theta * inv(p1))
-    qt = 1.0 / ((1.0 - theta) * inv(q0) + theta * inv(q1))
-    lhs = two_part_norm(y, pt, qt, dims)
-    rhs = two_part_norm(y, p0, q0, dims) ** (1.0 - theta) * two_part_norm(y, p1, q1, dims) ** theta
-    return {"lhs": lhs, "rhs": rhs, "gap": rhs - lhs, "p_theta": pt, "q_theta": qt}

@@ -1,13 +1,15 @@
 """Dense complex linear-operator kernel.
 
-Eigen/singular decompositions, matrix powers with pseudoinverse semantics,
-Schatten (quasi-)norms, tensor indexing over subsystem layouts, and the
-operator-vector correspondence.  Everything is plain numpy on small dense
-matrices (dims <= 64).
+Eigen/singular decompositions, the PSD spectral kernel (one clamp and
+support-cutoff policy for a matrix or a (..., d, d) stack, and the matrix
+powers built on it), Schatten (quasi-)norms, tensor indexing over subsystem
+layouts, and the operator-vector correspondence.  Everything is plain numpy on
+small dense matrices (dims <= 64).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import reduce
 
@@ -82,45 +84,77 @@ def dagger(m: np.ndarray) -> np.ndarray:
     return m.conj().T
 
 
-def herm_eig(h: np.ndarray) -> HermitianEig:
-    """Spectral decomposition of a Hermitian matrix, eigenvalues descending."""
+def check_hermitian(h: np.ndarray) -> np.ndarray:
+    """h as a complex array, or NotHermitian if it is not Hermitian within tolerance."""
     h = np.asarray(h, dtype=complex)
     scale = 1.0 + np.abs(h).max(initial=0.0)
     if np.abs(h - dagger(h)).max(initial=0.0) > HERM_TOL * scale:
         raise NotHermitian("matrix is not Hermitian within tolerance")
-    vals, vecs = np.linalg.eigh((h + dagger(h)) / 2.0)
+    return h
+
+
+def _hermitian(h: np.ndarray) -> np.ndarray:
+    h = check_hermitian(h)
+    return (h + dagger(h)) / 2.0
+
+
+def herm_eig(h: np.ndarray) -> HermitianEig:
+    """Spectral decomposition of a Hermitian matrix, eigenvalues descending."""
+    vals, vecs = np.linalg.eigh(_hermitian(h))
     return HermitianEig(vals[::-1].copy(), vecs[:, ::-1].copy())
 
 
-def _psd_eigvals(h: np.ndarray):
-    """Eigendecompose and clamp small negative eigenvalues of a PSD input."""
-    eig = herm_eig(h)
-    vals = eig.values.copy()
-    top = max(vals[0], 0.0) if vals.size else 0.0
-    floor = -PSD_CLAMP * max(1.0, top)
-    if vals.size and vals[-1] < floor:
-        raise NotPositiveSemidefinite(f"eigenvalue {vals[-1]:.3e} below clamp tolerance")
-    vals[vals < 0.0] = 0.0
-    return vals, eig.vectors
+# ---------------------------------------------------------------------------
+# PSD spectral kernel: the one clamp and cutoff policy, per matrix of a stack
+# ---------------------------------------------------------------------------
+
+def _psd_policy(lam: np.ndarray, scale: np.ndarray):
+    """Zero the clamp band [-PSD_CLAMP * max(1, scale), 0) of ascending
+    (..., d) spectra, raise below it, and mark each matrix's support."""
+    low = lam[..., 0]
+    if low.min() < 0.0:
+        if (low < -PSD_CLAMP * np.maximum(scale, 1.0)).any():
+            raise NotPositiveSemidefinite(f"eigenvalue {low.min():.3e} below clamp tolerance")
+        lam = np.maximum(lam, 0.0)
+    return lam, lam > EIG_CUTOFF * lam[..., -1:]
 
 
-def power_spectrum(vals: np.ndarray, a: float) -> np.ndarray:
-    """Map eigenvalues lam -> lam**a with the pseudoinverse cutoff for every a."""
-    vals = np.asarray(vals, dtype=float)
-    out = np.zeros_like(vals)
-    top = vals.max(initial=0.0)
-    live = vals > EIG_CUTOFF * top
-    if a == 0.0:
-        out[live] = 1.0
-    else:
-        out[live] = vals[live] ** a
-    return out
+def psd_eigvalsh(h: np.ndarray):
+    """(lam, live) for a PSD matrix or (..., d, d) stack: ascending eigenvalues
+    with the clamp band zeroed, and each matrix's support mask."""
+    lam = np.linalg.eigvalsh(h)
+    return _psd_policy(lam, lam[..., -1])
+
+
+def psd_eigh(h: np.ndarray):
+    """(lam, v, live): `psd_eigvalsh` plus the eigenvectors as columns."""
+    lam, v = np.linalg.eigh(h)
+    lam, live = _psd_policy(lam, lam[..., -1])
+    return lam, v, live
+
+
+def congruence_eigvalsh(w: np.ndarray, rho: np.ndarray):
+    """`psd_eigvalsh` of w rho w^dagger for a matrix or stack w and a rho
+    already checked PSD.
+
+    The product is PSD by construction, so its clamp band is the product's
+    rounding scale |w|_F^2 |rho|_F rather than its own lambda_max: a floored
+    weight raised to a negative power leaves +-1e-6 eigenvalues on a rank-one
+    product whose top eigenvalue is 2.
+    """
+    lam = np.linalg.eigvalsh(w @ rho @ w.conj().swapaxes(-1, -2))
+    return _psd_policy(lam, np.sum(np.abs(w) ** 2, axis=(-2, -1)) * np.linalg.norm(rho))
 
 
 def frac_power(h: np.ndarray, a: float) -> np.ndarray:
-    """h**a for PSD h; eigenvalues below the cutoff map to 0 even for a < 0."""
-    vals, vecs = _psd_eigvals(h)
-    return (vecs * power_spectrum(vals, a)) @ dagger(vecs)
+    """h**a for a PSD matrix or (..., d, d) stack; eigenvalues below the
+    cutoff map to 0 for every a (a = 0 gives the support projector)."""
+    h = np.asarray(h, dtype=complex)
+    if h.ndim == 2:
+        h = _hermitian(h)
+    w, v, live = psd_eigh(h)
+    wp = np.where(live, np.where(live, w, 1.0) ** a, 0.0)
+    return (v * wp[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
 def support_projector(h: np.ndarray) -> np.ndarray:
@@ -190,6 +224,27 @@ def embed_factors(dims, factors: dict[int, np.ndarray]) -> np.ndarray:
     return tensor(*parts)
 
 
+def embed_block(dims, block: np.ndarray, positions) -> np.ndarray:
+    """I (x) block (x) I for an operator or (k, d, d) stack on contiguous positions."""
+    dims = as_layout(dims).dims
+    lo, hi = min(positions), max(positions)
+    if len(set(positions)) != hi - lo + 1:
+        raise ValueError("embedded subsystems must be contiguous")
+    front, back = math.prod(dims[:lo]), math.prod(dims[hi + 1:])
+    if front == 1 and back == 1:
+        return block
+    out = np.einsum("ij,...ab,xy->...iaxjby",
+                    np.eye(front, dtype=complex), block, np.eye(back, dtype=complex))
+    n = front * block.shape[-1] * back
+    return out.reshape(block.shape[:-2] + (n, n))
+
+
+def swap_bipartite(m: np.ndarray, dims) -> np.ndarray:
+    """The operator on B (x) A matching m on A (x) B, dims = (dA, dB)."""
+    da, db = dims
+    return m.reshape(da, db, da, db).transpose(1, 0, 3, 2).reshape(da * db, da * db)
+
+
 def partial_trace(m: np.ndarray, dims, keep) -> np.ndarray:
     """Trace out every subsystem not in `keep`; kept order follows the layout."""
     layout = as_layout(dims)
@@ -246,18 +301,6 @@ def purify(rho: np.ndarray):
 
     The ancilla dimension equals the numerical rank of rho.
     """
-    vals, vecs = _psd_eigvals(rho)
-    top = vals.max(initial=0.0)
-    live = np.where(vals > EIG_CUTOFF * top)[0]
-    r = len(live)
-    d = rho.shape[0]
-    v = np.zeros(d * r, dtype=complex)
-    for j, i in enumerate(live):
-        v += np.sqrt(vals[i]) * np.kron(vecs[:, i], _basis_vec(r, j))
-    return v, SystemLayout((d, r))
-
-
-def _basis_vec(d: int, i: int) -> np.ndarray:
-    e = np.zeros(d, dtype=complex)
-    e[i] = 1.0
-    return e
+    vals, vecs, live = psd_eigh(_hermitian(rho))
+    v = vecs[:, live] * np.sqrt(vals[live])   # column j: sqrt(lam_j) |e_j>
+    return v.reshape(-1), SystemLayout((rho.shape[0], v.shape[1]))

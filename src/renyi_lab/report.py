@@ -8,6 +8,7 @@ from dataclasses import dataclass, field
 PASS = "pass"
 FAIL = "fail"
 SKIPPED = "skipped"
+ERROR = "error"   # the trial raised a numerical error; counted as failed
 
 BASE_TOL = 1e-6
 WIDE_TOL = 1e-5   # for trials whose gap contains an optimiser output on the shrinking side
@@ -65,6 +66,12 @@ def skipped(theorem: str, trial_seed: int, dims, alpha, beta, gamma, delta, dire
                             direction, math.nan, math.nan, math.nan, SKIPPED, note=note)
 
 
+def errored(theorem: str, trial_seed: int, dims, note: str) -> InequalityReport:
+    nan = math.nan
+    return InequalityReport(theorem, trial_seed, tuple(dims), nan, nan, nan, None, "",
+                            nan, nan, nan, ERROR, note=note)
+
+
 @dataclass
 class SuiteSummary:
     theorem: str
@@ -91,7 +98,7 @@ def summarize(theorem: str, reports, master_seed: int, tolerance: float) -> Suit
         theorem=theorem,
         trials=len(reports),
         passed=sum(r.verdict == PASS for r in reports),
-        failed=sum(r.verdict == FAIL for r in reports),
+        failed=sum(r.verdict in (FAIL, ERROR) for r in reports),
         skipped=sum(r.verdict == SKIPPED for r in reports),
         min_gap=min(gaps) if gaps else math.inf,
         master_seed=master_seed,

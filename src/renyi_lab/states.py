@@ -18,8 +18,9 @@ from .linalg import (
     dagger,
     embed_factors,
     partial_trace,
+    psd_eigh,
     tensor,
-    _psd_eigvals,
+    _hermitian,
 )
 
 TRACE_TOL = 1e-10
@@ -36,7 +37,7 @@ class DensityOperator:
     def __post_init__(self):
         m = np.asarray(self.mat, dtype=complex)
         self.layout.check(m.shape[0])
-        vals, vecs = _psd_eigvals(m)  # raises if meaningfully non-PSD
+        vals, vecs, _ = psd_eigh(_hermitian(m))  # raises if meaningfully non-PSD
         tr = vals.sum()
         if abs(tr - 1.0) > TRACE_TOL:
             raise ValueError(f"trace {tr} differs from 1 beyond tolerance")

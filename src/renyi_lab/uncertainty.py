@@ -22,7 +22,7 @@ from .entropies import (
     mutual_info_down,
     renyi_entropy,
 )
-from .linalg import as_layout, dagger, partial_trace
+from .linalg import as_layout, dagger, swap_bipartite
 from .orders import hatconj, hconj, sample_triple, sdg_condition, solve_beta, surface_residual, FORWARD, REVERSE
 from .report import InequalityReport, finish, summarize
 from .states import (
@@ -57,10 +57,6 @@ class MeasurementPair:
             raise ValueError("bases must act on the same space")
         ov = np.abs(dagger(basis_x.vectors) @ basis_z.vectors) ** 2
         return cls(basis_x, basis_z, ov, float(ov.max()), basis_x.dim)
-
-
-def overlap_matrix(pair: MeasurementPair) -> np.ndarray:
-    return pair.overlaps
 
 
 def mub_pair(d: int) -> MeasurementPair:
@@ -154,15 +150,22 @@ def q_delta_state_independent(pair: MeasurementPair, delta: float,
     """Worst-case-over-states bound via the mixing-weight minimax form."""
     if abs(delta) <= DELTA_ZERO_WINDOW:
         return BoundValue("qDeltaSI", q_mu(pair).value, {"delta": delta, "p": None})
+    vx, vz = pair.basis_x.vectors, pair.basis_z.vectors
     if abs(delta - 1.0) <= DELTA_ONE_WINDOW:
-        val, p = _q_cp_state_independent(pair, grid_step)
-        return BoundValue("qDeltaSI", val, {"delta": delta, "p": p})
-    dp = hconj(delta)
+        # delta -> 1 limit: the smallest eigenvalue of the mixed log-overlap matrix
+        lx = -np.log2(pair.overlaps.max(axis=1))
+        lz = -np.log2(pair.overlaps.max(axis=0))
 
-    def objective(p: float) -> float:
-        lam = np.linalg.eigvalsh(_delta_matrix(pair, delta, p))
-        ext = lam[-1] if dp > 0 else lam[0]   # lambda_max of the delta'-power
-        return dp * float(np.log2(ext))
+        def objective(p: float) -> float:
+            m = p * (vx * lx) @ dagger(vx) + (1.0 - p) * (vz * lz) @ dagger(vz)
+            return -float(np.linalg.eigvalsh(m)[0])
+    else:
+        dp = hconj(delta)
+
+        def objective(p: float) -> float:
+            lam = np.linalg.eigvalsh(_delta_matrix(pair, delta, p))
+            ext = lam[-1] if dp > 0 else lam[0]   # lambda_max of the delta'-power
+            return dp * float(np.log2(ext))
 
     grid = np.arange(0.0, 1.0 + grid_step / 2, grid_step)
     vals = [objective(p) for p in grid]
@@ -173,25 +176,6 @@ def q_delta_state_independent(pair: MeasurementPair, delta: float,
     best = min(float(res.fun), float(vals[k]))
     p_opt = float(res.x) if res.fun <= vals[k] else float(grid[k])
     return BoundValue("qDeltaSI", -best, {"delta": delta, "p": p_opt})
-
-
-def _q_cp_state_independent(pair: MeasurementPair, grid_step: float):
-    """delta -> 1 limit of the state-independent bound."""
-    lx = -np.log2(pair.overlaps.max(axis=1))
-    lz = -np.log2(pair.overlaps.max(axis=0))
-    vx, vz = pair.basis_x.vectors, pair.basis_z.vectors
-
-    def objective(p: float) -> float:
-        m = p * (vx * lx) @ dagger(vx) + (1.0 - p) * (vz * lz) @ dagger(vz)
-        return -float(np.linalg.eigvalsh(m)[0])
-
-    grid = np.arange(0.0, 1.0 + grid_step / 2, grid_step)
-    vals = [objective(p) for p in grid]
-    k = int(np.argmin(vals))
-    lo, hi = max(0.0, grid[k] - grid_step), min(1.0, grid[k] + grid_step)
-    res = scipy.optimize.minimize_scalar(objective, bounds=(lo, hi), method="bounded",
-                                         options={"xatol": 1e-10})
-    return -min(float(res.fun), float(vals[k])), float(res.x)
 
 
 def hall_bound(pair: MeasurementPair) -> BoundValue:
@@ -538,11 +522,12 @@ def sample_ier_orders(rng: np.random.Generator, symmetric: bool):
 
 def sample_marcos_triple(rng: np.random.Generator):
     """Surface triple with every order >= 1/2 and negative sign product."""
-    while True:
+    for _ in range(2000):
         t = sample_triple(rng, "general")
         if min(t.alpha, t.beta, t.gamma) >= 0.5 and \
                 (t.alpha - 1) * (t.beta - 1) * (t.gamma - 1) < 0:
             return t
+    raise RuntimeError("could not sample a triple for the measured uncertainty relation")
 
 
 # ---------------------------------------------------------------------------
@@ -604,7 +589,7 @@ def suite_trial(tag: str, rng: np.random.Generator, dims, tolerance: float,
         p = rng.dirichlet(np.ones(db))
         blocks = [random_density(da, da, rng).mat for _ in range(db)]
         rho_ay = cq_state(p, blocks, dims=(db, da))
-        rho_ya = DensityOperator(_swap(rho_ay.mat, (db, da)), as_layout((da, db)))
+        rho_ya = DensityOperator(swap_bipartite(rho_ay.mat, (db, da)), as_layout((da, db)))
         return check_hall_classical(rho_ya, pair, tolerance, seed)
     raise ValueError(f"unknown suite tag {tag!r}")
 
@@ -620,9 +605,4 @@ def _sample_const_comp_orders(rng: np.random.Generator):
         if (a - 1.0) * (d - 1.0) / (a - d) + 1.0 / d < 1.0:
             continue
         return a, d
-    return 0.5, -0.5
-
-
-def _swap(rho: np.ndarray, dims) -> np.ndarray:
-    da, db = dims
-    return rho.reshape(da, db, da, db).transpose(1, 0, 3, 2).reshape(da * db, da * db)
+    raise RuntimeError("could not sample orders for the constant comparison")

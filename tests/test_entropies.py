@@ -6,6 +6,8 @@ import scipy.optimize
 
 from renyi_lab.entropies import (
     OptimizerConfig,
+    _ball_from_free,
+    _divergence_objective,
     bloch_density,
     classical_renyi_divergence,
     classical_renyi_entropy,
@@ -25,6 +27,8 @@ from renyi_lab.entropies import (
 )
 from renyi_lab.linalg import (
     InvalidOrder,
+    NotHermitian,
+    NotPositiveSemidefinite,
     dagger,
     embed_factors,
     frac_power,
@@ -94,6 +98,17 @@ class TestSandwichedDivergence:
         rho = random_density(2, 2, trial_rng(30, 2))
         with pytest.raises(InvalidOrder):
             sandwiched_divergence(rho, rho, 0.3)
+
+    def test_rejects_non_psd_rho_next_to_ill_conditioned_sigma(self):
+        # sigma^c with a tiny eigenvalue scales the sandwich's rounding band
+        # far beyond rho's own: rho is checked where it enters
+        rho = np.diag([0.0, 1.0 + 1e-7, -1e-7]).astype(complex)
+        for sig_min, a in ((1e-8, 2.0), (1e-11, math.inf)):
+            sig = np.diag([sig_min, 0.5, 0.5]).astype(complex)
+            with pytest.raises(NotPositiveSemidefinite):
+                sandwiched_divergence(rho, sig, a)
+        with pytest.raises(NotPositiveSemidefinite):
+            cond_entropy_up(np.diag([0.5, 0.5 + 1e-7, 0.0, -1e-7]).astype(complex), 2.0, (2, 2))
 
     def test_norm_form_identity(self):
         # divergence as the alpha-norm of the weighted state, to its conjugate power
@@ -180,6 +195,16 @@ class TestRenyiEntropy:
         assert renyi_entropy(rho, 2.0) == pytest.approx(-np.log2(np.sum(lam ** 2)))
         assert renyi_entropy(rho, 0.5) == pytest.approx(2 * np.log2(np.sum(np.sqrt(lam))))
         assert renyi_entropy(rho, 1.0) == pytest.approx(-np.sum(lam * np.log2(lam)))
+
+    def test_raw_arrays_must_be_hermitian(self):
+        bad = np.array([[0.5, 0.3], [0.0, 0.5]], dtype=complex)
+        for a in (0.5, 1.0, 2.0):
+            with pytest.raises(NotHermitian):
+                renyi_entropy(bad, a)
+            with pytest.raises(NotHermitian):
+                sandwiched_divergence(bad, np.eye(2) / 2, a)
+        with pytest.raises(NotHermitian):
+            quantum_relative_entropy(np.eye(2) / 2, bad)
 
 
 class TestConditionalEntropies:
@@ -472,6 +497,16 @@ class TestOptimizer:
 
         res = optimize_density(objective, 2)
         assert res.value == pytest.approx(0.0, abs=1e-8)
+
+    def test_bloch_chart_stays_above_the_cutoff(self):
+        # a candidate below the spectral cutoff would drop rho's mass there
+        # from tr rho log sigma and open a false minimum at the boundary
+        rho = np.kron(np.diag([0.7, 0.3]), np.diag([0.999, 0.001])).astype(complex)
+        objective = _divergence_objective(rho, 1.0, (2, 2), [1], {})
+        edge = bloch_density(_ball_from_free(np.array([0.0, 0.0, 50.0])))
+        assert np.linalg.eigvalsh(edge).min() >= 1e-11 - 1e-16
+        inside = bloch_density(np.array([0.0, 0.0, 0.998]))
+        assert objective(edge[None])[0] > objective(inside[None])[0] + 0.01
 
     def test_objective_receives_only_stacks(self):
         # single-point evaluations too must arrive as (1, d, d) stacks: a

@@ -7,12 +7,14 @@ from renyi_lab.linalg import (
     NotHermitian,
     NotPositiveSemidefinite,
     SystemLayout,
+    congruence_eigvalsh,
     dagger,
     frac_power,
     herm_eig,
     op_vec,
     partial_trace,
     polar,
+    psd_eigvalsh,
     purify,
     schatten_norm,
     schmidt,
@@ -86,6 +88,52 @@ class TestFracPower:
     def test_cutoff_applies_to_positive_powers_too(self):
         out = frac_power(np.diag([1.0, 1e-15]), 0.5)
         assert out[1, 1] == 0.0
+
+    # the same rules on a (k, d, d) stack, with each matrix's own lambda_max
+
+    def test_stack_matches_matrices(self):
+        rng = trial_rng(2, 50)
+        stack = np.array([random_density(3, int(r), rng).mat for r in (1, 2, 3)])
+        for a in (-1.0, 0.0, 0.5, 2.0):
+            out = frac_power(stack, a)
+            for k in range(3):
+                assert np.abs(out[k] - frac_power(stack[k], a)).max() < 1e-12
+
+    def test_stack_clamps_small_negatives_per_matrix(self):
+        # -5e-9 is inside the band of the matrix with lambda_max = 100 only
+        out = frac_power(np.array([np.diag([1.0, -5e-11]), np.diag([100.0, -5e-9])]), 0.5)
+        assert np.allclose(out, [np.diag([1.0, 0.0]), np.diag([10.0, 0.0])])
+
+    def test_stack_rejects_one_bad_matrix(self):
+        with pytest.raises(NotPositiveSemidefinite):
+            frac_power(np.array([np.diag([1.0, 0.5]), np.diag([1.0, -1e-6])]), 0.5)
+        # another matrix's larger lambda_max does not widen the band
+        with pytest.raises(NotPositiveSemidefinite):
+            frac_power(np.array([np.diag([1.0, -5e-9]), np.diag([100.0, 1.0])]), 0.5)
+
+    def test_stack_cutoff_per_matrix(self):
+        # 1e-15 is below the cutoff next to 1, above it next to 1e-6
+        out = frac_power(np.array([np.diag([1.0, 1e-15]), np.diag([1e-6, 1e-15])]), -1.0)
+        assert out[0, 1, 1] == 0.0
+        assert out[1, 1, 1] == pytest.approx(1e15)
+        assert out[1, 0, 0] == pytest.approx(1e6)
+
+    def test_congruence_band_follows_the_factor_scale(self):
+        # a weight floored at 1e-11 and raised to -1/2 turns rounding in a
+        # rank-one rho on its large eigenspace into +-1e-6 eigenvalues of
+        # w rho w^dagger, whose top eigenvalue is 2
+        rng = trial_rng(2, 60)
+        u = rand_unitary(4, rng)
+        w = frac_power(u @ np.diag([0.5, 0.5, 1e-11, 1e-11]) @ dagger(u), -0.5)
+        psi = u[:, :2] @ random_pure(2, rng)
+        rho = np.outer(psi, psi.conj())
+        with pytest.raises(NotPositiveSemidefinite):
+            psd_eigvalsh(w @ rho @ dagger(w))
+        lam, live = congruence_eigvalsh(w, rho)
+        assert lam.min() == 0.0 and lam.max() == pytest.approx(2.0, rel=1e-6)
+        assert live.sum() >= 1
+        with pytest.raises(NotPositiveSemidefinite):
+            congruence_eigvalsh(np.eye(2), np.diag([1.0, -1e-6]))
 
 
 class TestSchattenNorm:
