@@ -14,22 +14,11 @@ import sys
 import numpy as np
 
 from . import report
-from .entropies import (
-    classical_renyi_entropy,
-    cond_entropy_down,
-    cond_entropy_up,
-    gen_cond_entropy,
-    mutual_info_down,
-    mutual_info_up,
-    quantum_relative_entropy,
-    renyi_entropy,
-    sandwiched_divergence,
-)
-from .inequalities import DIVERGENCE_SUITES, run_suite
+from .entropies import cond_entropy_down, cond_entropy_up, mutual_info_down, mutual_info_up, renyi_entropy
+from .inequalities import SUITES, run_suite
 from .linalg import SystemLayout
 from .states import DensityOperator, MeasurementBasis, random_density, trial_rng
 from .uncertainty import (
-    UNCERTAINTY_SUITES,
     MeasurementPair,
     hall_bound,
     mub_pair,
@@ -44,7 +33,7 @@ from .uncertainty import (
 )
 
 ENV_SEED = "RENYI_LAB_SEED"
-ALL_SUITES = DIVERGENCE_SUITES + UNCERTAINTY_SUITES
+ALL_SUITES = tuple(SUITES)
 
 CSV_COLUMNS = ("trial_id", "seed", "dim_a", "dim_b", "dim_c", "alpha", "beta", "gamma",
                "delta", "direction", "lhs_bits", "rhs_bits", "gap_bits", "verdict",
@@ -111,15 +100,6 @@ def _read_matrix_file(path: str) -> np.ndarray:
     return np.array(entries, dtype=complex).reshape(d, d)
 
 
-def write_matrix_file(path: str, m: np.ndarray) -> None:
-    m = np.asarray(m, dtype=complex)
-    lines = [f"dim {m.shape[0]}"]
-    for z in m.reshape(-1):
-        lines.append(f"{z.real:.17g} {z.imag:.17g}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
 def read_state_file(path: str, dims=None) -> DensityOperator:
     m = _read_matrix_file(path)
     layout = SystemLayout(tuple(dims)) if dims else SystemLayout((m.shape[0],))
@@ -183,8 +163,7 @@ def cmd_sweep(args) -> int:
     os.makedirs(out, exist_ok=True)
     any_fail = False
     for tag in suites:
-        dims = (dim_a, dim_b, dim_c) if tag in ("chain", "chain-dup") else (dim_a, dim_b)
-        reports, summary = run_suite(tag, trials, dims, seed, tol, explore)
+        reports, summary = run_suite(tag, trials, (dim_a, dim_b, dim_c), seed, tol, explore)
         write_csv(os.path.join(out, f"{tag}.csv"), reports, seed)
         print(summary.line())
         if summary.failed and not explore:

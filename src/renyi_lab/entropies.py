@@ -263,7 +263,6 @@ class OptimizerConfig:
     big_step_cap: float = 1e16
     grad_h: float = 1e-6
     floor: float = 1e-11  # kept a decade above the spectral cutoff
-    extrapolate: bool = True
     method: str = "mirrorDescent"
     grid_points: tuple[int, int, int] = (64, 64, 64)
     refine_iter: int = 200
@@ -405,9 +404,7 @@ def mirror_descent(objective, dim: int, config: OptimizerConfig = DEFAULT_CONFIG
     if it >= config.max_iter and residual > config.residual_tol:
         raise OptimizerDiverged(f"no convergence after {it} iterations (residual {residual:.2e})")
     sigma = _floor_density(sigma, config.floor)
-    fval = _value_at(objective, sigma)
-    if config.extrapolate:
-        fval = min(fval, _richardson_value(objective, sigma, dim))
+    fval = min(_value_at(objective, sigma), _richardson_value(objective, sigma, dim))
     return sigma, fval, it, residual
 
 

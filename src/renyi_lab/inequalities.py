@@ -8,13 +8,10 @@ whose support precondition fails rather than passing them silently.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from . import report
+from . import report, uncertainty
 from .entropies import (
-    DEFAULT_CONFIG,
     cond_entropy_up,
     gen_cond_entropy,
     gen_mutual_info,
@@ -96,12 +93,6 @@ def check_decomposition(rho, tau_a, triple: RenyiTriple, dims=(2, 2),
                   opt_iters=res.iterations, opt_residual=res.residual)
 
 
-def check_decomp_appendix(rho, tau_a, triple: RenyiTriple, dims=(2, 2),
-                          tolerance: float = report.BASE_TOL, seed: int = 0) -> InequalityReport:
-    """Decomposition comparison on the alternative parameter ranges."""
-    return check_decomposition(rho, tau_a, triple, dims, tolerance, seed, theorem="decomp-dup")
-
-
 def check_bipartite_chain(rho, triple: RenyiTriple, dims=(2, 2),
                           tolerance: float = report.BASE_TOL, seed: int = 0,
                           theorem: str = "bchain") -> InequalityReport:
@@ -117,11 +108,6 @@ def check_bipartite_chain(rho, triple: RenyiTriple, dims=(2, 2),
     return finish(theorem, seed, layout.dims, a, b, g, None, triple.direction,
                   small, big, tolerance, wide=not fwd,
                   opt_iters=res.iterations, opt_residual=res.residual)
-
-
-def check_bipartite_chain_appendix(rho, triple: RenyiTriple, dims=(2, 2),
-                                   tolerance: float = report.BASE_TOL, seed: int = 0) -> InequalityReport:
-    return check_bipartite_chain(rho, triple, dims, tolerance, seed, theorem="bchain-alt")
 
 
 def check_tripartite_chain(rho, tau_c, triple: RenyiTriple, dims=(2, 2, 2),
@@ -144,14 +130,6 @@ def check_tripartite_chain(rho, tau_c, triple: RenyiTriple, dims=(2, 2, 2),
     return finish(theorem, seed, layout.dims, a, b, g, None, direction,
                   small, big, tolerance, wide=not fwd,
                   opt_iters=res.iterations, opt_residual=res.residual)
-
-
-def check_dupuis_chain(rho, tau_c, triple: RenyiTriple, dims=(2, 2, 2),
-                       tolerance: float = report.BASE_TOL, seed: int = 0) -> InequalityReport:
-    """Tripartite chain comparison with the sign-product direction rule."""
-    direction = FORWARD if product_sign(triple) > 0 else REVERSE
-    return check_tripartite_chain(rho, tau_c, triple, dims, tolerance, seed,
-                                  theorem="chain-dup", direction=direction)
 
 
 def check_noncond(rho, alpha: float, beta: float, gamma: float, delta: float,
@@ -193,8 +171,7 @@ def _explore_triple(rng, tag: str) -> RenyiTriple:
 
 
 def _suite_trial(tag: str, rng, dims, tolerance: float, seed: int, explore: bool) -> InequalityReport:
-    layout = as_layout(dims)
-    da, db = layout.dims[0], layout.dims[1]
+    da, db = dims[0], dims[1]
     rank_deficient = rng.uniform() < 0.2
     triple = _explore_triple(rng, tag) if explore else (None if tag == "noncond" else sample_triple(rng, tag))
 
@@ -206,7 +183,7 @@ def _suite_trial(tag: str, rng, dims, tolerance: float, seed: int, explore: bool
             tau_b = random_density(db, db, rng).mat
         sig = random_density(da, da, rng).mat + 0.05 * np.eye(da)
         sig_a = sig / np.trace(sig).real
-        return check_general_bipartite(rho, sig_a, tau_b, triple, layout.dims[:2], tolerance, seed)
+        return check_general_bipartite(rho, sig_a, tau_b, triple, dims, tolerance, seed)
 
     if tag in ("decomp", "decomp-dup"):
         if rank_deficient:
@@ -215,62 +192,82 @@ def _suite_trial(tag: str, rng, dims, tolerance: float, seed: int, explore: bool
         else:
             rho = random_density(da * db, int(rng.integers(1, da * db + 1)), rng).mat
             tau_a = random_density(da, da, rng).mat
-        checker = check_decomposition if tag == "decomp" else check_decomp_appendix
-        return checker(rho, tau_a, triple, layout.dims[:2], tolerance, seed)
+        return check_decomposition(rho, tau_a, triple, dims, tolerance, seed, theorem=tag)
 
     if tag in ("bchain", "bchain-alt"):
         rho = random_density(da * db, int(rng.integers(1, da * db + 1)), rng).mat
-        checker = check_bipartite_chain if tag == "bchain" else check_bipartite_chain_appendix
-        return checker(rho, triple, layout.dims[:2], tolerance, seed)
+        return check_bipartite_chain(rho, triple, dims, tolerance, seed, theorem=tag)
 
     if tag in ("chain", "chain-dup"):
-        dims3 = layout.dims if len(layout.dims) == 3 else (da, db, 2)
-        dc = dims3[2]
+        dc = dims[2]
         if rank_deficient:
             u = random_pure(dc, rng)
             tau_c = float(rng.uniform(0.3, 1.5)) * np.outer(u, u.conj())
-            rho = np.kron(random_density(dims3[0] * dims3[1], dims3[0] * dims3[1], rng).mat,
-                          np.outer(u, u.conj()))
+            rho = np.kron(random_density(da * db, da * db, rng).mat, np.outer(u, u.conj()))
         else:
-            full = int(np.prod(dims3))
+            full = da * db * dc
             rho = random_density(full, int(rng.integers(1, full + 1)), rng).mat
             tau_c = random_density(dc, dc, rng).mat
-        checker = check_tripartite_chain if tag == "chain" else check_dupuis_chain
-        return checker(rho, tau_c, triple, dims3, tolerance, seed)
+        # chain-dup takes its direction from the sign of (a-1)(b-1)(g-1), not from the triple
+        direction = None if tag == "chain" else (FORWARD if product_sign(triple) > 0 else REVERSE)
+        return check_tripartite_chain(rho, tau_c, triple, dims, tolerance, seed,
+                                      theorem=tag, direction=direction)
 
-    if tag == "noncond":
-        direction = FORWARD if rng.uniform() < 0.5 else REVERSE
-        a, b, g, d = noncond_orders(rng, direction)
-        rho = random_density(da * db, int(rng.integers(2, da * db + 1)), rng).mat
-        return check_noncond(rho, a, b, g, d, layout.dims[:2], tolerance, seed)
-
-    raise ValueError(f"unknown suite tag {tag!r}")
-
-
-DIVERGENCE_SUITES = ("general", "decomp", "bchain", "bchain-alt", "chain", "chain-dup",
-                     "decomp-dup", "noncond")
+    # noncond
+    direction = FORWARD if rng.uniform() < 0.5 else REVERSE
+    a, b, g, d = noncond_orders(rng, direction)
+    rho = random_density(da * db, int(rng.integers(2, da * db + 1)), rng).mat
+    return check_noncond(rho, a, b, g, d, dims, tolerance, seed)
 
 
-def run_suite(tag: str, trials: int, dims=(2, 2), master_seed: int = 0,
+# tag -> (trial, arity), in the order the CLI lists and sweeps them; a trial
+# draws one instance from its rng on exactly `arity` subsystem dimensions
+SUITES = {
+    "general": (_suite_trial, 2),
+    "decomp": (_suite_trial, 2),
+    "bchain": (_suite_trial, 2),
+    "bchain-alt": (_suite_trial, 2),
+    "chain": (_suite_trial, 3),
+    "chain-dup": (_suite_trial, 3),
+    "decomp-dup": (_suite_trial, 2),
+    "noncond": (_suite_trial, 2),
+    "rmu": (uncertainty.suite_trial, 2),
+    "gbur": (uncertainty.suite_trial, 2),
+    "sdgbur": (uncertainty.suite_trial, 2),
+    "sigbur": (uncertainty.suite_trial, 2),
+    "marcos": (uncertainty.suite_trial, 2),
+    "result2": (uncertainty.suite_trial, 2),
+    "res2c": (uncertainty.suite_trial, 2),
+    "ier": (uncertainty.suite_trial, 2),
+    "iier-opt": (uncertainty.suite_trial, 2),
+    "const-comp": (uncertainty.suite_trial, 2),
+    "hall-classical": (uncertainty.suite_trial, 2),
+}
+
+
+def run_suite(tag: str, trials: int, dims=(2, 2, 2), master_seed: int = 0,
               tolerance: float = report.BASE_TOL, explore: bool = False):
     """Run seeded independent trials of one inequality family.
+
+    `dims` needs at least as many entries as the suite's arity in `SUITES`;
+    the trials get exactly the first `arity`.  Explore mode changes only the
+    divergence suites; the uncertainty suites ignore it.
 
     A trial that raises a numerical error (ValueError, ArithmeticError or
     RuntimeError, which covers OptimizerDiverged) is recorded with verdict
     `error` and the exception text as its note; the sweep goes on.
     """
-    from . import uncertainty
-    if tag in DIVERGENCE_SUITES:
-        trial_fn = _suite_trial
-    elif tag in uncertainty.UNCERTAINTY_SUITES:
-        trial_fn = uncertainty.suite_trial
-    else:
+    if tag not in SUITES:
         raise ValueError(f"unknown suite tag {tag!r}")
+    trial_fn, arity = SUITES[tag]
+    if len(dims) < arity:
+        raise ValueError(f"suite {tag!r} needs {arity} subsystem dimensions, got {len(dims)}")
+    dims = tuple(dims[:arity])
     reports = []
     for i in range(trials):
         rng = trial_rng(master_seed, i)
         try:
             reports.append(trial_fn(tag, rng, dims, tolerance, i, explore))
         except (ValueError, ArithmeticError, RuntimeError) as exc:
-            reports.append(report.errored(tag, i, as_layout(dims).dims, f"{type(exc).__name__}: {exc}"))
+            reports.append(report.errored(tag, i, dims, f"{type(exc).__name__}: {exc}"))
     return reports, summarize(tag, reports, master_seed, tolerance)

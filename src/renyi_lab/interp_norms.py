@@ -10,12 +10,11 @@ exponent, negative ones included (pseudoinverse convention).
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .entropies import weighted_norm
 from .linalg import frac_power
+from .orders import recip
 
 COMMUTATOR_TOL = 1e-9
 
@@ -52,9 +51,9 @@ def log_convexity_check(y, sigma1, sigma2, tau1, tau2, f, q0: float, q1: float, 
             raise CommutatorViolation("weight pairs must commute")
     if not (0.0 <= theta <= 1.0):
         raise ValueError("theta must lie in [0, 1]")
-    inv = lambda t: 0.0 if math.isinf(t) else 1.0 / t
-    denom = (1.0 - theta) * inv(q0) + theta * inv(q1)
-    q_theta = math.inf if denom == 0.0 else 1.0 / denom
+    if not (q0 > 0.0 and q1 > 0.0):
+        raise ValueError("norm orders q0 and q1 must be positive")
+    q_theta = recip((1.0 - theta) * recip(q0) + theta * recip(q1))
 
     def side(expo, q):
         return weighted_norm(gamma_weight(y, s1, s2, expo), q, t1, t2)

@@ -21,21 +21,29 @@ FORWARD = "forward"   # 1/beta + 1/gamma <= 2
 REVERSE = "reverse"   # 1/beta + 1/gamma >= 2
 UNCLASSIFIED = 0
 
-# admissible ranges per inequality family: (min_alpha, alpha_strict),
-# (min_beta, beta_strict), (min_gamma, gamma_strict); None = unconstrained
-THEOREM_RANGES = {
-    "general":    ((0.5, False), (0.5, False), None),
-    "decomp":     ((0.5, False), (0.5, False), (0.0, False)),
-    "bchain":     ((0.5, False), (0.5, False), (0.0, False)),
-    "chain":      ((0.5, False), (0.5, True),  (0.5, False)),
-    "decomp-dup": ((0.0, False), (0.5, True),  (0.5, False)),
-    "bchain-alt": ((0.0, False), (0.5, True),  (0.5, False)),
-    "chain-dup":  ((0.5, True),  (0.5, True),  (0.5, True)),
+# per inequality family: the `_draw_outer_pair` modes it samples from, then
+# its admissible ranges (min_alpha, alpha_strict), (min_beta, beta_strict),
+# (min_gamma, gamma_strict); None = unconstrained
+THEOREM_ORDERS = {
+    "general":    ((1, 2, 3, 4, 5, 6), (0.5, False), (0.5, False), None),
+    "decomp":     ((1, 2, 4, 5),       (0.5, False), (0.5, False), (0.0, False)),
+    "bchain":     ((1, 2, 4, 5),       (0.5, False), (0.5, False), (0.0, False)),
+    "chain":      ((1, 2, 4, 5),       (0.5, False), (0.5, True),  (0.5, False)),
+    "decomp-dup": ((1, 2, 4, 5, 7, 8), (0.0, False), (0.5, True),  (0.5, False)),
+    "bchain-alt": ((1, 2, 4, 5, 7, 8), (0.0, False), (0.5, True),  (0.5, False)),
+    "chain-dup":  ((1, 2, 4, 5),       (0.5, True),  (0.5, True),  (0.5, True)),
 }
 
 
 class Degenerate(ValueError):
     pass
+
+
+def recip(x: float) -> float:
+    """1/x on the projective line: inf maps to 0 and 0 to inf."""
+    if math.isinf(x):
+        return 0.0
+    return math.inf if x == 0.0 else 1.0 / x
 
 
 def hconj(a: float) -> float:
@@ -105,13 +113,7 @@ def solve_beta(a: float, g: float) -> float:
 
 
 def direction_of(b: float, g: float) -> str:
-    def inv(x):
-        if math.isinf(x):
-            return 0.0
-        if x == 0.0:
-            return math.inf
-        return 1.0 / x
-    return FORWARD if inv(b) + inv(g) <= 2.0 else REVERSE
+    return FORWARD if recip(b) + recip(g) <= 2.0 else REVERSE
 
 
 def classify_case(a: float, b: float, g: float) -> int:
@@ -164,7 +166,7 @@ def admissible(triple: RenyiTriple, tag: str) -> bool:
     """Range admissibility of a surface triple for one inequality family."""
     if triple.residual > SURFACE_TOL:
         return False
-    ra, rb, rg = THEOREM_RANGES[tag]
+    _, ra, rb, rg = THEOREM_ORDERS[tag]
     ok = _meets(triple.alpha, ra) and _meets(triple.beta, rb) and _meets(triple.gamma, rg)
     if tag == "chain-dup":
         ok = ok and all(abs(x - 1.0) > 1e-9 for x in triple.as_tuple())
@@ -204,20 +206,9 @@ def _draw_outer_pair(rng: np.random.Generator, mode: int):
     return a, g
 
 
-_TAG_MODES = {
-    "general":    (1, 2, 3, 4, 5, 6),
-    "decomp":     (1, 2, 4, 5),
-    "bchain":     (1, 2, 4, 5),
-    "chain":      (1, 2, 4, 5),
-    "decomp-dup": (1, 2, 4, 5, 7, 8),
-    "bchain-alt": (1, 2, 4, 5, 7, 8),
-    "chain-dup":  (1, 2, 4, 5),
-}
-
-
 def sample_triple(rng: np.random.Generator, tag: str) -> RenyiTriple:
     """Draw a surface triple admissible for `tag`; both directions occur."""
-    modes = _TAG_MODES[tag]
+    modes = THEOREM_ORDERS[tag][0]
     for _ in range(1000):
         mode = modes[rng.integers(len(modes))]
         a, g = _draw_outer_pair(rng, mode)
@@ -294,9 +285,7 @@ def sdg_condition(a: float, b: float, g: float, d: float):
     if not mu >= 0.5:
         return mu, False
     m = 2.0 - 1.0 / mu
-    inv_d = 0.0 if math.isinf(d) else (math.inf if d == 0.0 else 1.0 / d)
-    inv_g = 0.0 if math.isinf(g) else (math.inf if g == 0.0 else 1.0 / g)
-    ok = (inv_d <= m + 1e-12) and (m <= inv_g + 1e-12)
+    ok = (recip(d) <= m + 1e-12) and (m <= recip(g) + 1e-12)
     ok = ok and a >= 0.5 and g >= 0.5 and b > 0.5
     return mu, ok
 

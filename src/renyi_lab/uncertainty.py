@@ -23,8 +23,8 @@ from .entropies import (
     renyi_entropy,
 )
 from .linalg import as_layout, dagger, swap_bipartite
-from .orders import hatconj, hconj, sample_triple, sdg_condition, solve_beta, surface_residual, FORWARD, REVERSE
-from .report import InequalityReport, finish, summarize
+from .orders import hatconj, hconj, recip, sample_triple, sdg_condition, solve_beta, surface_residual, FORWARD, REVERSE
+from .report import InequalityReport, finish
 from .states import (
     DensityOperator,
     MeasurementBasis,
@@ -33,8 +33,6 @@ from .states import (
     measurement_pmf,
     random_density,
     random_onb,
-    random_pure,
-    trial_rng,
 )
 
 DELTA_ONE_WINDOW = 1e-6
@@ -488,8 +486,7 @@ def _sdg_twin_ok(a, b, g, d) -> bool:
     if not mu1 >= 0.5:
         return False
     m = 2.0 - 1.0 / mu1
-    inv = lambda x: math.inf if x == 0 else (0.0 if math.isinf(x) else 1.0 / x)
-    return inv(d) <= m + 1e-12 and m <= inv(b) + 1e-12
+    return recip(d) <= m + 1e-12 and m <= recip(b) + 1e-12
 
 
 def sample_ier_orders(rng: np.random.Generator, symmetric: bool):
@@ -531,17 +528,13 @@ def sample_marcos_triple(rng: np.random.Generator):
 
 
 # ---------------------------------------------------------------------------
-# suite driver hook
+# suite trial (registered in `inequalities.SUITES`)
 # ---------------------------------------------------------------------------
-
-UNCERTAINTY_SUITES = ("rmu", "gbur", "sdgbur", "sigbur", "marcos", "result2",
-                      "res2c", "ier", "iier-opt", "const-comp", "hall-classical")
-
 
 def suite_trial(tag: str, rng: np.random.Generator, dims, tolerance: float,
                 seed: int, explore: bool) -> InequalityReport:
-    layout = as_layout(dims if len(as_layout(dims).dims) >= 2 else (2, 2))
-    da, db = layout.dims[0], layout.dims[1]
+    """One seeded trial of an uncertainty suite on (d_A, d_B); `explore` is ignored."""
+    da, db = dims
     pair = random_pair(da, rng)
     rho = random_density(da * db, int(rng.integers(1, da * db + 1)), rng, dims=(da, db))
     tau_b = random_density(db, db, rng).mat
@@ -585,13 +578,12 @@ def suite_trial(tag: str, rng: np.random.Generator, dims, tolerance: float,
         rho_a = random_density(da, int(rng.integers(1, da + 1)), rng)
         alpha, delta = _sample_const_comp_orders(rng)
         return check_const_comp(rho_a, pair, alpha, delta, tolerance, seed)
-    if tag == "hall-classical":
-        p = rng.dirichlet(np.ones(db))
-        blocks = [random_density(da, da, rng).mat for _ in range(db)]
-        rho_ay = cq_state(p, blocks, dims=(db, da))
-        rho_ya = DensityOperator(swap_bipartite(rho_ay.mat, (db, da)), as_layout((da, db)))
-        return check_hall_classical(rho_ya, pair, tolerance, seed)
-    raise ValueError(f"unknown suite tag {tag!r}")
+    # hall-classical
+    p = rng.dirichlet(np.ones(db))
+    blocks = [random_density(da, da, rng).mat for _ in range(db)]
+    rho_ay = cq_state(p, blocks, dims=(db, da))
+    rho_ya = DensityOperator(swap_bipartite(rho_ay.mat, (db, da)), as_layout((da, db)))
+    return check_hall_classical(rho_ya, pair, tolerance, seed)
 
 
 def _sample_const_comp_orders(rng: np.random.Generator):

@@ -2,9 +2,11 @@ import csv
 import math
 import os
 
+import pytest
+
 from renyi_lab import report
-from renyi_lab.cli import main
-from renyi_lab.inequalities import run_suite
+from renyi_lab.cli import ALL_SUITES, main
+from renyi_lab.inequalities import SUITES, run_suite
 
 
 def test_explore_sweep_survives_bad_trials(tmp_path):
@@ -25,3 +27,32 @@ def test_error_trials_are_recorded_and_counted_as_failed():
     assert all(math.isnan(r.gap) for r in errors)
     assert summary.failed >= len(errors)
     assert summary.trials == 60
+
+
+def test_suite_registry_is_the_cli_suite_list():
+    assert tuple(SUITES) == ALL_SUITES
+    assert {tag for tag, (_, arity) in SUITES.items() if arity == 3} == {"chain", "chain-dup"}
+    assert all(arity in (2, 3) for _, arity in SUITES.values())
+
+
+def test_run_suite_rejects_too_few_dims():
+    with pytest.raises(ValueError, match="needs 3"):
+        run_suite("chain", 1, (2, 2))
+
+
+def test_unknown_suite_is_rejected(tmp_path, capsys):
+    assert main(["sweep", "--suite", "nope", "--trials", "1", "--out", str(tmp_path)]) == 2
+    assert "unknown suite 'nope'" in capsys.readouterr().err
+    with pytest.raises(ValueError, match="unknown suite tag"):
+        run_suite("nope", 1)
+
+
+def test_sweep_gives_each_suite_its_arity_of_dims(tmp_path):
+    out = str(tmp_path)
+    code = main(["sweep", "--suite", "chain", "--suite", "general", "--dim-c", "3",
+                 "--trials", "2", "--seed", "3", "--out", out])
+    assert code == 0
+    for tag, dim_c in (("chain", "3"), ("general", "1")):
+        with open(os.path.join(out, f"{tag}.csv"), newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 2 and all(r["dim_c"] == dim_c for r in rows)

@@ -1,7 +1,7 @@
 """Fixed-seed golden sweep: every suite's verdicts and both sides, unchanged.
 
 `data/golden_sweep.json` holds `run_suite` output for all suites (6 trials,
-master seed 2024, dims (2, 2) and (2, 2, 2) for the tripartite chains) at full
+master seed 2024, dims (2, 2, 2), of which each suite takes its arity) at full
 float precision.  A refactor that moves a reported side by more than 1e-10
 bits, or flips a verdict, fails here.  Regenerate only for an intended change
 of behaviour:
@@ -24,12 +24,8 @@ TRIALS = 6
 VALUE_TOL = 1e-10   # bits
 
 
-def _dims(tag):
-    return (2, 2, 2) if tag in ("chain", "chain-dup") else (2, 2)
-
-
 def sweep(tag):
-    reports, _ = run_suite(tag, TRIALS, _dims(tag), SEED)
+    reports, _ = run_suite(tag, TRIALS, (2, 2, 2), SEED)
     return [{"verdict": r.verdict, "lhs": float(r.lhs), "rhs": float(r.rhs)} for r in reports]
 
 

@@ -45,6 +45,13 @@ class TestLogConvexity:
         with pytest.raises(CommutatorViolation):
             log_convexity_check(y, s1, s_full, t1, t2, lambda t: t, 2.0, 4.0, 0.5)
 
+    @pytest.mark.parametrize("q0, q1", [(0.0, 2.0), (2.0, 0.0), (-1.0, 2.0), (2.0, -3.0)])
+    def test_nonpositive_orders_raise(self, q0, q1):
+        rng = trial_rng(40, 300)
+        _, (s1, s2, t1, t2), y = _commuting_case(rng)
+        with pytest.raises(ValueError, match="positive"):
+            log_convexity_check(y, s1, s2, t1, t2, lambda t: t, q0, q1, 0.5)
+
 
 def test_gamma_weight_is_two_sided_power():
     rng = trial_rng(41, 0)
