@@ -10,8 +10,9 @@ and from every logarithm (pseudoinverse convention).  One formula,
 `_renyi_log_trace`, gives (1/(alpha-1)) log2 tr X^alpha for divergences,
 entropies and the optimiser's objective; `_tr_log2` gives their alpha -> 1
 limits.  Optimised quantities (conditional entropy with optimisation, mutual
-informations) run a mirror-descent loop over density matrices; a Bloch-ball
-grid oracle is available for qubit cross-checks.
+informations) run one mirror-descent loop over density matrices,
+`optimize_density`; the Bloch-ball grid search `grid_qubit_minimize` is the
+tests' qubit reference for it.
 """
 
 from __future__ import annotations
@@ -248,24 +249,24 @@ def _divergence_objective(rho: np.ndarray, alpha: float, dims, opt_positions, fi
 # optimisation over density matrices
 # ---------------------------------------------------------------------------
 
-@dataclass
-class OptimizerConfig:
-    max_iter: int = 10_000
-    # stop when an interior-scale step improves less than ftol; a step taken
-    # at the boundary scale never counts as convergence by itself, since its
-    # log-chart gradient vanishes while the boundary optimum is still far off
-    ftol: float = 1e-10
-    stall_window: int = 40     # stop when a whole window improves less than stall_tol
-    stall_tol: float = 1e-9
-    residual_tol: float = 1e-4
-    step0: float = 0.5
-    step_cap: float = 1e6
-    big_step_cap: float = 1e16
-    grad_h: float = 1e-6
-    floor: float = 1e-11  # kept a decade above the spectral cutoff
-    method: str = "mirrorDescent"
-    grid_points: tuple[int, int, int] = (64, 64, 64)
-    refine_iter: int = 200
+# Optimiser constants.  Mirror descent stops when an interior-scale step improves
+# less than FTOL; a step taken at the boundary scale never counts as convergence by
+# itself, since its log-chart gradient vanishes while the boundary optimum is
+# still far off.
+MAX_ITER = 10_000
+FTOL = 1e-10
+STALL_WINDOW = 40     # stop when a whole window improves less than STALL_TOL
+STALL_TOL = 1e-9
+RESIDUAL_TOL = 1e-4
+STEP0 = 0.5
+STEP_CAP = 1e6
+BIG_STEP_CAP = 1e16
+GRAD_H = 1e-6
+FLOOR = 1e-11         # kept a decade above the spectral cutoff
+INF_ORDER = 1e6       # finite stand-in for alpha = inf in optimised quantities
+REFINE_ITER = 200     # Nelder-Mead iterations of the Bloch-grid refinement
+MI_DOWN_ROUNDS = 40   # alternating rounds of mutual_info_down
+MI_DOWN_TOL = 1e-9
 
 
 @dataclass
@@ -274,10 +275,6 @@ class OptimizerResult:
     value: float
     iterations: int
     residual: float
-    method: str
-
-
-DEFAULT_CONFIG = OptimizerConfig()
 
 
 def _herm_basis(d: int) -> np.ndarray:
@@ -299,43 +296,67 @@ def _herm_basis(d: int) -> np.ndarray:
     return np.array(mats)
 
 
-def _density_from_log(lstack: np.ndarray) -> np.ndarray:
+def _chart(lstack: np.ndarray, floor: float | None = None):
+    """(densities exp(L) / tr exp(L), eigenvectors v, eigenvalues ew) of a stack
+    of log-chart points, the spectra clipped at `floor` and renormalised if given;
+    point k's log is (v[k] * log(ew[k])) @ v[k]^dagger."""
     w, v = np.linalg.eigh(lstack)
-    w = w - w.max(axis=-1, keepdims=True)
-    ew = np.exp(w)
+    ew = np.exp(w - w.max(axis=-1, keepdims=True))
     ew = ew / ew.sum(axis=-1, keepdims=True)
-    return (v * ew[..., None, :]) @ v.conj().swapaxes(-1, -2)
+    if floor is not None:
+        ew = np.clip(ew, floor, None)
+        ew = ew / ew.sum(axis=-1, keepdims=True)
+    return (v * ew[..., None, :]) @ v.conj().swapaxes(-1, -2), v, ew
 
 
-def _floor_density(sigma: np.ndarray, floor: float) -> np.ndarray:
+def _floored(sigma: np.ndarray):
+    """(sigma with its spectrum clipped at FLOOR and renormalised, log of the clipped spectrum)."""
     w, v = np.linalg.eigh(sigma)
-    w = np.clip(w.real, floor, None)
-    w = w / w.sum()
-    return (v * w) @ dagger(v)
+    w = np.clip(w.real, FLOOR, None)
+    return (v * (w / w.sum())) @ dagger(v), (v * np.log(w)) @ dagger(v)
 
 
-def mirror_descent(objective, dim: int, config: OptimizerConfig = DEFAULT_CONFIG, init: np.ndarray | None = None):
-    """Exponentiated-gradient descent over the density matrices of one block.
+def _value_at(objective, sigma: np.ndarray) -> float:
+    """Objective value at one density matrix, passed as a one-matrix stack."""
+    return float(objective(sigma[None])[0])
 
-    `objective` must accept a (k, dim, dim) stack and return (k,) values.
-    Returns (sigma, value, iterations, residual).
+
+def _richardson_value(objective, sigma: np.ndarray, dim: int) -> float:
+    """Linear epsilon -> 0 limit of the objective along the mixing path."""
+    e1, e2 = 1e-6, 1e-8
+    u = np.eye(dim, dtype=complex) / dim
+    v1 = _value_at(objective, (1.0 - e1) * sigma + e1 * u)
+    v2 = _value_at(objective, (1.0 - e2) * sigma + e2 * u)
+    return (e1 * v2 - e2 * v1) / (e1 - e2)
+
+
+def optimize_density(objective, dim: int, init: np.ndarray | None = None) -> OptimizerResult:
+    """Minimise a real objective over the density matrices of dimension dim.
+
+    Mirror descent (exponentiated gradient) in the log chart exp(L) / tr exp(L),
+    from `init` or the maximally mixed state: central-difference gradients, a
+    line search over an interior and a boundary step scale, a drift line search
+    every 10 steps.  The value is the smaller of the objective at the floored
+    optimum and its epsilon -> 0 extrapolation toward the maximally mixed state.
+
+    `objective` must accept a (k, dim, dim) stack and return (k,) values,
+    also for k = 1: it is never handed a single 2-D matrix.
     """
     basis = _herm_basis(dim)
     m = len(basis)
-    sigma = np.eye(dim, dtype=complex) / dim if init is None else _floor_density(init, config.floor)
-    lmat = _log_density(sigma, config.floor)
+    sigma = np.eye(dim, dtype=complex) / dim if init is None else _floored(init)[0]
+    lmat = _floored(sigma)[1]
     fval = _value_at(objective, sigma)
-    eta = config.step0
+    eta = STEP0
     eta_big = 64.0 * eta
-    h = config.grad_h
     residual = math.inf
     it = 0
     window_anchor = fval
     drift_mark = lmat.copy()
-    while it < config.max_iter:
+    while it < MAX_ITER:
         it += 1
-        if it % config.stall_window == 0:
-            if window_anchor - fval < config.stall_tol:
+        if it % STALL_WINDOW == 0:
+            if window_anchor - fval < STALL_TOL:
                 residual = window_anchor - fval
                 break
             window_anchor = fval
@@ -345,12 +366,7 @@ def mirror_descent(objective, dim: int, config: OptimizerConfig = DEFAULT_CONFIG
             drift = lmat - drift_mark
             if np.abs(drift).max() > 1e-14:
                 ss = np.array([0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0])
-                jl = lmat[None] + ss[:, None, None] * drift[None]
-                w, v = np.linalg.eigh(jl)
-                ew = np.exp(w - w.max(axis=-1, keepdims=True))
-                ew = np.clip(ew / ew.sum(axis=-1, keepdims=True), config.floor, None)
-                ew = ew / ew.sum(axis=-1, keepdims=True)
-                js = (v * ew[:, None, :]) @ v.conj().swapaxes(-1, -2)
+                js, v, ew = _chart(lmat[None] + ss[:, None, None] * drift[None], FLOOR)
                 jf = np.asarray(objective(js))
                 k = int(np.argmin(jf))
                 if np.isfinite(jf[k]) and float(jf[k]) < fval - 1e-15:
@@ -358,9 +374,9 @@ def mirror_descent(objective, dim: int, config: OptimizerConfig = DEFAULT_CONFIG
                     fval, sigma = float(jf[k]), js[k]
                     lmat = (v[k] * np.log(ew[k])) @ dagger(v[k])
             drift_mark = lmat.copy()
-        probes = np.concatenate([lmat[None] + h * basis, lmat[None] - h * basis])
-        fs = objective(_density_from_log(probes))
-        grad = (fs[:m] - fs[m:]) / (2.0 * h)
+        probes = np.concatenate([lmat[None] + GRAD_H * basis, lmat[None] - GRAD_H * basis])
+        fs = objective(_chart(probes)[0])
+        grad = (fs[:m] - fs[m:]) / (2.0 * GRAD_H)
         gmat = np.tensordot(grad, basis, axes=(0, 0))
         gnorm = float(np.linalg.norm(grad))
         if gnorm < 1e-9:
@@ -372,12 +388,7 @@ def mirror_descent(objective, dim: int, config: OptimizerConfig = DEFAULT_CONFIG
             # lengths orders of magnitude beyond the interior-progress scale
             etas = np.array([eta, eta / 2.0, eta / 4.0, eta / 8.0,
                              eta_big, eta_big / 8.0])
-            trial_l = lmat[None] - etas[:, None, None] * gmat[None]
-            w, v = np.linalg.eigh(trial_l)
-            ew = np.exp(w - w.max(axis=-1, keepdims=True))
-            ew = np.clip(ew / ew.sum(axis=-1, keepdims=True), config.floor, None)
-            ew = ew / ew.sum(axis=-1, keepdims=True)
-            trial_sig = (v * ew[:, None, :]) @ v.conj().swapaxes(-1, -2)
+            trial_sig, v, ew = _chart(lmat[None] - etas[:, None, None] * gmat[None], FLOOR)
             trial_f = np.asarray(objective(trial_sig))
             good = np.where(np.isfinite(trial_f) & (trial_f < fval - 1e-15))[0]
             if len(good):
@@ -388,9 +399,9 @@ def mirror_descent(objective, dim: int, config: OptimizerConfig = DEFAULT_CONFIG
                 lmat = (v[k] * np.log(ew[k])) @ dagger(v[k])
                 boundary_step = k >= 4
                 if boundary_step:
-                    eta_big = min(eta_big * 8.0, config.big_step_cap)
+                    eta_big = min(eta_big * 8.0, BIG_STEP_CAP)
                 else:
-                    eta = min(etas[k] * 1.5, config.step_cap)
+                    eta = min(etas[k] * 1.5, STEP_CAP)
                     eta_big = max(eta_big / 2.0, 64.0 * eta)
                 accepted = True
                 break
@@ -399,33 +410,13 @@ def mirror_descent(objective, dim: int, config: OptimizerConfig = DEFAULT_CONFIG
         if not accepted:
             residual = 0.0
             break
-        if residual < config.ftol and not boundary_step:
+        if residual < FTOL and not boundary_step:
             break
-    if it >= config.max_iter and residual > config.residual_tol:
+    if it >= MAX_ITER and residual > RESIDUAL_TOL:
         raise OptimizerDiverged(f"no convergence after {it} iterations (residual {residual:.2e})")
-    sigma = _floor_density(sigma, config.floor)
+    sigma = _floored(sigma)[0]
     fval = min(_value_at(objective, sigma), _richardson_value(objective, sigma, dim))
-    return sigma, fval, it, residual
-
-
-def _value_at(objective, sigma: np.ndarray) -> float:
-    """Objective value at one density matrix, passed as a one-matrix stack."""
-    return float(objective(sigma[None])[0])
-
-
-def _log_density(sigma: np.ndarray, floor: float) -> np.ndarray:
-    w, v = np.linalg.eigh(sigma)
-    w = np.clip(w.real, floor, None)
-    return (v * np.log(w)) @ dagger(v)
-
-
-def _richardson_value(objective, sigma: np.ndarray, dim: int) -> float:
-    """Linear epsilon -> 0 limit of the objective along the mixing path."""
-    e1, e2 = 1e-6, 1e-8
-    u = np.eye(dim, dtype=complex) / dim
-    v1 = _value_at(objective, (1.0 - e1) * sigma + e1 * u)
-    v2 = _value_at(objective, (1.0 - e2) * sigma + e2 * u)
-    return (e1 * v2 - e2 * v1) / (e1 - e2)
+    return OptimizerResult(DensityOperator(sigma, SystemLayout((dim,))), fval, it, residual)
 
 
 def bloch_density(xyz: np.ndarray) -> np.ndarray:
@@ -499,16 +490,17 @@ def refine_ball(value, start_xyz: np.ndarray, maxiter: int, restarts: int = 2):
     return _ball_from_free(v0), fbest, total
 
 
-def grid_qubit_minimize(objective, config: OptimizerConfig = DEFAULT_CONFIG, maximize: bool = False):
-    """Exhaustive Bloch-ball search plus local refinement (qubit only).
+def grid_qubit_minimize(objective, grid_points: tuple[int, int, int], maximize: bool = False):
+    """Exhaustive Bloch-ball search plus local refinement: the tests' qubit
+    reference for `optimize_density`.
 
     `objective` must accept a (k, 2, 2) stack and return (k,) values; a
-    single state is passed as a one-matrix stack.  Returns (sigma, value,
-    iterations, residual) like `mirror_descent`; iterations counts the grid
-    points plus the refinement steps.
+    single state is passed as a one-matrix stack.  `grid_points` is the
+    (radius, polar, azimuth) lattice size.  Returns (sigma, value,
+    iterations); iterations counts the grid points plus the refinement steps.
     """
     sign = -1.0 if maximize else 1.0
-    pts = bloch_grid(*config.grid_points)
+    pts = bloch_grid(*grid_points)
     vals = np.empty(len(pts))
     chunk = 65536
     for k in range(0, len(pts), chunk):
@@ -518,27 +510,11 @@ def grid_qubit_minimize(objective, config: OptimizerConfig = DEFAULT_CONFIG, max
     def scalar(xyz):
         return sign * _value_at(objective, bloch_density(xyz))
 
-    xyz, fref, nit = refine_ball(scalar, pts[best], config.refine_iter)
+    xyz, fref, nit = refine_ball(scalar, pts[best], REFINE_ITER)
     if fref > vals[best]:
         xyz, fref = pts[best], float(vals[best])
     sigma = bloch_density(np.asarray(xyz))
-    return sigma, sign * fref, nit + len(pts), 0.0
-
-
-def optimize_density(objective, dim: int, config: OptimizerConfig = DEFAULT_CONFIG,
-                     init: np.ndarray | None = None) -> OptimizerResult:
-    """Minimise a real objective over the density matrices of dimension dim.
-
-    `objective` must accept a (k, dim, dim) stack and return (k,) values,
-    also for k = 1: it is never handed a single 2-D matrix.
-    """
-    if config.method == "gridQubit":
-        if dim != 2:
-            raise InvalidOrder("gridQubit oracle only supports dimension 2")
-        sigma, val, its, res = grid_qubit_minimize(objective, config)
-    else:
-        sigma, val, its, res = mirror_descent(objective, dim, config, init)
-    return OptimizerResult(DensityOperator(sigma, SystemLayout((dim,))), val, its, res, config.method)
+    return sigma, sign * fref, nit + len(pts)
 
 
 # ---------------------------------------------------------------------------
@@ -571,15 +547,14 @@ def _layout_of(rho, dims) -> SystemLayout:
 
 
 def _optimize_weight(rho: np.ndarray, alpha: float, layout: SystemLayout, opt_positions,
-                     fixed: dict[int, np.ndarray], config: OptimizerConfig, init=None):
+                     fixed: dict[int, np.ndarray]) -> OptimizerResult:
+    alpha = INF_ORDER if math.isinf(alpha) else alpha
     objective = _divergence_objective(rho, alpha, layout, opt_positions, fixed)
     block = int(np.prod([layout.dims[k] for k in opt_positions]))
-    if init is None:
-        init = partial_trace(rho, layout, opt_positions)
-    return optimize_density(objective, block, config, init=init)
+    return optimize_density(objective, block, init=partial_trace(rho, layout, opt_positions))
 
 
-def cond_entropy_up(rho, alpha: float, dims=None, config: OptimizerConfig = DEFAULT_CONFIG) -> OptimizerResult:
+def cond_entropy_up(rho, alpha: float, dims=None) -> OptimizerResult:
     """H^up_alpha(A|rest): conditional entropy optimised over the conditioner.
 
     The first subsystem is the target; the optimisation runs over density
@@ -590,14 +565,12 @@ def cond_entropy_up(rho, alpha: float, dims=None, config: OptimizerConfig = DEFA
         raise InvalidOrder(f"order {alpha} below 1/2")
     layout = _layout_of(rho, dims)
     rho = _mat(rho)
-    alpha_eff = 1e6 if math.isinf(alpha) else alpha
     rest = list(range(1, len(layout.dims)))
-    res = _optimize_weight(rho, alpha_eff, layout, rest, {}, config)
+    res = _optimize_weight(rho, alpha, layout, rest, {})
     return replace(res, value=-res.value)
 
 
-def gen_mutual_info(rho, tau, alpha: float, dims=None, fixed: int = 0,
-                    config: OptimizerConfig = DEFAULT_CONFIG) -> OptimizerResult:
+def gen_mutual_info(rho, tau, alpha: float, dims=None, fixed: int = 0) -> OptimizerResult:
     """I_alpha(rho || tau) = inf over sigma of D_alpha(rho || tau (x) sigma).
 
     `fixed` names the bipartite subsystem carrying the weight tau; the
@@ -607,37 +580,32 @@ def gen_mutual_info(rho, tau, alpha: float, dims=None, fixed: int = 0,
     if len(layout.dims) != 2:
         raise ValueError("generalised mutual information is bipartite")
     rho = _mat(rho)
-    alpha_eff = 1e6 if math.isinf(alpha) else alpha
-    opt = 1 - fixed
-    return _optimize_weight(rho, alpha_eff, layout, [opt], {fixed: _mat(tau)}, config)
+    return _optimize_weight(rho, alpha, layout, [1 - fixed], {fixed: _mat(tau)})
 
 
-def mutual_info_up(rho, alpha: float, dims=None, config: OptimizerConfig = DEFAULT_CONFIG) -> OptimizerResult:
+def mutual_info_up(rho, alpha: float, dims=None) -> OptimizerResult:
     layout = _layout_of(rho, dims)
     rho_a = partial_trace(_mat(rho), layout, [0])
-    return gen_mutual_info(rho, rho_a, alpha, layout, fixed=0, config=config)
+    return gen_mutual_info(rho, rho_a, alpha, layout, fixed=0)
 
 
-def mutual_info_down(rho, alpha: float, dims=None, config: OptimizerConfig = DEFAULT_CONFIG,
-                     rounds: int = 40, round_tol: float = 1e-9) -> OptimizerResult:
-    """Alternating minimisation over both marginal weights."""
+def mutual_info_down(rho, alpha: float, dims=None) -> OptimizerResult:
+    """Alternating minimisation over both marginal weights, at most
+    MI_DOWN_ROUNDS rounds, until a round improves less than MI_DOWN_TOL."""
     layout = _layout_of(rho, dims)
     rho = _mat(rho)
     sig_a = partial_trace(rho, layout, [0])
-    sig_b = partial_trace(rho, layout, [1])
     value = math.inf
     iterations = 0
-    residual = math.inf
-    res_b = None
-    for _ in range(rounds):
-        res_b = gen_mutual_info(rho, sig_a, alpha, layout, fixed=0, config=config)
+    for _ in range(MI_DOWN_ROUNDS):
+        res_b = gen_mutual_info(rho, sig_a, alpha, layout, fixed=0)
         sig_b = res_b.optimum.mat
-        res_a = gen_mutual_info(rho, sig_b, alpha, layout, fixed=1, config=config)
+        res_a = gen_mutual_info(rho, sig_b, alpha, layout, fixed=1)
         sig_a = res_a.optimum.mat
         iterations += res_a.iterations + res_b.iterations
         residual = value - res_a.value
         value = min(value, res_a.value, res_b.value)
-        if residual < round_tol:
+        if residual < MI_DOWN_TOL:
             break
-    opt = DensityOperator(np.kron(sig_a, sig_b), layout)
-    return OptimizerResult(opt, value, iterations, max(residual, 0.0), "mirrorDescent")
+    return OptimizerResult(DensityOperator(np.kron(sig_a, sig_b), layout), value, iterations,
+                           max(residual, 0.0))

@@ -89,8 +89,7 @@ def check_decomposition(rho, tau_a, triple: RenyiTriple, dims=(2, 2),
     fwd = triple.direction == FORWARD
     small, big = (ent_side, mi) if fwd else (mi, ent_side)
     return finish(theorem, seed, layout.dims, a, b, g, None, triple.direction,
-                  small, big, tolerance, wide=not fwd,
-                  opt_iters=res.iterations, opt_residual=res.residual)
+                  small, big, tolerance, wide=not fwd, solves=[res])
 
 
 def check_bipartite_chain(rho, triple: RenyiTriple, dims=(2, 2),
@@ -106,8 +105,7 @@ def check_bipartite_chain(rho, triple: RenyiTriple, dims=(2, 2),
     fwd = triple.direction == FORWARD
     small, big = (chain_side, joint) if fwd else (joint, chain_side)
     return finish(theorem, seed, layout.dims, a, b, g, None, triple.direction,
-                  small, big, tolerance, wide=not fwd,
-                  opt_iters=res.iterations, opt_residual=res.residual)
+                  small, big, tolerance, wide=not fwd, solves=[res])
 
 
 def check_tripartite_chain(rho, tau_c, triple: RenyiTriple, dims=(2, 2, 2),
@@ -128,8 +126,7 @@ def check_tripartite_chain(rho, tau_c, triple: RenyiTriple, dims=(2, 2, 2),
     fwd = direction == FORWARD
     small, big = (chain_side, joint) if fwd else (joint, chain_side)
     return finish(theorem, seed, layout.dims, a, b, g, None, direction,
-                  small, big, tolerance, wide=not fwd,
-                  opt_iters=res.iterations, opt_residual=res.residual)
+                  small, big, tolerance, wide=not fwd, solves=[res])
 
 
 def check_noncond(rho, alpha: float, beta: float, gamma: float, delta: float,
@@ -145,8 +142,7 @@ def check_noncond(rho, alpha: float, beta: float, gamma: float, delta: float,
     direction = FORWARD if fwd else REVERSE
     small, big = (ent_side, res.value) if fwd else (res.value, ent_side)
     return finish("noncond", seed, layout.dims, alpha, beta, gamma, delta, direction,
-                  small, big, tolerance, wide=not fwd,
-                  opt_iters=res.iterations, opt_residual=res.residual)
+                  small, big, tolerance, wide=not fwd, solves=[res])
 
 
 # ---------------------------------------------------------------------------

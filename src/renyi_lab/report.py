@@ -41,8 +41,10 @@ def effective_tolerance(tolerance: float, wide: bool) -> float:
 
 def finish(theorem: str, trial_seed: int, dims, alpha, beta, gamma, delta, direction,
            small: float, big: float, tolerance: float, wide: bool = False,
-           opt_iters: int = 0, opt_residual: float = 0.0, note: str = "") -> InequalityReport:
-    """Assemble a report; infinities resolve to trivially-true or skipped."""
+           solves=(), note: str = "") -> InequalityReport:
+    """Assemble a report; infinities resolve to trivially-true or skipped.  The
+    report keeps the summed iterations and the largest residual of `solves`,
+    the trial's `entropies.OptimizerResult`s."""
     tol = effective_tolerance(tolerance, wide)
     if wide and not note:
         note = "tolerance widened for one-sided optimiser bias"
@@ -57,7 +59,8 @@ def finish(theorem: str, trial_seed: int, dims, alpha, beta, gamma, delta, direc
         gap = big - small
         verdict = PASS if gap >= -tol else FAIL
     return InequalityReport(theorem, trial_seed, tuple(dims), alpha, beta, gamma, delta,
-                            direction, small, big, gap, verdict, opt_iters, opt_residual, note)
+                            direction, small, big, gap, verdict, sum(r.iterations for r in solves),
+                            max((r.residual for r in solves), default=0.0), note)
 
 
 def skipped(theorem: str, trial_seed: int, dims, alpha, beta, gamma, delta, direction,

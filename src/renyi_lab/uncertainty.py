@@ -23,7 +23,7 @@ from .entropies import (
     renyi_entropy,
 )
 from .linalg import as_layout, dagger, swap_bipartite
-from .orders import hatconj, hconj, recip, sample_triple, sdg_condition, solve_beta, surface_residual, FORWARD, REVERSE
+from .orders import hatconj, hconj, sample_triple, sdg_condition, surface_residual, FORWARD, REVERSE
 from .report import InequalityReport, finish
 from .states import (
     DensityOperator,
@@ -236,8 +236,7 @@ def check_gbur(rho_ab, pair: MeasurementPair, triple, tau_b,
     big = res.value + gen_cond_entropy(rho_z, tau_b, g, rho_z.layout, weight_pos=1)
     small = gen_cond_entropy(state, tau_b, a, state.layout, weight_pos=1) + q_mu(pair).value
     return finish(theorem, seed, state.layout.dims, a, b, g, None, REVERSE,
-                  small, big, tolerance, wide=True,
-                  opt_iters=res.iterations, opt_residual=res.residual)
+                  small, big, tolerance, wide=True, solves=[res])
 
 
 def check_sdgbur(rho_ab, pair: MeasurementPair, alpha, beta, gamma, delta, tau_b,
@@ -246,29 +245,25 @@ def check_sdgbur(rho_ab, pair: MeasurementPair, alpha, beta, gamma, delta, tau_b
     """State-dependent-bound uncertainty relation in one of its three forms."""
     state = rho_ab
     rho_x, rho_z = _measured_states(state, pair)
-    iters = resid = 0
     if variant == "xz":
         res = cond_entropy_up(rho_x, beta)
         big = res.value + gen_cond_entropy(rho_z, tau_b, gamma, rho_z.layout, weight_pos=1)
         const = q_delta_oriented(state.marginal([0]), pair, delta, "xz")
-        iters, resid = res.iterations, res.residual
+        solves = [res]
     elif variant == "zx":
         res = cond_entropy_up(rho_z, beta)
         big = gen_cond_entropy(rho_x, tau_b, gamma, rho_x.layout, weight_pos=1) + res.value
         const = q_delta_oriented(state.marginal([0]), pair, delta, "zx")
-        iters, resid = res.iterations, res.residual
+        solves = [res]
     elif variant == "both":
-        r1 = cond_entropy_up(rho_x, beta)
-        r2 = cond_entropy_up(rho_z, gamma)
-        big = r1.value + r2.value
+        solves = [cond_entropy_up(rho_x, beta), cond_entropy_up(rho_z, gamma)]
+        big = solves[0].value + solves[1].value
         const = q_delta(state.marginal([0]), pair, delta).value
-        iters, resid = r1.iterations + r2.iterations, max(r1.residual, r2.residual)
     else:
         raise ValueError("variant must be xz, zx, or both")
     small = gen_cond_entropy(state, tau_b, alpha, state.layout, weight_pos=1) + const
     return finish("sdgbur", seed, state.layout.dims, alpha, beta, gamma, delta, REVERSE,
-                  small, big, tolerance, wide=True, opt_iters=iters, opt_residual=resid,
-                  note=f"variant {variant}")
+                  small, big, tolerance, wide=True, solves=solves, note=f"variant {variant}")
 
 
 def check_sigbur(rho_ab, pair: MeasurementPair, alpha, beta, gamma, delta, tau_b,
@@ -282,9 +277,7 @@ def check_sigbur(rho_ab, pair: MeasurementPair, alpha, beta, gamma, delta, tau_b
     small = gen_cond_entropy(state, tau_b, alpha, state.layout, weight_pos=1) \
         + q_delta_state_independent(pair, delta).value
     return finish("sigbur", seed, state.layout.dims, alpha, beta, gamma, delta, REVERSE,
-                  small, big, tolerance, wide=True,
-                  opt_iters=r1.iterations + r2.iterations,
-                  opt_residual=max(r1.residual, r2.residual))
+                  small, big, tolerance, wide=True, solves=[r1, r2])
 
 
 def check_marcos(rho_ab, pair: MeasurementPair, triple,
@@ -299,9 +292,7 @@ def check_marcos(rho_ab, pair: MeasurementPair, triple,
     big = r1.value + r2.value
     small = q_mu(pair).value + r3.value
     return finish("marcos", seed, state.layout.dims, a, b, g, None, REVERSE,
-                  small, big, tolerance, wide=True,
-                  opt_iters=r1.iterations + r2.iterations + r3.iterations,
-                  opt_residual=max(r1.residual, r2.residual, r3.residual))
+                  small, big, tolerance, wide=True, solves=[r1, r2, r3])
 
 
 def check_result2(rho_ab, pair: MeasurementPair, triple, tau_b,
@@ -315,9 +306,7 @@ def check_result2(rho_ab, pair: MeasurementPair, triple, tau_b,
     small = r1.value + r2.value
     big = hall_bound(pair).value - gen_cond_entropy(state, tau_b, a, state.layout, weight_pos=1)
     return finish("result2", seed, state.layout.dims, a, b, g, None, REVERSE,
-                  small, big, tolerance, wide=True,
-                  opt_iters=r1.iterations + r2.iterations,
-                  opt_residual=max(r1.residual, r2.residual))
+                  small, big, tolerance, wide=True, solves=[r1, r2])
 
 
 def check_res2c(rho_ab, pair: MeasurementPair, alpha: float,
@@ -330,13 +319,11 @@ def check_res2c(rho_ab, pair: MeasurementPair, alpha: float,
     r1 = mutual_info_down(rho_x, alpha)
     rho_b = state.marginal([1]).mat
     r2 = gen_mutual_info(rho_z, rho_b, 1.0 / alpha, fixed=1)
-    hmin, hres = h_min_cond(state, state.layout)
+    hmin = cond_entropy_up(state, math.inf)
     small = r1.value + r2.value
-    big = hall_bound(pair).value - hmin
+    big = hall_bound(pair).value - hmin.value
     return finish("res2c", seed, state.layout.dims, alpha, 1.0 / alpha, math.nan, None, REVERSE,
-                  small, big, tolerance, wide=True,
-                  opt_iters=r1.iterations + r2.iterations,
-                  opt_residual=max(r1.residual, r2.residual, hres))
+                  small, big, tolerance, wide=True, solves=[r1, r2, hmin])
 
 
 def check_ier(rho_ab, pair: MeasurementPair, alpha, beta, gamma, tau_b,
@@ -351,8 +338,7 @@ def check_ier(rho_ab, pair: MeasurementPair, alpha, beta, gamma, tau_b,
         res = cond_entropy_up(state, alpha)
         small = r1.value + r2.value
         big = r_cp(pair).value - res.value
-        iters = r1.iterations + r2.iterations + res.iterations
-        resid = max(r1.residual, r2.residual, res.residual)
+        solves = [r1, r2, res]
     else:
         first, second = (rho_x, rho_z) if orientation == "xz" else (rho_z, rho_x)
         r1 = mutual_info_down(first, beta)
@@ -360,10 +346,9 @@ def check_ier(rho_ab, pair: MeasurementPair, alpha, beta, gamma, tau_b,
         small = r1.value + r2.value
         big = r_xz(pair, orientation).value \
             - gen_cond_entropy(state, tau_b, alpha, state.layout, weight_pos=1)
-        iters = r1.iterations + r2.iterations
-        resid = max(r1.residual, r2.residual)
+        solves = [r1, r2]
     return finish("ier", seed, state.layout.dims, alpha, beta, gamma, None, REVERSE,
-                  small, big, tolerance, wide=True, opt_iters=iters, opt_residual=resid,
+                  small, big, tolerance, wide=True, solves=solves,
                   note="symmetric" if symmetric else f"orientation {orientation}")
 
 
@@ -380,13 +365,13 @@ def check_iier_opt(rho_ab, pair: MeasurementPair, alpha: float, tau_b=None,
         raise ValueError("order must lie in [1/2, 3/2]")
     state = rho_ab
     rho_x, rho_z = _measured_states(state, pair)
-    hres = 0.0
     if optimal:
-        hmin, hres = h_min_cond(state, state.layout)
+        hmin = cond_entropy_up(state, math.inf)
         r1 = mutual_info_down(rho_x, 0.5)
         r2 = mutual_info_down(rho_z, 1.5)
         small = r1.value + r2.value
-        big = r_cp(pair).value - hmin
+        big = r_cp(pair).value - hmin.value
+        solves = [r1, r2, hmin]
     else:
         r1 = mutual_info_down(rho_x, alpha)
         tau = state.marginal([1]).mat if tau_b is None else tau_b
@@ -394,10 +379,9 @@ def check_iier_opt(rho_ab, pair: MeasurementPair, alpha: float, tau_b=None,
         small = r1.value + r2.value
         big = r_xz(pair, "xz").value \
             - gen_cond_entropy(state, tau, math.inf, state.layout, weight_pos=1)
+        solves = [r1, r2]
     return finish("iier-opt", seed, state.layout.dims, alpha, None if optimal else 2.0 - alpha,
-                  math.nan, None, REVERSE, small, big, tolerance, wide=True,
-                  opt_iters=r1.iterations + r2.iterations,
-                  opt_residual=max(r1.residual, r2.residual, hres),
+                  math.nan, None, REVERSE, small, big, tolerance, wide=True, solves=solves,
                   note="optimal orders" if optimal else "")
 
 
@@ -440,53 +424,33 @@ def sample_sdg_orders(rng: np.random.Generator, variant: str):
         m = 2.0 - 1.0 / mu
         if variant == "both":
             # mu ties (alpha, beta) and (gamma, delta); bound 1/beta >= m
-            b = float(rng.uniform(0.52, 1.0 / m if m > 0 else 4.0)) if m > 0 else float(rng.uniform(0.52, 4.0))
+            b = float(rng.uniform(0.52, 1.0 / m if m > 0 else 4.0))
             den = mu * b - 1.0
             if abs(den) < 1e-9:
                 continue
             a = (2.0 * mu * b - mu - b) / den
-            g = float(rng.uniform(max(0.52, 1e-3), 4.0))
+            g = float(rng.uniform(0.52, 4.0))
             den2 = mu * g - 2.0 * mu + 1.0
             if abs(den2) < 1e-9:
                 continue
             d = (g - mu) / den2
-            if not (a >= 0.5 and g > 0.5 and b > 0.5):
+            # the twin constraint is the pairing rule with beta and gamma swapped
+            ok = sdg_condition(a, g, b, d)[1]
+        else:
+            g = float(rng.uniform(0.52, min(1.0 / m, 4.0) if m > 0 else 4.0))
+            den = mu * g - 1.0
+            if abs(den) < 1e-9:
                 continue
-            if not _sdg_twin_ok(a, b, g, d):
+            a = (2.0 * mu * g - mu - g) / den
+            b = float(rng.uniform(0.52, 4.0))
+            den2 = mu * b - 2.0 * mu + 1.0
+            if abs(den2) < 1e-9:
                 continue
+            d = (b - mu) / den2
+            ok = sdg_condition(a, b, g, d)[1]
+        if ok:
             return a, b, g, d
-        g = float(rng.uniform(0.52, min(1.0 / m, 4.0) if m > 0 else 4.0))
-        den = mu * g - 1.0
-        if abs(den) < 1e-9:
-            continue
-        a = (2.0 * mu * g - mu - g) / den
-        b = float(rng.uniform(0.52, 4.0))
-        den2 = mu * b - 2.0 * mu + 1.0
-        if abs(den2) < 1e-9:
-            continue
-        d = (b - mu) / den2
-        if not (a >= 0.5 and g >= 0.5 and b > 0.5):
-            continue
-        mu_chk, ok = sdg_condition(a, b, g, d)
-        if not ok:
-            continue
-        return a, b, g, d
     raise RuntimeError("could not sample orders for the state-dependent bound")
-
-
-def _sdg_twin_ok(a, b, g, d) -> bool:
-    """Constraint check for the twin-conditional variant (mu ties (a,b), (g,d))."""
-    try:
-        mu1 = solve_beta(a, b)
-        mu2 = solve_beta(g, d)
-    except Exception:
-        return False
-    if not (math.isfinite(mu1) and math.isfinite(mu2) and abs(mu1 - mu2) < 1e-9):
-        return False
-    if not mu1 >= 0.5:
-        return False
-    m = 2.0 - 1.0 / mu1
-    return recip(d) <= m + 1e-12 and m <= recip(b) + 1e-12
 
 
 def sample_ier_orders(rng: np.random.Generator, symmetric: bool):

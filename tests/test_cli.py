@@ -4,9 +4,10 @@ import os
 
 import pytest
 
-from renyi_lab import report
+from renyi_lab import entropies, report
 from renyi_lab.cli import ALL_SUITES, main
 from renyi_lab.inequalities import SUITES, run_suite
+from renyi_lab.states import trial_rng
 
 
 def test_explore_sweep_survives_bad_trials(tmp_path):
@@ -33,6 +34,24 @@ def test_suite_registry_is_the_cli_suite_list():
     assert tuple(SUITES) == ALL_SUITES
     assert {tag for tag, (_, arity) in SUITES.items() if arity == 3} == {"chain", "chain-dup"}
     assert all(arity in (2, 3) for _, arity in SUITES.values())
+
+
+def test_opt_iters_counts_every_solve(monkeypatch):
+    # master seed 2024, trials 0-2 draw both iier-opt variants
+    iters = []
+    solve = entropies.optimize_density
+
+    def counted(*args, **kwargs):
+        res = solve(*args, **kwargs)
+        iters.append(res.iterations)
+        return res
+
+    monkeypatch.setattr(entropies, "optimize_density", counted)
+    for tag, (trial, arity) in SUITES.items():
+        for i in range(3):
+            iters.clear()
+            rep = trial(tag, trial_rng(2024, i), (2, 2, 2)[:arity], report.BASE_TOL, i, False)
+            assert rep.opt_iters == sum(iters), (tag, i)
 
 
 def test_run_suite_rejects_too_few_dims():

@@ -5,7 +5,6 @@ import pytest
 import scipy.optimize
 
 from renyi_lab.entropies import (
-    OptimizerConfig,
     _ball_from_free,
     _divergence_objective,
     bloch_density,
@@ -30,6 +29,7 @@ from renyi_lab.linalg import (
     NotHermitian,
     NotPositiveSemidefinite,
     dagger,
+    embed_block,
     embed_factors,
     frac_power,
     partial_trace,
@@ -238,14 +238,12 @@ class TestConditionalEntropies:
             a = float(rng.uniform(0.6, 3.0))
             up = cond_entropy_up(rho, a, (2, 2))
             obj = _divergence_objective(rho.mat, a, (2, 2), [1], {})
-            cfg = OptimizerConfig(grid_points=(48, 48, 48))
-            _, vg, _, _ = grid_qubit_minimize(obj, cfg)
+            _, vg, _ = grid_qubit_minimize(obj, (48, 48, 48))
             assert up.value == pytest.approx(-vg, abs=2e-5)
 
     def test_optimizer_result_fields(self):
         rho = random_density(4, 4, trial_rng(32, 99), dims=(2, 2))
         res = cond_entropy_up(rho, 2.0)
-        assert res.method == "mirrorDescent"
         assert res.iterations >= 1
         assert abs(np.trace(res.optimum.mat) - 1) < 1e-10
 
@@ -350,6 +348,12 @@ class TestQuantityNormIdentities:
     def _root(self, rho):
         return frac_power(rho, 0.5)
 
+    @staticmethod
+    def _schatten(stack, p):
+        """Schatten p-norm of each matrix of a stack (p >= 1)."""
+        s = np.linalg.svd(stack, compute_uv=False)
+        return np.sum(s ** p, axis=-1) ** (1.0 / p)
+
     def test_entropy_via_weighted_two_norm(self):
         rng = trial_rng(36, 0)
         rho = random_density(4, 4, rng, dims=(2, 2)).mat
@@ -358,14 +362,10 @@ class TestQuantityNormIdentities:
             ap = hconj(a)
 
             def value(sig_stack):
-                sig_stack = np.atleast_3d(sig_stack).reshape(-1, 2, 2)
-                out = np.empty(len(sig_stack))
-                for k, s in enumerate(sig_stack):
-                    w = embed_factors((2, 2), {0: frac_power(s, 1.0 / (2.0 * ap))})
-                    out[k] = 2.0 * ap * np.log2(schatten_norm(m @ w, 2))
-                return out
+                w = embed_block((2, 2), frac_power(sig_stack, 1.0 / (2.0 * ap)), [0])
+                return 2.0 * ap * np.log2(self._schatten(m @ w, 2))
 
-            _, vg, _, _ = grid_qubit_minimize(value, OptimizerConfig(grid_points=(40, 40, 40)), maximize=True)
+            _, vg, _ = grid_qubit_minimize(value, (40, 40, 40), maximize=True)
             h = renyi_entropy(partial_trace(rho, (2, 2), [0]), a)
             assert h == pytest.approx(-vg, abs=1e-5)
 
@@ -388,16 +388,13 @@ class TestQuantityNormIdentities:
         for a in (0.7, 1.7):
             ap = hconj(a)
 
-            def value(sig_stack):
-                sig_stack = np.atleast_3d(sig_stack).reshape(-1, 2, 2)
-                out = np.empty(len(sig_stack))
-                for k, s in enumerate(sig_stack):
-                    w = embed_factors((2, 2), {0: frac_power(s, -1.0 / (2.0 * ap)),
-                                               1: frac_power(tau, -1.0 / (2.0 * ap))})
-                    out[k] = 2.0 * ap * np.log2(schatten_norm(m @ w, 2 * a))
-                return out
+            w_tau = embed_factors((2, 2), {1: frac_power(tau, -1.0 / (2.0 * ap))})
 
-            _, vg, _, _ = grid_qubit_minimize(value, OptimizerConfig(grid_points=(40, 40, 40)))
+            def value(sig_stack):
+                w = embed_block((2, 2), frac_power(sig_stack, -1.0 / (2.0 * ap)), [0]) @ w_tau
+                return 2.0 * ap * np.log2(self._schatten(m @ w, 2 * a))
+
+            _, vg, _ = grid_qubit_minimize(value, (40, 40, 40))
             ref = gen_mutual_info(rho, tau, a, (2, 2), fixed=1).value
             assert ref == pytest.approx(vg, abs=2e-5)
 
@@ -427,13 +424,9 @@ class TestQuantityNormIdentities:
             pp = hconj(p)
 
             def value(sig_stack):
-                sig_stack = np.atleast_3d(sig_stack).reshape(-1, 2, 2)
-                out = np.empty(len(sig_stack))
-                for k, s in enumerate(sig_stack):
-                    out[k] = pp * np.log2(np.real(np.trace(x @ frac_power(s, 1.0 / pp))))
-                return out
+                return pp * np.log2(np.einsum("ij,kji->k", x, frac_power(sig_stack, 1.0 / pp)).real)
 
-            _, vg, _, _ = grid_qubit_minimize(value, OptimizerConfig(grid_points=(48, 48, 48)), maximize=True)
+            _, vg, _ = grid_qubit_minimize(value, (48, 48, 48), maximize=True)
             assert vg == pytest.approx(pp * np.log2(schatten_norm(x, p)), abs=1e-5)
 
 
@@ -481,10 +474,9 @@ class TestOptimizer:
             return np.einsum("kij,ji->k", sig, h).real
 
         res_md = optimize_density(objective, 2)
-        res_gr = optimize_density(objective, 2, OptimizerConfig(method="gridQubit", grid_points=(32, 32, 32)))
-        assert res_md.method == "mirrorDescent" and res_gr.method == "gridQubit"
+        _, v_gr, _ = grid_qubit_minimize(objective, (32, 32, 32))
         assert res_md.value == pytest.approx(np.linalg.eigvalsh(h).min(), abs=1e-6)
-        assert res_gr.value == pytest.approx(np.linalg.eigvalsh(h).min(), abs=1e-5)
+        assert v_gr == pytest.approx(np.linalg.eigvalsh(h).min(), abs=1e-5)
 
     def test_epsilon_extrapolation_on_rank_deficient_optimum(self):
         # optimum at the simplex boundary: reported value extrapolates cleanly
@@ -520,8 +512,8 @@ class TestOptimizer:
             sizes.append(len(sig))
             return np.einsum("kij,ji->k", sig, h).real
 
-        for cfg in (OptimizerConfig(), OptimizerConfig(method="gridQubit", grid_points=(16, 16, 16))):
+        for solve in (lambda: optimize_density(objective, 2).value,
+                      lambda: grid_qubit_minimize(objective, (16, 16, 16))[1]):
             sizes.clear()
-            res = optimize_density(objective, 2, cfg)
-            assert res.value == pytest.approx(0.3, abs=1e-5)
+            assert solve() == pytest.approx(0.3, abs=1e-5)
             assert 1 in sizes

@@ -17,12 +17,14 @@ from renyi_lab.orders import (
     noncond_condition,
     noncond_orders,
     product_sign,
+    recip,
     sample_triple,
     sdg_condition,
     solve_beta,
     surface_residual,
 )
 from renyi_lab.states import trial_rng
+from renyi_lab.uncertainty import sample_sdg_orders
 
 INF = math.inf
 
@@ -180,6 +182,23 @@ def test_sdg_condition():
     assert not bad
     _, bad2 = sdg_condition(a, b, 0.8, d)        # violates 2 - 1/mu <= 1/gamma
     assert not bad2
+
+
+def test_sdg_sampler_meets_each_variants_constraint():
+    # xz/zx: mu = beta(alpha, gamma) = beta(beta, delta), 1/delta <= 2 - 1/mu <= 1/gamma;
+    # both (twin conditional): mu = beta(alpha, beta) = beta(gamma, delta), 1/delta <= 2 - 1/mu <= 1/beta
+    for variant in ("xz", "zx", "both"):
+        rng = trial_rng(23, 0)
+        for _ in range(50):
+            a, b, g, d = sample_sdg_orders(rng, variant)
+            if variant == "both":
+                mu, mu2, bounded = solve_beta(a, b), solve_beta(g, d), b
+            else:
+                mu, mu2, bounded = solve_beta(a, g), solve_beta(b, d), g
+            assert math.isfinite(mu) and mu == pytest.approx(mu2, abs=1e-9) and mu >= 0.5
+            m = 2.0 - 1.0 / mu
+            assert recip(d) <= m + 1e-12 and m <= recip(bounded) + 1e-12
+            assert a >= 0.5 and min(b, g) > 0.5
 
 
 def test_ier_condition():
