@@ -3,37 +3,28 @@ verification of divergence and uncertainty inequalities at small dimension."""
 
 from .linalg import (
     EIG_CUTOFF,
-    HermitianEig,
     InvalidOrder,
     LayoutMismatch,
     NotHermitian,
     NotPositiveSemidefinite,
     PSD_CLAMP,
-    SchmidtForm,
     SystemLayout,
     frac_power,
-    herm_eig,
-    op_vec,
     partial_trace,
-    polar,
     purify,
     schatten_norm,
-    schmidt,
-    svd,
     tensor,
 )
 from .states import (
     DensityOperator,
     MeasurementBasis,
     Pmf,
-    classical_state,
     cq_state,
     measure,
     measurement_pmf,
     random_density,
     random_onb,
     random_pure,
-    stinespring_measure,
     trial_rng,
 )
 from .entropies import (

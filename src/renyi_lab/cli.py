@@ -7,6 +7,7 @@ Exit codes: 0 all pass, 1 any failure, 2 configuration error.
 from __future__ import annotations
 
 import argparse
+import csv
 import math
 import os
 import sys
@@ -37,7 +38,7 @@ ALL_SUITES = tuple(SUITES)
 
 CSV_COLUMNS = ("trial_id", "seed", "dim_a", "dim_b", "dim_c", "alpha", "beta", "gamma",
                "delta", "direction", "lhs_bits", "rhs_bits", "gap_bits", "verdict",
-               "opt_iters", "opt_residual")
+               "opt_iters", "opt_residual", "note")
 
 CONFIG_KEYS = {"suite", "trials", "dim_a", "dim_b", "dim_c", "seed", "tol", "out", "explore"}
 
@@ -61,20 +62,19 @@ def _trial_seed_value(master_seed: int, i: int) -> int:
 
 
 def write_csv(path: str, reports, master_seed: int) -> None:
-    lines = [",".join(CSV_COLUMNS)]
+    rows = [CSV_COLUMNS]
     for i, r in enumerate(reports):
         dims = tuple(r.dims) + (1, 1, 1)
-        row = (
+        rows.append((
             str(i), str(_trial_seed_value(master_seed, r.trial_seed)),
             str(dims[0]), str(dims[1]), str(dims[2]),
             _fmt(float(r.alpha)), _fmt(None if r.beta is None else float(r.beta)),
             _fmt(float(r.gamma)), _fmt(None if r.delta is None else float(r.delta)),
             r.direction, _fmt(float(r.lhs)), _fmt(float(r.rhs)), _fmt(float(r.gap)),
-            r.verdict, str(r.opt_iters), _fmt(float(r.opt_residual)),
-        )
-        lines.append(",".join(row))
+            r.verdict, str(r.opt_iters), _fmt(float(r.opt_residual)), r.note,
+        ))
     with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+        csv.writer(fh, lineterminator="\n").writerows(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -191,17 +191,17 @@ def cmd_bounds(args) -> int:
     rho = random_density(pair.d, pair.d, rng)
     print(f"measurement pair on dimension {pair.d}; max overlap c = {pair.c:.10f}")
     rows = [
-        ("q_MU", q_mu(pair).value),
-        ("q(rho) [random rho]", q_rho(rho, pair).value),
-        ("r_H", hall_bound(pair).value),
-        ("r(X,Z)", r_xz(pair, "xz").value),
-        ("r(Z,X)", r_xz(pair, "zx").value),
-        ("r_CP", r_cp(pair).value),
-        ("r_G", r_grudka(pair).value),
+        ("q_MU", q_mu(pair)),
+        ("q(rho) [random rho]", q_rho(rho, pair)),
+        ("r_H", hall_bound(pair)),
+        ("r(X,Z)", r_xz(pair)),
+        ("r(Z,X)", r_xz(pair.swapped())),
+        ("r_CP", r_cp(pair)),
+        ("r_G", r_grudka(pair)),
     ]
     for d in deltas:
-        rows.append((f"q_delta(rho) delta={d:g}", q_delta(rho, pair, d).value))
-        rows.append((f"q_delta_SI delta={d:g}", q_delta_state_independent(pair, d).value))
+        rows.append((f"q_delta(rho) delta={d:g}", q_delta(rho, pair, d)))
+        rows.append((f"q_delta_SI delta={d:g}", q_delta_state_independent(pair, d)))
     width = max(len(r[0]) for r in rows)
     for name, val in rows:
         print(f"  {name:<{width}}  {val: .10f} bits")
@@ -237,12 +237,12 @@ def cmd_limits(args) -> int:
         for a in (1.0 - 1e-4, 1.0 + 1e-4):
             worst_alpha = max(worst_alpha, abs(renyi_entropy(rho, a) - vn))
         pair = random_pair(2, rng)
-        q1 = q_rho(rho, pair).value
-        qmu = q_mu(pair).value
+        q1 = q_rho(rho, pair)
+        qmu = q_mu(pair)
         for d in (1.0 - 1e-4, 1.0 + 1e-4):
-            worst_d1 = max(worst_d1, abs(q_delta(rho, pair, d).value - q1))
+            worst_d1 = max(worst_d1, abs(q_delta(rho, pair, d) - q1))
         for d in (-1e-4, 1e-4):
-            worst_d0 = max(worst_d0, abs(q_delta(rho, pair, d).value - qmu))
+            worst_d0 = max(worst_d0, abs(q_delta(rho, pair, d) - qmu))
     print(f"alpha->1 entropy residual over {n} states:   {worst_alpha:.3e}  (bound 1e-3)")
     print(f"delta->1 bound residual over {n} instances:  {worst_d1:.3e}  (bound 1e-3)")
     print(f"delta->0 bound residual over {n} instances:  {worst_d0:.3e}  (bound 1e-3)")
@@ -297,10 +297,7 @@ def main(argv=None) -> int:
     try:
         args = ap.parse_args(argv)
         return args.func(args)
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:   # ConfigError is a ValueError
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
 

@@ -12,6 +12,7 @@ import numpy as np
 
 from . import report, uncertainty
 from .entropies import (
+    ALPHA_ONE_WINDOW,
     cond_entropy_up,
     gen_cond_entropy,
     gen_mutual_info,
@@ -47,7 +48,7 @@ def _dominates_embedded(rho: np.ndarray, weight: np.ndarray, layout, pos: int) -
 
 def _entropy_weight_term(gamma: float, rho_marg: np.ndarray, sigma: np.ndarray) -> float:
     """log (tr rho sigma^(1/gamma'))^(gamma'), the non-optimised entropy term."""
-    if abs(gamma - 1.0) <= 1e-9:
+    if abs(gamma - 1.0) <= ALPHA_ONE_WINDOW:
         return float(_tr_log2(rho_marg, sigma))
     gp = hconj(gamma)
     return gp * float(np.log2(np.real(np.trace(rho_marg @ frac_power(sigma, 1.0 / gp)))))

@@ -1,10 +1,9 @@
 """Dense complex linear-operator kernel.
 
-Eigen/singular decompositions, the PSD spectral kernel (one clamp and
-support-cutoff policy for a matrix or a (..., d, d) stack, and the matrix
-powers built on it), Schatten (quasi-)norms, tensor indexing over subsystem
-layouts, and the operator-vector correspondence.  Everything is plain numpy on
-small dense matrices (dims <= 64).
+The PSD spectral kernel (one clamp and support-cutoff policy for a matrix or a
+(..., d, d) stack, and the matrix powers built on it), Schatten (quasi-)norms,
+tensor indexing over subsystem layouts, and purification.  Everything is plain
+numpy on small dense matrices (dims <= 64).
 """
 
 from __future__ import annotations
@@ -67,19 +66,6 @@ def as_layout(dims) -> SystemLayout:
     return SystemLayout(tuple(dims))
 
 
-@dataclass(frozen=True)
-class HermitianEig:
-    values: np.ndarray   # real, descending
-    vectors: np.ndarray  # unitary, columns are eigenvectors
-
-
-@dataclass(frozen=True)
-class SchmidtForm:
-    coefficients: np.ndarray  # nonnegative, descending
-    left_basis: np.ndarray    # orthonormal columns on the first factor
-    right_basis: np.ndarray   # orthonormal columns on the second factor
-
-
 def dagger(m: np.ndarray) -> np.ndarray:
     return m.conj().T
 
@@ -96,12 +82,6 @@ def check_hermitian(h: np.ndarray) -> np.ndarray:
 def _hermitian(h: np.ndarray) -> np.ndarray:
     h = check_hermitian(h)
     return (h + dagger(h)) / 2.0
-
-
-def herm_eig(h: np.ndarray) -> HermitianEig:
-    """Spectral decomposition of a Hermitian matrix, eigenvalues descending."""
-    vals, vecs = np.linalg.eigh(_hermitian(h))
-    return HermitianEig(vals[::-1].copy(), vecs[:, ::-1].copy())
 
 
 # ---------------------------------------------------------------------------
@@ -180,30 +160,6 @@ def schatten_norm(m: np.ndarray, p: float) -> float:
     return float(top * np.exp(np.log(np.sum((s / top) ** p)) / p))
 
 
-def svd(m: np.ndarray):
-    """Rank-truncated SVD m = U @ D @ V with D square positive diagonal.
-
-    U has orthonormal columns, V orthonormal rows; the shared inner dimension
-    equals the numerical rank.
-    """
-    m = np.asarray(m, dtype=complex)
-    u, s, vh = np.linalg.svd(m, full_matrices=False)
-    top = s.max(initial=0.0)
-    r = int(np.sum(s > EIG_CUTOFF * top)) if top > 0.0 else 0
-    return u[:, :r], np.diag(s[:r]), vh[:r, :]
-
-
-def polar(m: np.ndarray):
-    """Left polar decomposition m = U @ P with U unitary and P PSD."""
-    m = np.asarray(m, dtype=complex)
-    if m.shape[0] != m.shape[1]:
-        raise LayoutMismatch("polar decomposition requires a square matrix")
-    w, s, vh = np.linalg.svd(m)
-    u = w @ vh
-    p = dagger(vh) @ np.diag(s) @ vh
-    return u, p
-
-
 def tensor(*ops: np.ndarray) -> np.ndarray:
     return reduce(np.kron, [np.asarray(o, dtype=complex) for o in ops])
 
@@ -268,32 +224,6 @@ def partial_trace(m: np.ndarray, dims, keep) -> np.ndarray:
     reduced = np.einsum(t, row + col, out)
     dk = int(np.prod([layout.dims[k] for k in keep])) if keep else 1
     return reduced.reshape(dk, dk)
-
-
-def schmidt(v: np.ndarray, dims) -> SchmidtForm:
-    """Schmidt decomposition of a vector on a bipartite layout."""
-    layout = as_layout(dims)
-    if len(layout.dims) != 2:
-        raise LayoutMismatch("Schmidt decomposition requires a bipartite layout")
-    v = np.asarray(v, dtype=complex).reshape(-1)
-    layout.check(v.size)
-    da, db = layout.dims
-    psi = v.reshape(da, db)
-    u, s, vh = np.linalg.svd(psi)
-    top = s.max(initial=0.0)
-    r = int(np.sum(s > EIG_CUTOFF * top)) if top > 0.0 else 0
-    return SchmidtForm(s[:r], u[:, :r], vh[:r, :].T)
-
-
-def op_vec(v: np.ndarray, dims) -> np.ndarray:
-    """Vector on A(x)B -> operator A -> B: e_i (x) f_j  |->  |f_j><e_i|."""
-    layout = as_layout(dims)
-    if len(layout.dims) != 2:
-        raise LayoutMismatch("operator-vector correspondence requires a bipartite layout")
-    v = np.asarray(v, dtype=complex).reshape(-1)
-    layout.check(v.size)
-    da, db = layout.dims
-    return v.reshape(da, db).T
 
 
 def purify(rho: np.ndarray):

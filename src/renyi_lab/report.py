@@ -35,17 +35,13 @@ class InequalityReport:
     note: str = ""
 
 
-def effective_tolerance(tolerance: float, wide: bool) -> float:
-    return max(tolerance, WIDE_TOL) if wide else tolerance
-
-
 def finish(theorem: str, trial_seed: int, dims, alpha, beta, gamma, delta, direction,
            small: float, big: float, tolerance: float, wide: bool = False,
            solves=(), note: str = "") -> InequalityReport:
     """Assemble a report; infinities resolve to trivially-true or skipped.  The
     report keeps the summed iterations and the largest residual of `solves`,
     the trial's `entropies.OptimizerResult`s."""
-    tol = effective_tolerance(tolerance, wide)
+    tol = max(tolerance, WIDE_TOL) if wide else tolerance
     if wide and not note:
         note = "tolerance widened for one-sided optimiser bias"
     if math.isnan(small) or math.isnan(big):

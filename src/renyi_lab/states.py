@@ -19,7 +19,6 @@ from .linalg import (
     embed_factors,
     partial_trace,
     psd_eigh,
-    tensor,
     _hermitian,
 )
 
@@ -119,15 +118,6 @@ def random_onb(dim: int, rng: np.random.Generator) -> MeasurementBasis:
     return MeasurementBasis(q * (d / np.abs(d)))
 
 
-def classical_state(p: Pmf | np.ndarray, dims=None) -> DensityOperator:
-    """Diagonal state carrying a pmf in the computational basis."""
-    if not isinstance(p, Pmf):
-        p = Pmf(np.asarray(p, dtype=float))
-    probs = p.probabilities
-    layout = as_layout(dims) if dims is not None else SystemLayout((len(probs),))
-    return DensityOperator(np.diag(probs).astype(complex), layout)
-
-
 def cq_state(p, blocks, dims=None) -> DensityOperator:
     """sum_x p(x) |x><x| (x) rho_x with a computational-basis register."""
     p = np.asarray(p, dtype=float)
@@ -168,25 +158,3 @@ def measurement_pmf(rho: DensityOperator, basis: MeasurementBasis, subsystem: in
     p = np.clip(p, 0.0, None)
     return Pmf(p / p.sum())
 
-
-def stinespring_measure(rho: DensityOperator, basis: MeasurementBasis, subsystem: int = 0) -> DensityOperator:
-    """Isometric dilation of `measure`: the measured register is duplicated.
-
-    The measured subsystem (dimension d) is replaced by two registers of
-    dimension d each; tracing out the duplicate recovers `measure`.
-    """
-    layout = rho.layout
-    d = layout.dims[subsystem]
-    if basis.dim != d:
-        raise LayoutMismatch(f"basis dimension {basis.dim} != subsystem dimension {d}")
-    # isometry on the subsystem: |z> -> |z> (x) |z>
-    iso = np.zeros((d * d, d), dtype=complex)
-    for z in range(d):
-        k = basis.ket(z)
-        iso += np.outer(np.kron(k, k), k.conj())
-    front = int(np.prod(layout.dims[:subsystem])) if subsystem else 1
-    back = int(np.prod(layout.dims[subsystem + 1:])) if subsystem + 1 < len(layout.dims) else 1
-    full = tensor(np.eye(front), iso, np.eye(back))
-    out = full @ rho.mat @ dagger(full)
-    new_dims = layout.dims[:subsystem] + (d, d) + layout.dims[subsystem + 1:]
-    return DensityOperator(out, SystemLayout(new_dims))

@@ -2,7 +2,9 @@
 
 Covers the overlap-constant family (Maassen-Uffink, state-dependent and
 state-independent delta-order bounds, Hall and Coles-Piani exclusion
-constants) and the randomized checks of the associated inequalities.
+constants) and the randomized checks of the associated inequalities.  Every
+bound is a plain float in bits.  An oriented bound measures `pair.basis_x`
+first; the other orientation is the same function on `pair.swapped()`.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from .states import (
 
 DELTA_ONE_WINDOW = 1e-6
 DELTA_ZERO_WINDOW = 1e-6
+SI_GRID_STEP = 1e-3   # mixing-weight grid of q_delta_state_independent
 
 
 @dataclass(frozen=True)
@@ -56,6 +59,10 @@ class MeasurementPair:
         ov = np.abs(dagger(basis_x.vectors) @ basis_z.vectors) ** 2
         return cls(basis_x, basis_z, ov, float(ov.max()), basis_x.dim)
 
+    def swapped(self) -> "MeasurementPair":
+        """The other orientation: Z measured first, overlaps transposed."""
+        return MeasurementPair(self.basis_z, self.basis_x, self.overlaps.T, self.c, self.d)
+
 
 def mub_pair(d: int) -> MeasurementPair:
     """Computational basis versus its Fourier transform (all overlaps 1/d)."""
@@ -69,39 +76,22 @@ def random_pair(d: int, rng: np.random.Generator) -> MeasurementPair:
     return MeasurementPair.from_bases(random_onb(d, rng), random_onb(d, rng))
 
 
-@dataclass(frozen=True)
-class BoundValue:
-    kind: str
-    value: float            # bits
-    params: dict | None = None
-
-
 # ---------------------------------------------------------------------------
-# bound constants
+# bound constants, in bits; the oriented ones measure `pair.basis_x` first
 # ---------------------------------------------------------------------------
 
-def q_mu(pair: MeasurementPair) -> BoundValue:
-    return BoundValue("qMU", float(-np.log2(pair.c)))
+def q_mu(pair: MeasurementPair) -> float:
+    return float(-np.log2(pair.c))
 
 
-def _orientations(pair: MeasurementPair, orientation: str):
-    if orientation == "xz":
-        return pair.basis_x, pair.basis_z, pair.overlaps
-    if orientation == "zx":
-        return pair.basis_z, pair.basis_x, pair.overlaps.T
-    raise ValueError("orientation must be 'xz' or 'zx'")
+def _q_vn_oriented(rho, pair: MeasurementPair) -> float:
+    p = measurement_pmf(_as_state(rho, pair.d), pair.basis_x).probabilities
+    return float(-np.sum(p * np.log2(pair.overlaps.max(axis=1))))
 
 
-def _q_vn_oriented(rho, pair: MeasurementPair, orientation: str) -> float:
-    first, _, ov = _orientations(pair, orientation)
-    p = measurement_pmf(_as_state(rho, pair.d), first).probabilities
-    return float(-np.sum(p * np.log2(ov.max(axis=1))))
-
-
-def q_rho(rho, pair: MeasurementPair) -> BoundValue:
+def q_rho(rho, pair: MeasurementPair) -> float:
     """State-dependent relative-entropy bound: max over both orientations."""
-    val = max(_q_vn_oriented(rho, pair, "xz"), _q_vn_oriented(rho, pair, "zx"))
-    return BoundValue("qRho", val)
+    return max(_q_vn_oriented(rho, pair), _q_vn_oriented(rho, pair.swapped()))
 
 
 def _as_state(rho, d: int) -> DensityOperator:
@@ -110,29 +100,25 @@ def _as_state(rho, d: int) -> DensityOperator:
     return DensityOperator(np.asarray(rho, dtype=complex), as_layout(d))
 
 
-def q_delta_oriented(rho, pair: MeasurementPair, delta: float, orientation: str = "xz") -> float:
+def q_delta_oriented(rho, pair: MeasurementPair, delta: float) -> float:
     """-log (tr rho_X sum_x max_z c^(1/delta') |x><x|)^(delta')."""
     if abs(delta) <= DELTA_ZERO_WINDOW:
-        return q_mu(pair).value
+        return q_mu(pair)
     if abs(delta - 1.0) <= DELTA_ONE_WINDOW:
-        return _q_vn_oriented(rho, pair, orientation)
-    first, _, ov = _orientations(pair, orientation)
-    p = measurement_pmf(_as_state(rho, pair.d), first).probabilities
+        return _q_vn_oriented(rho, pair)
+    p = measurement_pmf(_as_state(rho, pair.d), pair.basis_x).probabilities
     t = 1.0 / hconj(delta)
     # log-domain sum: exponents t/delta' blow up as delta -> 0
-    logs = t * np.log2(ov.max(axis=1))
+    logs = t * np.log2(pair.overlaps.max(axis=1))
     live = p > 0.0
     m = logs[live].max()
     s = float(np.sum(p[live] * 2.0 ** (logs[live] - m)))
     return float(-(m + np.log2(s)) / t)
 
 
-def q_delta(rho, pair: MeasurementPair, delta: float, orientation: str = "max") -> BoundValue:
-    if orientation == "max":
-        val = max(q_delta_oriented(rho, pair, delta, "xz"), q_delta_oriented(rho, pair, delta, "zx"))
-    else:
-        val = q_delta_oriented(rho, pair, delta, orientation)
-    return BoundValue("qDelta", val, {"delta": delta, "orientation": orientation})
+def q_delta(rho, pair: MeasurementPair, delta: float) -> float:
+    """The delta-order bound: max over both orientations."""
+    return max(q_delta_oriented(rho, pair, delta), q_delta_oriented(rho, pair.swapped(), delta))
 
 
 def _delta_matrix(pair: MeasurementPair, delta: float, p: float) -> np.ndarray:
@@ -143,11 +129,11 @@ def _delta_matrix(pair: MeasurementPair, delta: float, p: float) -> np.ndarray:
     return p * (vx * cx) @ dagger(vx) + (1.0 - p) * (vz * cz) @ dagger(vz)
 
 
-def q_delta_state_independent(pair: MeasurementPair, delta: float,
-                              grid_step: float = 1e-3) -> BoundValue:
-    """Worst-case-over-states bound via the mixing-weight minimax form."""
+def q_delta_state_independent(pair: MeasurementPair, delta: float) -> float:
+    """Worst-case-over-states bound via the mixing-weight minimax form: a
+    SI_GRID_STEP grid over the weight, refined around its best point."""
     if abs(delta) <= DELTA_ZERO_WINDOW:
-        return BoundValue("qDeltaSI", q_mu(pair).value, {"delta": delta, "p": None})
+        return q_mu(pair)
     vx, vz = pair.basis_x.vectors, pair.basis_z.vectors
     if abs(delta - 1.0) <= DELTA_ONE_WINDOW:
         # delta -> 1 limit: the smallest eigenvalue of the mixed log-overlap matrix
@@ -165,34 +151,30 @@ def q_delta_state_independent(pair: MeasurementPair, delta: float,
             ext = lam[-1] if dp > 0 else lam[0]   # lambda_max of the delta'-power
             return dp * float(np.log2(ext))
 
-    grid = np.arange(0.0, 1.0 + grid_step / 2, grid_step)
+    grid = np.arange(0.0, 1.0 + SI_GRID_STEP / 2, SI_GRID_STEP)
     vals = [objective(p) for p in grid]
     k = int(np.argmin(vals))
-    lo, hi = max(0.0, grid[k] - grid_step), min(1.0, grid[k] + grid_step)
+    lo, hi = max(0.0, grid[k] - SI_GRID_STEP), min(1.0, grid[k] + SI_GRID_STEP)
     res = scipy.optimize.minimize_scalar(objective, bounds=(lo, hi), method="bounded",
                                          options={"xatol": 1e-10})
-    best = min(float(res.fun), float(vals[k]))
-    p_opt = float(res.x) if res.fun <= vals[k] else float(grid[k])
-    return BoundValue("qDeltaSI", -best, {"delta": delta, "p": p_opt})
+    return -min(float(res.fun), float(vals[k]))
 
 
-def hall_bound(pair: MeasurementPair) -> BoundValue:
-    return BoundValue("rH", float(np.log2(pair.d ** 2 * pair.c)))
+def hall_bound(pair: MeasurementPair) -> float:
+    return float(np.log2(pair.d ** 2 * pair.c))
 
 
-def r_xz(pair: MeasurementPair, orientation: str = "xz") -> BoundValue:
-    _, _, ov = _orientations(pair, orientation)
-    return BoundValue("rXZ", float(np.log2(pair.d * np.sum(ov.max(axis=1)))),
-                      {"orientation": orientation})
+def r_xz(pair: MeasurementPair) -> float:
+    return float(np.log2(pair.d * np.sum(pair.overlaps.max(axis=1))))
 
 
-def r_cp(pair: MeasurementPair) -> BoundValue:
-    return BoundValue("rCP", min(r_xz(pair, "xz").value, r_xz(pair, "zx").value))
+def r_cp(pair: MeasurementPair) -> float:
+    return min(r_xz(pair), r_xz(pair.swapped()))
 
 
-def r_grudka(pair: MeasurementPair) -> BoundValue:
+def r_grudka(pair: MeasurementPair) -> float:
     top = np.sort(pair.overlaps, axis=None)[-pair.d:]
-    return BoundValue("rG", float(np.log2(pair.d * top.sum())))
+    return float(np.log2(pair.d * top.sum()))
 
 
 def h_min_cond(rho, dims) -> tuple[float, float]:
@@ -218,7 +200,7 @@ def check_rmu(rho_a, pair: MeasurementPair, alpha: float,
     pz = measurement_pmf(state, pair.basis_z).probabilities
     big = classical_renyi_entropy(px, alpha) + classical_renyi_entropy(pz, ah)
     return finish("rmu", seed, (pair.d,), alpha, ah, math.nan, None, FORWARD,
-                  q_mu(pair).value, big, tolerance)
+                  q_mu(pair), big, tolerance)
 
 
 def _measured_states(rho_ab: DensityOperator, pair: MeasurementPair):
@@ -226,39 +208,36 @@ def _measured_states(rho_ab: DensityOperator, pair: MeasurementPair):
 
 
 def check_gbur(rho_ab, pair: MeasurementPair, triple, tau_b,
-               tolerance: float = report.BASE_TOL, seed: int = 0,
-               theorem: str = "gbur") -> InequalityReport:
+               tolerance: float = report.BASE_TOL, seed: int = 0) -> InequalityReport:
     """H_up_b(X|B) + H_g(M_Z(rho)||tau_B) >= H_a(rho||tau_B) + q_MU."""
     a, b, g = triple.as_tuple()
     state = rho_ab
     rho_x, rho_z = _measured_states(state, pair)
     res = cond_entropy_up(rho_x, b)
     big = res.value + gen_cond_entropy(rho_z, tau_b, g, rho_z.layout, weight_pos=1)
-    small = gen_cond_entropy(state, tau_b, a, state.layout, weight_pos=1) + q_mu(pair).value
-    return finish(theorem, seed, state.layout.dims, a, b, g, None, REVERSE,
+    small = gen_cond_entropy(state, tau_b, a, state.layout, weight_pos=1) + q_mu(pair)
+    return finish("gbur", seed, state.layout.dims, a, b, g, None, REVERSE,
                   small, big, tolerance, wide=True, solves=[res])
 
 
 def check_sdgbur(rho_ab, pair: MeasurementPair, alpha, beta, gamma, delta, tau_b,
                  variant: str = "xz", tolerance: float = report.BASE_TOL,
                  seed: int = 0) -> InequalityReport:
-    """State-dependent-bound uncertainty relation in one of its three forms."""
+    """State-dependent-bound uncertainty relation in one of its three forms;
+    "zx" is "xz" on the swapped pair."""
     state = rho_ab
-    rho_x, rho_z = _measured_states(state, pair)
-    if variant == "xz":
-        res = cond_entropy_up(rho_x, beta)
-        big = res.value + gen_cond_entropy(rho_z, tau_b, gamma, rho_z.layout, weight_pos=1)
-        const = q_delta_oriented(state.marginal([0]), pair, delta, "xz")
-        solves = [res]
-    elif variant == "zx":
-        res = cond_entropy_up(rho_z, beta)
-        big = gen_cond_entropy(rho_x, tau_b, gamma, rho_x.layout, weight_pos=1) + res.value
-        const = q_delta_oriented(state.marginal([0]), pair, delta, "zx")
+    if variant in ("xz", "zx"):
+        oriented = pair if variant == "xz" else pair.swapped()
+        first, second = _measured_states(state, oriented)
+        res = cond_entropy_up(first, beta)
+        big = res.value + gen_cond_entropy(second, tau_b, gamma, second.layout, weight_pos=1)
+        const = q_delta_oriented(state.marginal([0]), oriented, delta)
         solves = [res]
     elif variant == "both":
+        rho_x, rho_z = _measured_states(state, pair)
         solves = [cond_entropy_up(rho_x, beta), cond_entropy_up(rho_z, gamma)]
         big = solves[0].value + solves[1].value
-        const = q_delta(state.marginal([0]), pair, delta).value
+        const = q_delta(state.marginal([0]), pair, delta)
     else:
         raise ValueError("variant must be xz, zx, or both")
     small = gen_cond_entropy(state, tau_b, alpha, state.layout, weight_pos=1) + const
@@ -275,7 +254,7 @@ def check_sigbur(rho_ab, pair: MeasurementPair, alpha, beta, gamma, delta, tau_b
     r2 = cond_entropy_up(rho_z, gamma)
     big = r1.value + r2.value
     small = gen_cond_entropy(state, tau_b, alpha, state.layout, weight_pos=1) \
-        + q_delta_state_independent(pair, delta).value
+        + q_delta_state_independent(pair, delta)
     return finish("sigbur", seed, state.layout.dims, alpha, beta, gamma, delta, REVERSE,
                   small, big, tolerance, wide=True, solves=[r1, r2])
 
@@ -290,7 +269,7 @@ def check_marcos(rho_ab, pair: MeasurementPair, triple,
     r2 = cond_entropy_up(rho_z, b)
     r3 = cond_entropy_up(state, a)
     big = r1.value + r2.value
-    small = q_mu(pair).value + r3.value
+    small = q_mu(pair) + r3.value
     return finish("marcos", seed, state.layout.dims, a, b, g, None, REVERSE,
                   small, big, tolerance, wide=True, solves=[r1, r2, r3])
 
@@ -304,7 +283,7 @@ def check_result2(rho_ab, pair: MeasurementPair, triple, tau_b,
     r1 = mutual_info_down(rho_x, b)
     r2 = gen_mutual_info(rho_z, tau_b, g, fixed=1)
     small = r1.value + r2.value
-    big = hall_bound(pair).value - gen_cond_entropy(state, tau_b, a, state.layout, weight_pos=1)
+    big = hall_bound(pair) - gen_cond_entropy(state, tau_b, a, state.layout, weight_pos=1)
     return finish("result2", seed, state.layout.dims, a, b, g, None, REVERSE,
                   small, big, tolerance, wide=True, solves=[r1, r2])
 
@@ -321,7 +300,7 @@ def check_res2c(rho_ab, pair: MeasurementPair, alpha: float,
     r2 = gen_mutual_info(rho_z, rho_b, 1.0 / alpha, fixed=1)
     hmin = cond_entropy_up(state, math.inf)
     small = r1.value + r2.value
-    big = hall_bound(pair).value - hmin.value
+    big = hall_bound(pair) - hmin.value
     return finish("res2c", seed, state.layout.dims, alpha, 1.0 / alpha, math.nan, None, REVERSE,
                   small, big, tolerance, wide=True, solves=[r1, r2, hmin])
 
@@ -329,30 +308,33 @@ def check_res2c(rho_ab, pair: MeasurementPair, alpha: float,
 def check_ier(rho_ab, pair: MeasurementPair, alpha, beta, gamma, tau_b,
               symmetric: bool = False, orientation: str = "xz",
               tolerance: float = report.BASE_TOL, seed: int = 0) -> InequalityReport:
-    """Improved information-exclusion relations (oriented and symmetric)."""
+    """Improved information-exclusion relations (symmetric, or oriented: "zx"
+    is "xz" on the swapped pair)."""
     state = rho_ab
-    rho_x, rho_z = _measured_states(state, pair)
     if symmetric:
+        rho_x, rho_z = _measured_states(state, pair)
         r1 = mutual_info_down(rho_x, beta)
         r2 = mutual_info_down(rho_z, gamma)
         res = cond_entropy_up(state, alpha)
         small = r1.value + r2.value
-        big = r_cp(pair).value - res.value
+        big = r_cp(pair) - res.value
         solves = [r1, r2, res]
     else:
-        first, second = (rho_x, rho_z) if orientation == "xz" else (rho_z, rho_x)
+        if orientation not in ("xz", "zx"):
+            raise ValueError("orientation must be xz or zx")
+        oriented = pair if orientation == "xz" else pair.swapped()
+        first, second = _measured_states(state, oriented)
         r1 = mutual_info_down(first, beta)
         r2 = gen_mutual_info(second, tau_b, gamma, fixed=1)
         small = r1.value + r2.value
-        big = r_xz(pair, orientation).value \
-            - gen_cond_entropy(state, tau_b, alpha, state.layout, weight_pos=1)
+        big = r_xz(oriented) - gen_cond_entropy(state, tau_b, alpha, state.layout, weight_pos=1)
         solves = [r1, r2]
     return finish("ier", seed, state.layout.dims, alpha, beta, gamma, None, REVERSE,
                   small, big, tolerance, wide=True, solves=solves,
                   note="symmetric" if symmetric else f"orientation {orientation}")
 
 
-def check_iier_opt(rho_ab, pair: MeasurementPair, alpha: float, tau_b=None,
+def check_iier_opt(rho_ab, pair: MeasurementPair, alpha: float, tau_b,
                    optimal: bool = False, tolerance: float = report.BASE_TOL,
                    seed: int = 0) -> InequalityReport:
     """Min-entropy exclusion bound; `optimal` uses the twin-order special case.
@@ -370,15 +352,13 @@ def check_iier_opt(rho_ab, pair: MeasurementPair, alpha: float, tau_b=None,
         r1 = mutual_info_down(rho_x, 0.5)
         r2 = mutual_info_down(rho_z, 1.5)
         small = r1.value + r2.value
-        big = r_cp(pair).value - hmin.value
+        big = r_cp(pair) - hmin.value
         solves = [r1, r2, hmin]
     else:
         r1 = mutual_info_down(rho_x, alpha)
-        tau = state.marginal([1]).mat if tau_b is None else tau_b
-        r2 = gen_mutual_info(rho_z, tau, 2.0 - alpha, fixed=1)
+        r2 = gen_mutual_info(rho_z, tau_b, 2.0 - alpha, fixed=1)
         small = r1.value + r2.value
-        big = r_xz(pair, "xz").value \
-            - gen_cond_entropy(state, tau, math.inf, state.layout, weight_pos=1)
+        big = r_xz(pair) - gen_cond_entropy(state, tau_b, math.inf, state.layout, weight_pos=1)
         solves = [r1, r2]
     return finish("iier-opt", seed, state.layout.dims, alpha, None if optimal else 2.0 - alpha,
                   math.nan, None, REVERSE, small, big, tolerance, wide=True, solves=solves,
@@ -390,7 +370,7 @@ def check_const_comp(rho_a, pair: MeasurementPair, alpha: float, delta: float,
     """H_a(rho_X) - q_d(rho, X, Z) <= log sum_x max_z c_xz."""
     state = _as_state(rho_a, pair.d)
     px = measurement_pmf(state, pair.basis_x).probabilities
-    small = classical_renyi_entropy(px, alpha) - q_delta_oriented(state, pair, delta, "xz")
+    small = classical_renyi_entropy(px, alpha) - q_delta_oriented(state, pair, delta)
     big = float(np.log2(np.sum(pair.overlaps.max(axis=1))))
     return finish("const-comp", seed, (pair.d,), alpha, math.nan, math.nan, delta, REVERSE,
                   small, big, tolerance)
@@ -407,7 +387,7 @@ def check_hall_classical(rho_ay: DensityOperator, pair: MeasurementPair,
     rho_x, rho_z = _measured_states(rho_ay, pair)
     small = vn_mutual(rho_x) + vn_mutual(rho_z)
     return finish("hall-classical", seed, rho_ay.layout.dims, 1.0, 1.0, 1.0, None, REVERSE,
-                  small, hall_bound(pair).value, tolerance)
+                  small, hall_bound(pair), tolerance)
 
 
 # ---------------------------------------------------------------------------

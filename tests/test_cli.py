@@ -5,7 +5,7 @@ import os
 import pytest
 
 from renyi_lab import entropies, report
-from renyi_lab.cli import ALL_SUITES, main
+from renyi_lab.cli import ALL_SUITES, main, write_csv
 from renyi_lab.inequalities import SUITES, run_suite
 from renyi_lab.states import trial_rng
 
@@ -18,7 +18,21 @@ def test_explore_sweep_survives_bad_trials(tmp_path):
     with open(os.path.join(out, "decomp.csv"), newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == 60
-    assert any(r["verdict"] == report.ERROR for r in rows)
+    errors = [r for r in rows if r["verdict"] == report.ERROR]
+    assert errors and all(r["note"] == "InvalidOrder: entropy order must be nonnegative"
+                          for r in errors)
+
+
+def test_csv_note_with_commas_is_quoted(tmp_path):
+    path = str(tmp_path / "notes.csv")
+    note = "ValueError: variant must be xz, zx, or both"
+    write_csv(path, [report.errored("sdgbur", 0, (2, 2), note)], 0)
+    with open(path, newline="") as fh:
+        text = fh.read()
+    assert text.endswith(',"' + note + '"\n')
+    with open(path, newline="") as fh:
+        (row,) = csv.DictReader(fh)
+    assert row["note"] == note and row["verdict"] == report.ERROR
 
 
 def test_error_trials_are_recorded_and_counted_as_failed():

@@ -5,16 +5,13 @@ import pytest
 import scipy.optimize
 
 from renyi_lab.entropies import (
-    _ball_from_free,
     _divergence_objective,
-    bloch_density,
     classical_renyi_divergence,
     classical_renyi_entropy,
     cond_entropy_down,
     cond_entropy_up,
     gen_cond_entropy,
     gen_mutual_info,
-    grid_qubit_minimize,
     mutual_info_down,
     mutual_info_up,
     optimize_density,
@@ -28,6 +25,7 @@ from renyi_lab.linalg import (
     InvalidOrder,
     NotHermitian,
     NotPositiveSemidefinite,
+    SystemLayout,
     dagger,
     embed_block,
     embed_factors,
@@ -37,7 +35,9 @@ from renyi_lab.linalg import (
     tensor,
 )
 from renyi_lab.orders import hatconj, hconj
-from renyi_lab.states import classical_state, cq_state, measure, random_density, random_onb, random_pure, trial_rng
+from renyi_lab.states import DensityOperator, cq_state, measure, random_density, random_onb, random_pure, trial_rng
+
+from bloch_reference import _ball_from_free, bloch_density, grid_qubit_minimize
 
 BELL = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
 ORDERS = (0.5, 0.7, 1.0, 2.0, 5.0, math.inf)
@@ -47,6 +47,11 @@ def rand_pos(d, rng, floor=0.05):
     m = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     x = m @ dagger(m) / d + floor * np.eye(d)
     return x
+
+
+def register_state(p, dims=None):
+    """Diagonal state carrying a pmf in the computational basis."""
+    return DensityOperator(np.diag(p).astype(complex), SystemLayout(dims or (len(p),)))
 
 
 class TestClassicalDivergence:
@@ -435,7 +440,7 @@ class TestClassicalReduction:
         rng = trial_rng(37, 0)
         p = rng.dirichlet(np.ones(4))
         q = rng.dirichlet(np.ones(4))
-        rho, sig = classical_state(p), classical_state(q)
+        rho, sig = register_state(p), register_state(q)
         for a in ORDERS:
             assert renyi_entropy(rho, a) == pytest.approx(classical_renyi_entropy(p, a), abs=1e-9)
             assert sandwiched_divergence(rho, sig, a) == pytest.approx(
@@ -444,7 +449,7 @@ class TestClassicalReduction:
     def test_conditional_entropy_on_joint_registers(self):
         rng = trial_rng(37, 1)
         joint = rng.dirichlet(np.ones(4)).reshape(2, 2)
-        rho = classical_state(joint.reshape(-1), dims=(2, 2))
+        rho = register_state(joint.reshape(-1), dims=(2, 2))
         for a in (0.7, 1.5, 3.0):
             got = cond_entropy_up(rho, a).value
             # classical optimised conditional entropy, closed form
@@ -458,7 +463,7 @@ class TestClassicalReduction:
         rho = cq_state(p, blocks)
         joint = np.concatenate([p[x] * np.diag(blocks[x]).real for x in range(2)])
         sig_p = rng.dirichlet(np.ones(4))
-        sig = classical_state(sig_p, dims=(2, 2))
+        sig = register_state(sig_p, dims=(2, 2))
         for a in (0.6, 2.0):
             assert sandwiched_divergence(rho, sig.mat, a) == pytest.approx(
                 classical_renyi_divergence(joint, sig_p, a), abs=1e-9)

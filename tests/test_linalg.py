@@ -4,21 +4,15 @@ import pytest
 from renyi_lab.linalg import (
     InvalidOrder,
     LayoutMismatch,
-    NotHermitian,
     NotPositiveSemidefinite,
     SystemLayout,
     congruence_eigvalsh,
     dagger,
     frac_power,
-    herm_eig,
-    op_vec,
     partial_trace,
-    polar,
     psd_eigvalsh,
     purify,
     schatten_norm,
-    schmidt,
-    svd,
     tensor,
 )
 from renyi_lab.states import random_density, random_pure, trial_rng
@@ -36,30 +30,6 @@ def rand_unitary(d, rng):
 
 
 BELL = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
-
-
-class TestHermEig:
-    def test_already_diagonal(self):
-        e = herm_eig(np.diag([3.0, 1.0]))
-        assert np.allclose(e.values, [3, 1])
-        assert np.allclose(np.abs(e.vectors), np.eye(2))
-
-    def test_pauli_x(self):
-        e = herm_eig(np.array([[0, 1], [1, 0]], dtype=complex))
-        assert np.allclose(e.values, [1, -1])
-
-    def test_reconstruction_and_unitarity(self):
-        for i in range(20):
-            h = rand_herm(4, trial_rng(1, i))
-            e = herm_eig(h)
-            scale = 1 + np.abs(h).max()
-            assert np.abs((e.vectors * e.values) @ dagger(e.vectors) - h).max() < 1e-10 * scale
-            assert np.abs(dagger(e.vectors) @ e.vectors - np.eye(4)).max() <= 1e-10
-            assert np.all(np.diff(e.values) <= 1e-14)
-
-    def test_not_hermitian(self):
-        with pytest.raises(NotHermitian):
-            herm_eig(np.array([[0, 1], [0, 0]], dtype=complex))
 
 
 class TestFracPower:
@@ -169,31 +139,6 @@ class TestSchattenNorm:
             assert schatten_norm(dagger(m) @ m, p) == pytest.approx(schatten_norm(m, 2 * p) ** 2, rel=1e-9)
 
 
-class TestDecompositions:
-    def test_svd_postconditions(self):
-        rng = trial_rng(4, 0)
-        m = rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5))
-        u, d, v = svd(m)
-        assert np.abs(u @ d @ v - m).max() < 1e-10
-        r = d.shape[0]
-        assert np.abs(dagger(u) @ u - np.eye(r)).max() < 1e-12
-        assert np.abs(v @ dagger(v) - np.eye(r)).max() < 1e-12
-
-    def test_svd_rank_deficient(self):
-        m = np.outer([1.0, 2.0, 0.0], [0.0, 1.0])
-        u, d, v = svd(m)
-        assert d.shape == (1, 1)
-        assert np.abs(u @ d @ v - m).max() < 1e-12
-
-    def test_polar(self):
-        rng = trial_rng(4, 1)
-        m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        u, p = polar(m)
-        assert np.abs(u @ p - m).max() < 1e-10
-        assert np.abs(dagger(u) @ u - np.eye(4)).max() < 1e-12
-        assert np.linalg.eigvalsh(p).min() > -1e-12
-
-
 class TestPartialTraceTensor:
     def test_product_rule(self):
         rng = trial_rng(5, 0)
@@ -230,68 +175,6 @@ class TestPartialTraceTensor:
         rng = trial_rng(5, 3)
         a, b, c, d = (rng.standard_normal((2, 2)) for _ in range(4))
         assert np.abs(tensor(a, b) @ tensor(c, d) - tensor(a @ c, b @ d)).max() < 1e-12
-
-
-class TestSchmidtOpVec:
-    def test_schmidt_reconstruction(self):
-        rng = trial_rng(6, 0)
-        v = random_pure(6, rng)
-        f = schmidt(v, (2, 3))
-        rebuilt = sum(f.coefficients[i] * np.kron(f.left_basis[:, i], f.right_basis[:, i])
-                      for i in range(len(f.coefficients)))
-        assert np.linalg.norm(rebuilt - v) < 1e-10
-        assert np.sum(f.coefficients ** 2) == pytest.approx(np.linalg.norm(v) ** 2, abs=1e-10)
-        assert np.all(f.coefficients >= 0)
-        assert np.all(np.diff(f.coefficients) <= 0)
-
-    def test_op_vec_basis_action(self):
-        v = np.kron([1, 0], [0, 1]).astype(complex)   # |0> tensor |1>
-        x = op_vec(v, (2, 2))
-        assert np.allclose(x, np.array([[0, 0], [1, 0]]))  # |1><0|
-
-    def test_op_vec_bell(self):
-        x = op_vec(BELL, (2, 2))
-        assert np.abs(x - np.eye(2) / np.sqrt(2)).max() < 1e-12
-        assert np.abs(dagger(x) @ x - np.eye(2) / 2).max() < 1e-12
-
-    def test_op_vec_lemmas(self):
-        # the A-marginal picks up a transpose for complex coordinates; the
-        # coordinate-free statement is recovered on real vectors below
-        for i in range(10):
-            rng = trial_rng(6, i + 1)
-            v = random_pure(6, rng)
-            m = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-            n = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-            lhs = op_vec(tensor(m, n) @ v, (2, 3))
-            rhs = n @ op_vec(v, (2, 3)) @ m.T
-            assert np.abs(lhs - rhs).max() < 1e-10
-            x = op_vec(v, (2, 3))
-            assert np.linalg.norm(v) == pytest.approx(schatten_norm(x, 2), abs=1e-10)
-            rho = np.outer(v, v.conj())
-            assert np.abs((dagger(x) @ x).T - partial_trace(rho, (2, 3), [0])).max() < 1e-10
-            assert np.abs(x @ dagger(x) - partial_trace(rho, (2, 3), [1])).max() < 1e-10
-
-    def test_op_vec_marginals_real_coefficients(self):
-        rng = trial_rng(6, 99)
-        v = rng.standard_normal(6)
-        v = (v / np.linalg.norm(v)).astype(complex)
-        x = op_vec(v, (2, 3))
-        rho = np.outer(v, v.conj())
-        assert np.abs(dagger(x) @ x - partial_trace(rho, (2, 3), [0])).max() < 1e-10
-        assert np.abs(x @ dagger(x) - partial_trace(rho, (2, 3), [1])).max() < 1e-10
-
-    def test_schmidt_shift(self):
-        # moving a factor across the Schmidt split leaves the 2-norm alone
-        for i in range(10):
-            rng = trial_rng(6, 100 + i)
-            v = random_pure(8, rng)
-            k_a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-            l_c = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-            x1 = op_vec(v, (2, 4))      # A -> BC
-            val1 = schatten_norm(tensor(np.eye(2), l_c) @ x1 @ k_a, 2)
-            x2 = op_vec(v, (4, 2))      # AB -> C
-            val2 = schatten_norm(l_c @ x2 @ tensor(k_a, np.eye(2)), 2)
-            assert val1 == pytest.approx(val2, abs=1e-9)
 
 
 class TestPurify:

@@ -1,19 +1,17 @@
 import numpy as np
 import pytest
 
-from renyi_lab.linalg import LayoutMismatch, dagger, partial_trace, tensor
+from renyi_lab.linalg import LayoutMismatch, dagger, partial_trace
 from renyi_lab.states import (
     DensityOperator,
     MeasurementBasis,
     Pmf,
-    classical_state,
     cq_state,
     measure,
     measurement_pmf,
     random_density,
     random_onb,
     random_pure,
-    stinespring_measure,
     trial_rng,
 )
 
@@ -61,16 +59,6 @@ def test_trial_rng_order_independent():
 def test_random_onb_is_orthonormal():
     b = random_onb(4, trial_rng(13, 0))
     assert np.abs(dagger(b.vectors) @ b.vectors - np.eye(4)).max() <= 1e-10
-
-
-def test_classical_state_uniform():
-    rho = classical_state(np.array([0.5, 0.5]))
-    assert np.allclose(rho.mat, np.eye(2) / 2)
-
-
-def test_classical_state_degenerate():
-    rho = classical_state(np.array([1.0, 0.0]))
-    assert np.allclose(rho.mat, np.diag([1.0, 0.0]))
 
 
 def test_cq_state_marginal():
@@ -130,34 +118,6 @@ class TestMeasure:
         rho = DensityOperator(np.outer(plus, plus.conj()), layout=_l(2))
         p = measurement_pmf(rho, MeasurementBasis(HADAMARD))
         assert np.allclose(p.probabilities, [1.0, 0.0], atol=1e-12)
-
-
-class TestStinespring:
-    def test_partial_trace_recovers_measurement(self):
-        rng = trial_rng(15, 0)
-        rho = random_density(4, 3, rng, dims=(2, 2))
-        basis = random_onb(2, rng)
-        dil = stinespring_measure(rho, basis, subsystem=0)
-        assert dil.layout.dims == (2, 2, 2)
-        rec = partial_trace(dil.mat, dil.layout, keep=[0, 2])
-        assert np.abs(rec - measure(rho, basis, 0).mat).max() < 1e-10
-
-    def test_duplicate_marginals_coincide(self):
-        rng = trial_rng(15, 1)
-        rho = random_density(4, 4, rng, dims=(2, 2))
-        dil = stinespring_measure(rho, random_onb(2, rng), subsystem=0)
-        m_zb = partial_trace(dil.mat, dil.layout, keep=[0, 2])
-        m_zpb = partial_trace(dil.mat, dil.layout, keep=[1, 2])
-        assert np.abs(m_zb - m_zpb).max() < 1e-10
-
-    def test_isometric_dilation(self):
-        rng = trial_rng(15, 2)
-        rho = random_density(2, 2, rng)
-        dil = stinespring_measure(rho, random_onb(2, rng))
-        assert abs(np.trace(dil.mat) - 1) < 1e-12
-        assert np.linalg.eigvalsh(dil.mat).min() > -1e-10
-        # rank preserved by an isometry
-        assert np.linalg.matrix_rank(dil.mat, tol=1e-9) == np.linalg.matrix_rank(rho.mat, tol=1e-9)
 
 
 def _l(*dims):
