@@ -177,8 +177,8 @@ def _resolve_pair(args) -> MeasurementPair:
         if kind == "mub":
             return mub_pair(int(arg or 2))
         if kind == "random":
-            return random_pair(2, trial_rng(_default_seed(args.seed), 0))
-        raise ConfigError(f"unknown named pair {args.pair!r} (use mub:d or random)")
+            return random_pair(int(arg or 2), trial_rng(_default_seed(args.seed), 0))
+        raise ConfigError(f"unknown named pair {args.pair!r} (use mub:d or random:d)")
     if args.basis_x and args.basis_z:
         return MeasurementPair.from_bases(read_basis_file(args.basis_x), read_basis_file(args.basis_z))
     raise ConfigError("provide --pair or both --basis-x and --basis-z")
@@ -272,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.set_defaults(func=cmd_sweep)
 
     bounds = sub.add_parser("bounds", help="print uncertainty/exclusion bound constants")
-    bounds.add_argument("--pair", help="named pair: mub:d or random")
+    bounds.add_argument("--pair", help="named pair: mub:d or random:d (d defaults to 2)")
     bounds.add_argument("--basis-x", dest="basis_x")
     bounds.add_argument("--basis-z", dest="basis_z")
     bounds.add_argument("--deltas", help="comma-separated delta orders")

@@ -265,6 +265,10 @@ FLOOR = 1e-11         # kept a decade above the spectral cutoff
 INF_ORDER = 1e6       # finite stand-in for alpha = inf in optimised quantities
 MI_DOWN_ROUNDS = 40   # alternating rounds of mutual_info_down
 MI_DOWN_TOL = 1e-9
+# why a solve stopped, best to worst: the log-chart gradient vanished, an
+# interior step improved less than FTOL, a STALL_WINDOW improved less than
+# STALL_TOL, no trial step improved, or MAX_ITER ran out
+STOPS = ("gradient", "ftol", "stall", "no_step", "max_iter")
 
 
 @dataclass
@@ -272,7 +276,10 @@ class OptimizerResult:
     optimum: DensityOperator
     value: float
     iterations: int
+    # the last accepted step's improvement (the window's on a stall); 0 on a
+    # gradient stop, inf when no step was ever accepted
     residual: float
+    stop: str         # one of STOPS
 
 
 def _herm_basis(d: int) -> np.ndarray:
@@ -336,6 +343,7 @@ def optimize_density(objective, dim: int, init: np.ndarray | None = None) -> Opt
     line search over an interior and a boundary step scale, a drift line search
     every 10 steps.  The value is the smaller of the objective at the floored
     optimum and its epsilon -> 0 extrapolation toward the maximally mixed state.
+    `stop` names the exit taken, one of STOPS.
 
     `objective` must accept a (k, dim, dim) stack and return (k,) values,
     also for k = 1: it is never handed a single 2-D matrix.
@@ -356,6 +364,7 @@ def optimize_density(objective, dim: int, init: np.ndarray | None = None) -> Opt
         if it % STALL_WINDOW == 0:
             if window_anchor - fval < STALL_TOL:
                 residual = window_anchor - fval
+                stop = "stall"
                 break
             window_anchor = fval
         if it % 10 == 0:
@@ -379,6 +388,7 @@ def optimize_density(objective, dim: int, init: np.ndarray | None = None) -> Opt
         gnorm = float(np.linalg.norm(grad))
         if gnorm < 1e-9:
             residual = 0.0
+            stop = "gradient"
             break
         accepted = False
         while eta > 1e-13:
@@ -406,15 +416,18 @@ def optimize_density(objective, dim: int, init: np.ndarray | None = None) -> Opt
             eta /= 16.0
             eta_big = max(eta_big / 16.0, 64.0 * eta)
         if not accepted:
-            residual = 0.0
+            stop = "no_step"
             break
         if residual < FTOL and not boundary_step:
+            stop = "ftol"
             break
-    if it >= MAX_ITER and residual > RESIDUAL_TOL:
+    else:
+        stop = "max_iter"
+    if stop == "max_iter" and residual > RESIDUAL_TOL:
         raise OptimizerDiverged(f"no convergence after {it} iterations (residual {residual:.2e})")
     sigma = _floored(sigma)[0]
     fval = min(_value_at(objective, sigma), _richardson_value(objective, sigma, dim))
-    return OptimizerResult(DensityOperator(sigma, SystemLayout((dim,))), fval, it, residual)
+    return OptimizerResult(DensityOperator(sigma, SystemLayout((dim,))), fval, it, residual, stop)
 
 
 # ---------------------------------------------------------------------------
@@ -491,21 +504,24 @@ def mutual_info_up(rho, alpha: float, dims=None) -> OptimizerResult:
 
 def mutual_info_down(rho, alpha: float, dims=None) -> OptimizerResult:
     """Alternating minimisation over both marginal weights, at most
-    MI_DOWN_ROUNDS rounds, until a round improves less than MI_DOWN_TOL."""
+    MI_DOWN_ROUNDS rounds, until a round improves less than MI_DOWN_TOL.
+    `stop` is the worst stop of its solves."""
     layout = _layout_of(rho, dims)
     rho = _mat(rho)
     sig_a = partial_trace(rho, layout, [0])
     value = math.inf
     iterations = 0
+    stop = STOPS[0]
     for _ in range(MI_DOWN_ROUNDS):
         res_b = gen_mutual_info(rho, sig_a, alpha, layout, fixed=0)
         sig_b = res_b.optimum.mat
         res_a = gen_mutual_info(rho, sig_b, alpha, layout, fixed=1)
         sig_a = res_a.optimum.mat
         iterations += res_a.iterations + res_b.iterations
+        stop = max(stop, res_a.stop, res_b.stop, key=STOPS.index)
         residual = value - res_a.value
         value = min(value, res_a.value, res_b.value)
         if residual < MI_DOWN_TOL:
             break
     return OptimizerResult(DensityOperator(np.kron(sig_a, sig_b), layout), value, iterations,
-                           max(residual, 0.0))
+                           max(residual, 0.0), stop)

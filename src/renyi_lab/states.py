@@ -100,11 +100,21 @@ def random_pure(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def random_density(dim: int, rank: int, rng: np.random.Generator, dims=None) -> DensityOperator:
-    """Marginal of a Haar pure state on dim (x) rank; full rank when rank >= dim."""
+    """Marginal of a Haar pure state on dim (x) rank; full rank when rank >= dim.
+
+    This is the induced measure of Zyczkowski and Sommers: with the pure state
+    v reshaped to G = v.reshape(dim, rank), the partial trace over the rank
+    factor is rho = G G^dagger.  It is summed here as rank-one terms in index
+    order, which is bit-identical to tracing out the (dim*rank)^2 outer product
+    but needs only O(dim*rank) memory besides the dim x dim result and one
+    dim x dim term.
+    """
     if rank < 1:
         raise ValueError("rank must be >= 1")
-    v = random_pure(dim * rank, rng)
-    rho = partial_trace(np.outer(v, v.conj()), (dim, rank), keep=[0])
+    g = random_pure(dim * rank, rng).reshape(dim, rank)
+    rho = np.zeros((dim, dim), dtype=complex)
+    for k in range(rank):
+        rho += np.outer(g[:, k], g[:, k].conj())
     layout = as_layout(dims) if dims is not None else SystemLayout((dim,))
     layout.check(dim)
     return DensityOperator(rho, layout)

@@ -89,3 +89,13 @@ def test_sweep_gives_each_suite_its_arity_of_dims(tmp_path):
         with open(os.path.join(out, f"{tag}.csv"), newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 2 and all(r["dim_c"] == dim_c for r in rows)
+
+
+def test_random_pair_takes_its_dimension(capsys):
+    assert main(["bounds", "--pair", "random:3"]) == 0
+    assert "measurement pair on dimension 3;" in capsys.readouterr().out
+    # a bare `random` stays the qubit pair it always was
+    assert main(["bounds", "--pair", "random"]) == 0
+    bare = capsys.readouterr().out
+    assert main(["bounds", "--pair", "random:2"]) == 0
+    assert "measurement pair on dimension 2;" in bare and bare == capsys.readouterr().out

@@ -1,10 +1,13 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.optimize
 
+from renyi_lab import entropies
 from renyi_lab.entropies import (
+    STOPS,
     _divergence_objective,
     classical_renyi_divergence,
     classical_renyi_entropy,
@@ -504,6 +507,41 @@ class TestOptimizer:
         assert np.linalg.eigvalsh(edge).min() >= 1e-11 - 1e-16
         inside = bloch_density(np.array([0.0, 0.0, 0.998]))
         assert objective(edge[None])[0] > objective(inside[None])[0] + 0.01
+
+    def test_failed_line_search_is_a_no_step_stop_with_its_last_improvement(self):
+        # smooth on the 2 d^2 gradient probes and on single points; the 6-point
+        # step line search works 3 times, then sees only inf
+        h = np.diag([0.3, 1.0]).astype(complex)
+        searches = []
+
+        def objective(sig):
+            vals = np.einsum("kij,ji->k", sig, h).real
+            if len(sig) == 6:
+                searches.append(vals.min())
+                if len(searches) > 3:
+                    return np.full(6, np.inf)
+            return vals
+
+        res = optimize_density(objective, 2)
+        assert res.stop == "no_step" and res.iterations == 4
+        assert res.residual > 0.0
+        assert res.residual == pytest.approx(searches[1] - searches[2], rel=1e-12)
+
+    def test_solves_say_why_they_stopped(self, monkeypatch):
+        rho = random_density(4, 4, trial_rng(38, 2), dims=(2, 2))
+        assert cond_entropy_up(rho, 2.0).stop in STOPS
+        # mutual_info_down keeps the worst stop of its alternating solves
+        solve = entropies.gen_mutual_info
+        calls = []
+
+        def marked(*args, **kwargs):
+            calls.append(None)
+            res = solve(*args, **kwargs)
+            return res if len(calls) != 2 else replace(res, stop="no_step")
+
+        monkeypatch.setattr(entropies, "gen_mutual_info", marked)
+        assert mutual_info_down(rho, 2.0).stop == "no_step"
+        assert len(calls) > 2
 
     def test_objective_receives_only_stacks(self):
         # single-point evaluations too must arrive as (1, d, d) stacks: a

@@ -1,3 +1,6 @@
+import copy
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -40,6 +43,30 @@ def test_full_rank_sample_has_positive_spectrum():
     for i in range(10):
         rho = random_density(4, 4, trial_rng(11, 2 + i))
         assert np.linalg.eigvalsh(rho.mat).min() > 1e-6
+
+
+@pytest.mark.parametrize("dim, rank", [(2, 1), (5, 1), (4, 2), (7, 3), (3, 3), (8, 8),
+                                       (2, 5), (3, 16), (16, 4), (16, 16)])
+def test_random_density_matches_traced_outer_product(dim, rank):
+    # the oracle is the sampler's definition: trace the rank factor out of the
+    # Haar pure state's projector; the two must agree to the last bit
+    for seed in range(3):
+        rng = trial_rng(15, 100 * seed + dim)
+        v = random_pure(dim * rank, copy.deepcopy(rng))
+        want = DensityOperator(partial_trace(np.outer(v, v.conj()), (dim, rank), keep=[0]), _l(dim))
+        assert np.array_equal(random_density(dim, rank, rng).mat, want.mat)
+
+
+def test_random_density_memory_is_linear_in_dim_times_rank():
+    # the (64*64)^2 outer product alone would take 268 MB
+    rng = trial_rng(15, 1)
+    tracemalloc.start()
+    try:
+        random_density(64, 64, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
 
 
 def test_fixed_seed_reproducibility():
