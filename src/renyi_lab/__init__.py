@@ -13,7 +13,6 @@ from .linalg import (
     partial_trace,
     purify,
     schatten_norm,
-    tensor,
 )
 from .states import (
     DensityOperator,
@@ -39,7 +38,6 @@ from .entropies import (
     mutual_info_down,
     mutual_info_up,
     optimize_density,
-    quantum_relative_entropy,
     renyi_entropy,
     sandwiched_divergence,
     weighted_norm,

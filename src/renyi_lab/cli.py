@@ -1,7 +1,7 @@
 """Command-line entry point: suite sweeps with CSV output, bound tables for
 measurement pairs, per-state entropy tables, and the limit checks.
 
-Exit codes: 0 all pass, 1 any failure, 2 configuration error.
+Exit codes: 0 all pass, 1 any failure, 2 configuration error, 141 output pipe closed.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from .uncertainty import (
     q_delta,
     q_delta_state_independent,
     q_mu,
-    q_rho,
     r_cp,
     r_grudka,
     r_xz,
@@ -192,7 +191,7 @@ def cmd_bounds(args) -> int:
     print(f"measurement pair on dimension {pair.d}; max overlap c = {pair.c:.10f}")
     rows = [
         ("q_MU", q_mu(pair)),
-        ("q(rho) [random rho]", q_rho(rho, pair)),
+        ("q(rho) [random rho]", q_delta(rho, pair, 1.0)),
         ("r_H", hall_bound(pair)),
         ("r(X,Z)", r_xz(pair)),
         ("r(Z,X)", r_xz(pair.swapped())),
@@ -237,7 +236,7 @@ def cmd_limits(args) -> int:
         for a in (1.0 - 1e-4, 1.0 + 1e-4):
             worst_alpha = max(worst_alpha, abs(renyi_entropy(rho, a) - vn))
         pair = random_pair(2, rng)
-        q1 = q_rho(rho, pair)
+        q1 = q_delta(rho, pair, 1.0)
         qmu = q_mu(pair)
         for d in (1.0 - 1e-4, 1.0 + 1e-4):
             worst_d1 = max(worst_d1, abs(q_delta(rho, pair, d) - q1))
@@ -296,7 +295,14 @@ def main(argv=None) -> int:
     ap = build_parser()
     try:
         args = ap.parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()   # a closed pipe shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader has gone: stop quietly; devnull keeps the exit-time flush from raising
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        return 141
     except (OSError, ValueError) as exc:   # ConfigError is a ValueError
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -30,7 +30,6 @@ from .linalg import (
     congruence_eigvalsh,
     dagger,
     embed_block,
-    embed_factors,
     frac_power,
     partial_trace,
     psd_eigh,
@@ -112,9 +111,8 @@ def classical_renyi_divergence(p, q, alpha: float) -> float:
 # quantum divergence and entropy
 # ---------------------------------------------------------------------------
 
-def _support_flags(rho: np.ndarray, sigma: np.ndarray):
-    """(overlapping, dominated) support relations of rho w.r.t. sigma."""
-    proj = support_projector(sigma)
+def _support_flags(rho: np.ndarray, proj: np.ndarray):
+    """(overlapping, dominated) support relations of rho w.r.t. the projector `proj`."""
     inside = float(np.real(np.trace(proj @ rho @ proj)))
     total = float(np.real(np.trace(rho)))
     return inside > SUPPORT_TOL * max(total, 1.0), total - inside <= SUPPORT_TOL * max(total, 1.0)
@@ -139,19 +137,6 @@ def _tr_log2(rho: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     return np.einsum("ij,...ji->...", rho, logs).real
 
 
-def _relative_entropy(rho: np.ndarray, sigma: np.ndarray) -> float:
-    return float(_tr_log2(rho, rho) - _tr_log2(rho, sigma))
-
-
-def quantum_relative_entropy(rho, sigma) -> float:
-    """tr rho (log rho - log sigma) in bits; +inf off the support of sigma."""
-    rho, sigma = _mat(rho), _mat(sigma)
-    overlapping, dominated = _support_flags(rho, sigma)
-    if not (overlapping and dominated):
-        return math.inf
-    return _relative_entropy(rho, sigma)
-
-
 def _sandwich_exponent(alpha: float) -> float:
     """c with D_alpha = (1/(alpha-1)) log2 tr (sigma^c rho sigma^c)**alpha."""
     return -0.5 if math.isinf(alpha) else (1.0 - alpha) / (2.0 * alpha)
@@ -160,13 +145,13 @@ def _sandwich_exponent(alpha: float) -> float:
 def _divergence_any_order(rho: np.ndarray, sigma: np.ndarray, alpha: float) -> float:
     """Sandwiched divergence for alpha in (0, inf]; no DPI-range gate."""
     psd_eigvalsh(rho)   # the sandwich of a checked rho needs only the rounding band
-    overlapping, dominated = _support_flags(rho, sigma)
+    overlapping, dominated = _support_flags(rho, support_projector(sigma))
     if not overlapping:
         return math.inf
-    if alpha > 1.0 and not dominated:
+    if alpha >= 1.0 - ALPHA_ONE_WINDOW and not dominated:
         return math.inf
     if abs(alpha - 1.0) <= ALPHA_ONE_WINDOW:
-        return _relative_entropy(rho, sigma)
+        return float(_tr_log2(rho, rho) - _tr_log2(rho, sigma))
     w = frac_power(sigma, _sandwich_exponent(alpha))
     return float(_renyi_log_trace(*congruence_eigvalsh(w, rho), alpha))
 
@@ -176,7 +161,8 @@ def sandwiched_divergence(rho, sigma, alpha: float) -> float:
 
     alpha must lie in [1/2, inf] (the data-processing range); alpha within
     1e-6 of 1 routes to the quantum relative entropy and alpha = inf to the
-    max-divergence closed form.
+    max-divergence closed form.  The value is +inf for disjoint supports, and
+    from alpha = 1 - 1e-6 up whenever sigma does not dominate rho.
     """
     if not (alpha >= 0.5):
         raise InvalidOrder(f"divergence order {alpha} below 1/2")
@@ -226,21 +212,21 @@ class _DivergenceObjective:
         return _renyi_log_trace(*congruence_eigvalsh(wc, self.rho), a)
 
 
-def _divergence_objective(rho: np.ndarray, alpha: float, dims, opt_positions, fixed: dict[int, np.ndarray]):
-    """Build the vectorised objective for optimising one contiguous weight block."""
+def _divergence_objective(rho: np.ndarray, alpha: float, dims, opt_positions, fixed=None):
+    """Build the vectorised objective for optimising one contiguous weight block;
+    `fixed`, if given, is the weight on the subsystems outside that block."""
     psd_eigvalsh(rho)
     layout = as_layout(dims)
     opt_positions = sorted(opt_positions)
-    if set(fixed) & set(opt_positions):
-        raise ValueError("fixed and optimised subsystems overlap")
+    rest = [k for k in range(len(layout.dims)) if k not in opt_positions]
     if abs(alpha - 1.0) <= ALPHA_ONE_WINDOW:
         const = float(_tr_log2(rho, rho))
-        for k, w in fixed.items():
-            const -= float(_tr_log2(partial_trace(rho, layout, [k]), _hermitian(w)))
+        if fixed is not None:
+            const -= float(_tr_log2(partial_trace(rho, layout, rest), _hermitian(fixed)))
         rho_block = partial_trace(rho, layout, opt_positions)
         return _DivergenceObjective(rho, alpha, layout, opt_positions, None, const, rho_block)
     c = _sandwich_exponent(alpha)
-    fixed_pow = embed_factors(layout, {k: frac_power(w, c) for k, w in fixed.items()}) if fixed else None
+    fixed_pow = None if fixed is None else embed_block(layout, frac_power(fixed, c), rest)
     return _DivergenceObjective(rho, alpha, layout, opt_positions, fixed_pow)
 
 
@@ -436,10 +422,7 @@ def optimize_density(objective, dim: int, init: np.ndarray | None = None) -> Opt
 
 def gen_cond_entropy(rho, tau, alpha: float, dims, weight_pos: int = 1) -> float:
     """H_alpha(rho_AB || tau) = -D_alpha(rho_AB || id (x) tau) with tau at weight_pos."""
-    rho = _mat(rho)
-    layout = as_layout(dims)
-    w = embed_factors(layout, {weight_pos: _mat(tau)})
-    return -_divergence_any_order(rho, w, alpha)
+    return -_divergence_any_order(_mat(rho), embed_block(dims, _mat(tau), [weight_pos]), alpha)
 
 
 def cond_entropy_down(rho, alpha: float, dims=None) -> float:
@@ -460,7 +443,7 @@ def _layout_of(rho, dims) -> SystemLayout:
 
 
 def _optimize_weight(rho: np.ndarray, alpha: float, layout: SystemLayout, opt_positions,
-                     fixed: dict[int, np.ndarray]) -> OptimizerResult:
+                     fixed=None) -> OptimizerResult:
     alpha = INF_ORDER if math.isinf(alpha) else alpha
     objective = _divergence_objective(rho, alpha, layout, opt_positions, fixed)
     block = int(np.prod([layout.dims[k] for k in opt_positions]))
@@ -479,7 +462,7 @@ def cond_entropy_up(rho, alpha: float, dims=None) -> OptimizerResult:
     layout = _layout_of(rho, dims)
     rho = _mat(rho)
     rest = list(range(1, len(layout.dims)))
-    res = _optimize_weight(rho, alpha, layout, rest, {})
+    res = _optimize_weight(rho, alpha, layout, rest)
     return replace(res, value=-res.value)
 
 
@@ -493,7 +476,7 @@ def gen_mutual_info(rho, tau, alpha: float, dims=None, fixed: int = 0) -> Optimi
     if len(layout.dims) != 2:
         raise ValueError("generalised mutual information is bipartite")
     rho = _mat(rho)
-    return _optimize_weight(rho, alpha, layout, [1 - fixed], {fixed: _mat(tau)})
+    return _optimize_weight(rho, alpha, layout, [1 - fixed], _mat(tau))
 
 
 def mutual_info_up(rho, alpha: float, dims=None) -> OptimizerResult:

@@ -2,15 +2,14 @@
 
 The PSD spectral kernel (one clamp and support-cutoff policy for a matrix or a
 (..., d, d) stack, and the matrix powers built on it), Schatten (quasi-)norms,
-tensor indexing over subsystem layouts, and purification.  Everything is plain
-numpy on small dense matrices (dims <= 64).
+embedding and partial traces over subsystem layouts, and purification.
+Everything is plain numpy on small dense matrices (dims <= 64).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
@@ -160,38 +159,21 @@ def schatten_norm(m: np.ndarray, p: float) -> float:
     return float(top * np.exp(np.log(np.sum((s / top) ** p)) / p))
 
 
-def tensor(*ops: np.ndarray) -> np.ndarray:
-    return reduce(np.kron, [np.asarray(o, dtype=complex) for o in ops])
-
-
-def embed_factors(dims, factors: dict[int, np.ndarray]) -> np.ndarray:
-    """Kron together per-subsystem factors, identity on unnamed positions."""
-    layout = as_layout(dims)
-    parts = []
-    for k, d in enumerate(layout.dims):
-        op = factors.get(k)
-        if op is None:
-            parts.append(np.eye(d, dtype=complex))
-        else:
-            op = np.asarray(op, dtype=complex)
-            if op.shape != (d, d):
-                raise LayoutMismatch(f"factor at position {k} has shape {op.shape}, expected {(d, d)}")
-            parts.append(op)
-    return tensor(*parts)
-
-
 def embed_block(dims, block: np.ndarray, positions) -> np.ndarray:
     """I (x) block (x) I for an operator or (k, d, d) stack on contiguous positions."""
     dims = as_layout(dims).dims
     lo, hi = min(positions), max(positions)
     if len(set(positions)) != hi - lo + 1:
         raise ValueError("embedded subsystems must be contiguous")
+    d = math.prod(dims[lo:hi + 1])
+    if block.shape[-2:] != (d, d):
+        raise LayoutMismatch(f"block has shape {block.shape[-2:]}, expected {(d, d)}")
     front, back = math.prod(dims[:lo]), math.prod(dims[hi + 1:])
     if front == 1 and back == 1:
         return block
     out = np.einsum("ij,...ab,xy->...iaxjby",
                     np.eye(front, dtype=complex), block, np.eye(back, dtype=complex))
-    n = front * block.shape[-1] * back
+    n = front * d * back
     return out.reshape(block.shape[:-2] + (n, n))
 
 

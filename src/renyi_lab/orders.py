@@ -31,8 +31,9 @@ THEOREM_ORDERS = {
     "chain":      ((1, 2, 4, 5),       (0.5, False), (0.5, True),  (0.5, False)),
     "decomp-dup": ((1, 2, 4, 5, 7, 8), (0.0, False), (0.5, True),  (0.5, False)),
     "bchain-alt": ((1, 2, 4, 5, 7, 8), (0.0, False), (0.5, True),  (0.5, False)),
-    "chain-dup":  ((1, 2, 4, 5),       (0.5, True),  (0.5, True),  (0.5, True)),
 }
+# chain-dup samples chain's orders; it differs only in how its trials take a direction
+THEOREM_ORDERS["chain-dup"] = THEOREM_ORDERS["chain"]
 
 
 class Degenerate(ValueError):
@@ -167,10 +168,7 @@ def admissible(triple: RenyiTriple, tag: str) -> bool:
     if triple.residual > SURFACE_TOL:
         return False
     _, ra, rb, rg = THEOREM_ORDERS[tag]
-    ok = _meets(triple.alpha, ra) and _meets(triple.beta, rb) and _meets(triple.gamma, rg)
-    if tag == "chain-dup":
-        ok = ok and all(abs(x - 1.0) > 1e-9 for x in triple.as_tuple())
-    return ok
+    return _meets(triple.alpha, ra) and _meets(triple.beta, rb) and _meets(triple.gamma, rg)
 
 
 def _far_from_one(*xs: float) -> bool:

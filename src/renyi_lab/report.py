@@ -82,10 +82,6 @@ class SuiteSummary:
     master_seed: int
     tolerance: float
 
-    @property
-    def all_ok(self) -> bool:
-        return self.failed == 0
-
     def line(self) -> str:
         return (f"{self.theorem}: {self.passed} pass / {self.failed} fail / "
                 f"{self.skipped} skipped out of {self.trials}; min gap {self.min_gap:.3e}")

@@ -16,7 +16,7 @@ from .linalg import (
     SystemLayout,
     as_layout,
     dagger,
-    embed_factors,
+    embed_block,
     partial_trace,
     psd_eigh,
     _hermitian,
@@ -148,7 +148,7 @@ def _pinchers(basis: MeasurementBasis, layout: SystemLayout, subsystem: int):
         raise LayoutMismatch(f"basis dimension {basis.dim} != subsystem dimension {d}")
     for x in range(d):
         k = basis.ket(x)
-        yield embed_factors(layout, {subsystem: np.outer(k, k.conj())})
+        yield embed_block(layout, np.outer(k, k.conj()), [subsystem])
 
 
 def measure(rho: DensityOperator, basis: MeasurementBasis, subsystem: int = 0) -> DensityOperator:

@@ -89,11 +89,6 @@ def _q_vn_oriented(rho, pair: MeasurementPair) -> float:
     return float(-np.sum(p * np.log2(pair.overlaps.max(axis=1))))
 
 
-def q_rho(rho, pair: MeasurementPair) -> float:
-    """State-dependent relative-entropy bound: max over both orientations."""
-    return max(_q_vn_oriented(rho, pair), _q_vn_oriented(rho, pair.swapped()))
-
-
 def _as_state(rho, d: int) -> DensityOperator:
     if isinstance(rho, DensityOperator):
         return rho
@@ -117,7 +112,8 @@ def q_delta_oriented(rho, pair: MeasurementPair, delta: float) -> float:
 
 
 def q_delta(rho, pair: MeasurementPair, delta: float) -> float:
-    """The delta-order bound: max over both orientations."""
+    """The delta-order bound: max over both orientations.  delta = 1 gives the
+    state-dependent relative-entropy bound q(rho)."""
     return max(q_delta_oriented(rho, pair, delta), q_delta_oriented(rho, pair.swapped(), delta))
 
 

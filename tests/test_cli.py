@@ -1,13 +1,17 @@
 import csv
 import math
 import os
+import re
+import subprocess
+import sys
 
 import pytest
 
 from renyi_lab import entropies, report
 from renyi_lab.cli import ALL_SUITES, main, write_csv
 from renyi_lab.inequalities import SUITES, run_suite
-from renyi_lab.states import trial_rng
+from renyi_lab.states import random_density, trial_rng
+from renyi_lab.uncertainty import q_delta, random_pair
 
 
 def test_explore_sweep_survives_bad_trials(tmp_path):
@@ -99,3 +103,92 @@ def test_random_pair_takes_its_dimension(capsys):
     bare = capsys.readouterr().out
     assert main(["bounds", "--pair", "random:2"]) == 0
     assert "measurement pair on dimension 2;" in bare and bare == capsys.readouterr().out
+
+
+BELL_FILE = os.path.join(os.path.dirname(__file__), "data", "bell_state.txt")
+
+
+def test_state_command_on_a_bell_state(capsys):
+    assert main(["state", BELL_FILE, "--dims", "2,2"]) == 0
+    lines = capsys.readouterr().out.splitlines()[1:]
+    assert [line.split()[0] for line in lines] == ["H_0", "H_0.5", "H_1", "H_2", "H_inf"]
+    for line in lines:
+        values = [float(x) for x in re.findall(r"= *(\S+)", line)]
+        # H_a of a pure state is 0; from order 1/2 up, Hdn = Hup = -1 and Iup = Idn = 2
+        expected = [0.0] if line.startswith("  H_0 ") else [0.0, -1.0, -1.0, 2.0, 2.0]
+        assert values == pytest.approx(expected, abs=1e-7), line
+
+
+def test_limits_command_passes(capsys):
+    assert main(["limits", "--count", "5"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "limits: pass"
+
+
+def test_bounds_q_rho_row_is_q_delta_at_one(capsys):
+    assert main(["bounds", "--pair", "random:3", "--seed", "4"]) == 0
+    (row,) = [line for line in capsys.readouterr().out.splitlines() if "q(rho)" in line]
+    pair = random_pair(3, trial_rng(4, 0))
+    rho = random_density(3, 3, trial_rng(4, 1))
+    assert row.split()[-2] == f"{q_delta(rho, pair, 1.0):.10f}"
+
+
+class _ClosedPipe:
+    """A stdout whose reader has gone; fileno() is a temporary file's descriptor."""
+
+    def __init__(self, fd):
+        self.fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+    def fileno(self):
+        return self.fd
+
+
+def test_closed_stdout_ends_quietly(tmp_path, monkeypatch, capsys):
+    with open(tmp_path / "out", "w") as fh:
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe(fh.fileno()))
+        code = main(["bounds", "--pair", "mub:2"])
+    assert code == 141
+    assert capsys.readouterr().err == ""
+
+
+def test_closed_pipe_leaves_stderr_empty():
+    # the read end is closed before the command starts, so every write fails,
+    # the flush at interpreter exit included
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    env.pop("PYTHONUNBUFFERED", None)   # block-buffered, the write fails only at a flush
+    proc = subprocess.run([sys.executable, "-m", "renyi_lab.cli", "bounds", "--pair", "mub:2"],
+                          stdout=write_end, stderr=subprocess.PIPE, env=env)
+    os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (141, b"")
+
+
+def _fields(rep):
+    return [rep.alpha, rep.beta, rep.gamma, rep.lhs, rep.rhs, rep.verdict, rep.direction]
+
+
+def test_chain_dup_is_chain_outside_explore_mode():
+    plain, dup = (run_suite(tag, 6, (2, 2, 2), 0)[0] for tag in ("chain", "chain-dup"))
+    for x, y in zip(plain, dup):
+        assert _fields(x) == _fields(y)
+
+
+def test_chain_dup_orients_by_product_sign_in_explore_mode():
+    # chain-dup takes its direction from the sign of (a-1)(b-1)(g-1); on the
+    # off-surface explore triples that often disagrees with the triple's own
+    plain, dup = (run_suite(tag, 20, (2, 2, 2), 5, explore=True)[0] for tag in ("chain", "chain-dup"))
+    flips = 0
+    for x, y in zip(plain, dup):
+        assert _fields(x)[:3] == _fields(y)[:3]
+        if x.direction == y.direction:
+            assert _fields(x) == _fields(y)
+        else:
+            flips += 1
+            assert (x.lhs, x.rhs) == (y.rhs, y.lhs) and x.verdict != y.verdict
+    assert flips == 10

@@ -18,7 +18,6 @@ from renyi_lab.entropies import (
     mutual_info_down,
     mutual_info_up,
     optimize_density,
-    quantum_relative_entropy,
     renyi_entropy,
     sandwiched_divergence,
     weighted_norm,
@@ -31,11 +30,9 @@ from renyi_lab.linalg import (
     SystemLayout,
     dagger,
     embed_block,
-    embed_factors,
     frac_power,
     partial_trace,
     schatten_norm,
-    tensor,
 )
 from renyi_lab.orders import hatconj, hconj
 from renyi_lab.states import DensityOperator, cq_state, measure, random_density, random_onb, random_pure, trial_rng
@@ -142,6 +139,16 @@ class TestSandwichedDivergence:
         assert sandwiched_divergence(rho, sig, 2.0) == math.inf
         assert math.isfinite(sandwiched_divergence(rho, sig, 0.7))
 
+    def test_support_violation_in_the_order_one_window(self):
+        # D_alpha -> +inf as alpha -> 1 from below (Umegaki's limit), so the
+        # whole window around 1 reports +inf, not a finite relative entropy
+        plus = np.full((2, 2), 0.5, dtype=complex)
+        zero = np.diag([1.0, 0.0]).astype(complex)
+        for a in (1.0 - 5e-7, 1.0, 1.0 + 5e-7):
+            assert sandwiched_divergence(plus, zero, a) == math.inf, a
+        below = sandwiched_divergence(plus, zero, 1.0 - 2e-6)
+        assert 1e5 < below < math.inf
+
     def test_nonnegative_for_density_weight(self):
         for i in range(20):
             rng = trial_rng(30, 10 + i)
@@ -176,7 +183,7 @@ class TestSandwichedDivergence:
             rng = trial_rng(30, 120 + i)
             rho = random_density(3, 3, rng)
             sig = random_density(3, 3, rng)
-            kl = quantum_relative_entropy(rho, sig)
+            kl = sandwiched_divergence(rho, sig, 1.0)
             for a in (1.0 - 1e-4, 1.0 + 1e-4):
                 assert abs(sandwiched_divergence(rho, sig, a) - kl) <= 1e-3
 
@@ -212,7 +219,7 @@ class TestRenyiEntropy:
             with pytest.raises(NotHermitian):
                 sandwiched_divergence(bad, np.eye(2) / 2, a)
         with pytest.raises(NotHermitian):
-            quantum_relative_entropy(np.eye(2) / 2, bad)
+            sandwiched_divergence(np.eye(2) / 2, bad, 1.0)
 
 
 class TestConditionalEntropies:
@@ -245,7 +252,7 @@ class TestConditionalEntropies:
             rho = random_density(4, 4, rng, dims=(2, 2))
             a = float(rng.uniform(0.6, 3.0))
             up = cond_entropy_up(rho, a, (2, 2))
-            obj = _divergence_objective(rho.mat, a, (2, 2), [1], {})
+            obj = _divergence_objective(rho.mat, a, (2, 2), [1])
             _, vg, _ = grid_qubit_minimize(obj, (48, 48, 48))
             assert up.value == pytest.approx(-vg, abs=2e-5)
 
@@ -384,7 +391,7 @@ class TestQuantityNormIdentities:
         tau = rand_pos(2, rng, 0.2)
         for a in (0.7, 1.5, 3.0):
             ap = hconj(a)
-            w = embed_factors((2, 2), {1: frac_power(tau, -1.0 / (2.0 * ap))})
+            w = embed_block((2, 2), frac_power(tau, -1.0 / (2.0 * ap)), [1])
             val = -2.0 * ap * np.log2(schatten_norm(m @ w, 2 * a))
             assert gen_cond_entropy(rho, tau, a, (2, 2), weight_pos=1) == pytest.approx(val, abs=1e-8)
 
@@ -396,7 +403,7 @@ class TestQuantityNormIdentities:
         for a in (0.7, 1.7):
             ap = hconj(a)
 
-            w_tau = embed_factors((2, 2), {1: frac_power(tau, -1.0 / (2.0 * ap))})
+            w_tau = embed_block((2, 2), frac_power(tau, -1.0 / (2.0 * ap)), [1])
 
             def value(sig_stack):
                 w = embed_block((2, 2), frac_power(sig_stack, -1.0 / (2.0 * ap)), [0]) @ w_tau
@@ -417,10 +424,10 @@ class TestQuantityNormIdentities:
             for lam in (1.0, a, 2.0):
                 ap, lp = hconj(a), hconj(lam)
                 e1 = (1.0 / a - 1.0 / lam) / 2.0
-                y = m @ embed_factors((2, 2), {1: frac_power(tau_b, -0.5)})
-                y = y @ embed_factors((2, 2), {0: frac_power(sig_a, e1)})
+                y = m @ embed_block((2, 2), frac_power(tau_b, -0.5), [1])
+                y = y @ embed_block((2, 2), frac_power(sig_a, e1), [0])
                 val = 2.0 * ap * np.log2(
-                    schatten_norm(y @ embed_factors((2, 2), {1: frac_power(tau_b, 1.0 / (2.0 * a))}), 2 * a))
+                    schatten_norm(y @ embed_block((2, 2), frac_power(tau_b, 1.0 / (2.0 * a)), [1]), 2 * a))
                 tilt = 1.0 - (0.0 if math.isinf(lp) else ap / lp)
                 w = np.kron(frac_power(sig_a, tilt), tau_b)
                 assert val == pytest.approx(_divergence_any_order(rho, w, a), abs=1e-8)
@@ -502,7 +509,7 @@ class TestOptimizer:
         # a candidate below the spectral cutoff would drop rho's mass there
         # from tr rho log sigma and open a false minimum at the boundary
         rho = np.kron(np.diag([0.7, 0.3]), np.diag([0.999, 0.001])).astype(complex)
-        objective = _divergence_objective(rho, 1.0, (2, 2), [1], {})
+        objective = _divergence_objective(rho, 1.0, (2, 2), [1])
         edge = bloch_density(_ball_from_free(np.array([0.0, 0.0, 50.0])))
         assert np.linalg.eigvalsh(edge).min() >= 1e-11 - 1e-16
         inside = bloch_density(np.array([0.0, 0.0, 0.998]))

@@ -8,12 +8,12 @@ from renyi_lab.linalg import (
     SystemLayout,
     congruence_eigvalsh,
     dagger,
+    embed_block,
     frac_power,
     partial_trace,
     psd_eigvalsh,
     purify,
     schatten_norm,
-    tensor,
 )
 from renyi_lab.states import random_density, random_pure, trial_rng
 
@@ -143,9 +143,9 @@ class TestPartialTraceTensor:
     def test_product_rule(self):
         rng = trial_rng(5, 0)
         k, l = rand_herm(2, rng), rand_herm(3, rng)
-        out = partial_trace(tensor(k, l), (2, 3), keep=[0])
+        out = partial_trace(np.kron(k, l), (2, 3), keep=[0])
         assert np.abs(out - np.trace(l) * k).max() < 1e-12
-        out_b = partial_trace(tensor(k, l), (2, 3), keep=[1])
+        out_b = partial_trace(np.kron(k, l), (2, 3), keep=[1])
         assert np.abs(out_b - np.trace(k) * l).max() < 1e-12
 
     def test_bell_marginal(self):
@@ -170,11 +170,18 @@ class TestPartialTraceTensor:
     def test_layout_mismatch(self):
         with pytest.raises(LayoutMismatch):
             partial_trace(np.eye(4), (2, 3), keep=[0])
+        with pytest.raises(LayoutMismatch):
+            embed_block((2, 3), np.eye(2), [1])
 
     def test_kron_mixed_product(self):
+        # (a (x) I)(I (x) b) = a (x) b, also for a stack in one slot
         rng = trial_rng(5, 3)
-        a, b, c, d = (rng.standard_normal((2, 2)) for _ in range(4))
-        assert np.abs(tensor(a, b) @ tensor(c, d) - tensor(a @ c, b @ d)).max() < 1e-12
+        a, b = rng.standard_normal((2, 2)), rng.standard_normal((3, 2, 2))
+        assert np.abs(embed_block((2, 2, 2), a, [0]) @ embed_block((2, 2, 2), b[0], [1])
+                      - np.kron(np.kron(a, b[0]), np.eye(2))).max() < 1e-12
+        stack = embed_block((2, 2), b, [1])
+        assert stack.shape == (3, 4, 4)
+        assert all(np.abs(stack[k] - np.kron(np.eye(2), b[k])).max() == 0.0 for k in range(3))
 
 
 class TestPurify:

@@ -21,7 +21,6 @@ from renyi_lab.uncertainty import (
     q_delta,
     q_delta_state_independent,
     q_mu,
-    q_rho,
     r_cp,
     r_grudka,
     r_xz,
@@ -36,7 +35,6 @@ def test_every_bound_is_log_d_on_a_mub_pair(d):
     rho = random_density(d, d, trial_rng(60, d))
     consts = {
         "q_mu": q_mu(pair),
-        "q_rho": q_rho(rho, pair),
         "hall_bound": hall_bound(pair),
         "r_xz": r_xz(pair),
         "r_xz swapped": r_xz(pair.swapped()),
