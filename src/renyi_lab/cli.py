@@ -37,7 +37,7 @@ ALL_SUITES = tuple(SUITES)
 
 CSV_COLUMNS = ("trial_id", "seed", "dim_a", "dim_b", "dim_c", "alpha", "beta", "gamma",
                "delta", "direction", "lhs_bits", "rhs_bits", "gap_bits", "verdict",
-               "opt_iters", "opt_residual", "note")
+               "opt_iters", "opt_residual", "stop_reason", "note")
 
 CONFIG_KEYS = {"suite", "trials", "dim_a", "dim_b", "dim_c", "seed", "tol", "out", "explore"}
 
@@ -70,7 +70,7 @@ def write_csv(path: str, reports, master_seed: int) -> None:
             _fmt(float(r.alpha)), _fmt(None if r.beta is None else float(r.beta)),
             _fmt(float(r.gamma)), _fmt(None if r.delta is None else float(r.delta)),
             r.direction, _fmt(float(r.lhs)), _fmt(float(r.rhs)), _fmt(float(r.gap)),
-            r.verdict, str(r.opt_iters), _fmt(float(r.opt_residual)), r.note,
+            r.verdict, str(r.opt_iters), _fmt(float(r.opt_residual)), r.stop, r.note,
         ))
     with open(path, "w", newline="") as fh:
         csv.writer(fh, lineterminator="\n").writerows(rows)

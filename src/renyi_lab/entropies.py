@@ -470,13 +470,20 @@ def gen_mutual_info(rho, tau, alpha: float, dims=None, fixed: int = 0) -> Optimi
     """I_alpha(rho || tau) = inf over sigma of D_alpha(rho || tau (x) sigma).
 
     `fixed` names the bipartite subsystem carrying the weight tau; the
-    optimisation runs over the other one.
+    optimisation runs over the other one.  The value is +inf, with no solve
+    (0 iterations, residual 0), when rho misses supp tau (x) id, and from
+    alpha = 1 - 1e-6 up when supp tau (x) id does not dominate rho.
     """
     layout = _layout_of(rho, dims)
     if len(layout.dims) != 2:
         raise ValueError("generalised mutual information is bipartite")
-    rho = _mat(rho)
-    return _optimize_weight(rho, alpha, layout, [1 - fixed], _mat(tau))
+    rho, tau = _mat(rho), _mat(tau)
+    overlapping, dominated = _support_flags(rho, embed_block(layout, support_projector(tau), [fixed]))
+    if not overlapping or alpha >= 1.0 - ALPHA_ONE_WINDOW and not dominated:
+        other = partial_trace(rho, layout, [1 - fixed])
+        return OptimizerResult(DensityOperator(other, SystemLayout(other.shape[:1])), math.inf, 0,
+                               0.0, STOPS[0])
+    return _optimize_weight(rho, alpha, layout, [1 - fixed], tau)
 
 
 def mutual_info_up(rho, alpha: float, dims=None) -> OptimizerResult:

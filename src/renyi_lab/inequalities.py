@@ -263,4 +263,4 @@ def run_suite(tag: str, trials: int, dims=(2, 2, 2), master_seed: int = 0,
             reports.append(trial_fn(tag, rng, dims, tolerance, i, explore))
         except (ValueError, ArithmeticError, RuntimeError) as exc:
             reports.append(report.errored(tag, i, dims, f"{type(exc).__name__}: {exc}"))
-    return reports, summarize(tag, reports, master_seed, tolerance)
+    return reports, summarize(tag, reports)

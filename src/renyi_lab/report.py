@@ -5,6 +5,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .entropies import STOPS
+
 PASS = "pass"
 FAIL = "fail"
 SKIPPED = "skipped"
@@ -32,6 +34,7 @@ class InequalityReport:
     verdict: str
     opt_iters: int = 0
     opt_residual: float = 0.0
+    stop: str = ""             # worst stop of the solves in STOPS order, "" without a solve
     note: str = ""
 
 
@@ -39,8 +42,8 @@ def finish(theorem: str, trial_seed: int, dims, alpha, beta, gamma, delta, direc
            small: float, big: float, tolerance: float, wide: bool = False,
            solves=(), note: str = "") -> InequalityReport:
     """Assemble a report; infinities resolve to trivially-true or skipped.  The
-    report keeps the summed iterations and the largest residual of `solves`,
-    the trial's `entropies.OptimizerResult`s."""
+    report keeps the summed iterations, the largest residual and the worst stop
+    of `solves`, the trial's `entropies.OptimizerResult`s."""
     tol = max(tolerance, WIDE_TOL) if wide else tolerance
     if wide and not note:
         note = "tolerance widened for one-sided optimiser bias"
@@ -56,7 +59,8 @@ def finish(theorem: str, trial_seed: int, dims, alpha, beta, gamma, delta, direc
         verdict = PASS if gap >= -tol else FAIL
     return InequalityReport(theorem, trial_seed, tuple(dims), alpha, beta, gamma, delta,
                             direction, small, big, gap, verdict, sum(r.iterations for r in solves),
-                            max((r.residual for r in solves), default=0.0), note)
+                            max((r.residual for r in solves), default=0.0),
+                            max((r.stop for r in solves), key=STOPS.index, default=""), note)
 
 
 def skipped(theorem: str, trial_seed: int, dims, alpha, beta, gamma, delta, direction,
@@ -79,15 +83,13 @@ class SuiteSummary:
     failed: int
     skipped: int
     min_gap: float
-    master_seed: int
-    tolerance: float
 
     def line(self) -> str:
         return (f"{self.theorem}: {self.passed} pass / {self.failed} fail / "
                 f"{self.skipped} skipped out of {self.trials}; min gap {self.min_gap:.3e}")
 
 
-def summarize(theorem: str, reports, master_seed: int, tolerance: float) -> SuiteSummary:
+def summarize(theorem: str, reports) -> SuiteSummary:
     gaps = [r.gap for r in reports if r.verdict != SKIPPED and math.isfinite(r.gap)]
     return SuiteSummary(
         theorem=theorem,
@@ -96,6 +98,4 @@ def summarize(theorem: str, reports, master_seed: int, tolerance: float) -> Suit
         failed=sum(r.verdict in (FAIL, ERROR) for r in reports),
         skipped=sum(r.verdict == SKIPPED for r in reports),
         min_gap=min(gaps) if gaps else math.inf,
-        master_seed=master_seed,
-        tolerance=tolerance,
     )

@@ -5,6 +5,15 @@ state-independent delta-order bounds, Hall and Coles-Piani exclusion
 constants) and the randomized checks of the associated inequalities.  Every
 bound is a plain float in bits.  An oriented bound measures `pair.basis_x`
 first; the other orientation is the same function on `pair.swapped()`.
+
+The optimised suites check one of two relations, X and Z being A of rho_AB
+measured in the pair's two bases:
+
+    uncertainty:  H^up_b(X|B) + Z term  >=  joint term + constant
+    exclusion:    I^down_b(X:B) + Z term  <=  constant - joint term
+
+The Z term is the same quantity at order g and the joint term is H_a(A|B);
+each is taken against a fixed weight on B or optimised.
 """
 
 from __future__ import annotations
@@ -174,11 +183,8 @@ def r_grudka(pair: MeasurementPair) -> float:
 
 
 def h_min_cond(rho, dims) -> tuple[float, float]:
-    """Conditional min-entropy via the optimised entropy at a huge order.
-
-    Returns (value, optimiser residual); the order cap makes this an
-    approximation whose residual is recorded alongside.
-    """
+    """Conditional min-entropy via the optimised entropy at a huge order:
+    (value, optimiser residual), the order cap making it an approximation."""
     res = cond_entropy_up(rho, math.inf, dims)
     return res.value, res.residual
 
@@ -197,168 +203,6 @@ def check_rmu(rho_a, pair: MeasurementPair, alpha: float,
     big = classical_renyi_entropy(px, alpha) + classical_renyi_entropy(pz, ah)
     return finish("rmu", seed, (pair.d,), alpha, ah, math.nan, None, FORWARD,
                   q_mu(pair), big, tolerance)
-
-
-def _measured_states(rho_ab: DensityOperator, pair: MeasurementPair):
-    return measure(rho_ab, pair.basis_x, 0), measure(rho_ab, pair.basis_z, 0)
-
-
-def check_gbur(rho_ab, pair: MeasurementPair, triple, tau_b,
-               tolerance: float = report.BASE_TOL, seed: int = 0) -> InequalityReport:
-    """H_up_b(X|B) + H_g(M_Z(rho)||tau_B) >= H_a(rho||tau_B) + q_MU."""
-    a, b, g = triple.as_tuple()
-    state = rho_ab
-    rho_x, rho_z = _measured_states(state, pair)
-    res = cond_entropy_up(rho_x, b)
-    big = res.value + gen_cond_entropy(rho_z, tau_b, g, rho_z.layout, weight_pos=1)
-    small = gen_cond_entropy(state, tau_b, a, state.layout, weight_pos=1) + q_mu(pair)
-    return finish("gbur", seed, state.layout.dims, a, b, g, None, REVERSE,
-                  small, big, tolerance, wide=True, solves=[res])
-
-
-def check_sdgbur(rho_ab, pair: MeasurementPair, alpha, beta, gamma, delta, tau_b,
-                 variant: str = "xz", tolerance: float = report.BASE_TOL,
-                 seed: int = 0) -> InequalityReport:
-    """State-dependent-bound uncertainty relation in one of its three forms;
-    "zx" is "xz" on the swapped pair."""
-    state = rho_ab
-    if variant in ("xz", "zx"):
-        oriented = pair if variant == "xz" else pair.swapped()
-        first, second = _measured_states(state, oriented)
-        res = cond_entropy_up(first, beta)
-        big = res.value + gen_cond_entropy(second, tau_b, gamma, second.layout, weight_pos=1)
-        const = q_delta_oriented(state.marginal([0]), oriented, delta)
-        solves = [res]
-    elif variant == "both":
-        rho_x, rho_z = _measured_states(state, pair)
-        solves = [cond_entropy_up(rho_x, beta), cond_entropy_up(rho_z, gamma)]
-        big = solves[0].value + solves[1].value
-        const = q_delta(state.marginal([0]), pair, delta)
-    else:
-        raise ValueError("variant must be xz, zx, or both")
-    small = gen_cond_entropy(state, tau_b, alpha, state.layout, weight_pos=1) + const
-    return finish("sdgbur", seed, state.layout.dims, alpha, beta, gamma, delta, REVERSE,
-                  small, big, tolerance, wide=True, solves=solves, note=f"variant {variant}")
-
-
-def check_sigbur(rho_ab, pair: MeasurementPair, alpha, beta, gamma, delta, tau_b,
-                 tolerance: float = report.BASE_TOL, seed: int = 0) -> InequalityReport:
-    """State-independent version of the delta-order uncertainty bound."""
-    state = rho_ab
-    rho_x, rho_z = _measured_states(state, pair)
-    r1 = cond_entropy_up(rho_x, beta)
-    r2 = cond_entropy_up(rho_z, gamma)
-    big = r1.value + r2.value
-    small = gen_cond_entropy(state, tau_b, alpha, state.layout, weight_pos=1) \
-        + q_delta_state_independent(pair, delta)
-    return finish("sigbur", seed, state.layout.dims, alpha, beta, gamma, delta, REVERSE,
-                  small, big, tolerance, wide=True, solves=[r1, r2])
-
-
-def check_marcos(rho_ab, pair: MeasurementPair, triple,
-                 tolerance: float = report.BASE_TOL, seed: int = 0) -> InequalityReport:
-    """All-optimised measured uncertainty relation with the sign-product rule."""
-    a, g, b = triple.alpha, triple.beta, triple.gamma   # (alpha, gamma, beta) on the surface
-    state = rho_ab
-    rho_x, rho_z = _measured_states(state, pair)
-    r1 = cond_entropy_up(rho_x, g)
-    r2 = cond_entropy_up(rho_z, b)
-    r3 = cond_entropy_up(state, a)
-    big = r1.value + r2.value
-    small = q_mu(pair) + r3.value
-    return finish("marcos", seed, state.layout.dims, a, b, g, None, REVERSE,
-                  small, big, tolerance, wide=True, solves=[r1, r2, r3])
-
-
-def check_result2(rho_ab, pair: MeasurementPair, triple, tau_b,
-                  tolerance: float = report.BASE_TOL, seed: int = 0) -> InequalityReport:
-    """I_down_b(X:B) + I_g(M_Z(rho)||tau_B) <= r_H - H_a(rho||tau_B)."""
-    a, b, g = triple.as_tuple()
-    state = rho_ab
-    rho_x, rho_z = _measured_states(state, pair)
-    r1 = mutual_info_down(rho_x, b)
-    r2 = gen_mutual_info(rho_z, tau_b, g, fixed=1)
-    small = r1.value + r2.value
-    big = hall_bound(pair) - gen_cond_entropy(state, tau_b, a, state.layout, weight_pos=1)
-    return finish("result2", seed, state.layout.dims, a, b, g, None, REVERSE,
-                  small, big, tolerance, wide=True, solves=[r1, r2])
-
-
-def check_res2c(rho_ab, pair: MeasurementPair, alpha: float,
-                tolerance: float = report.BASE_TOL, seed: int = 0) -> InequalityReport:
-    """Order-optimal exclusion bound against the conditional min-entropy."""
-    if not (0.5 < alpha < 2.0):
-        raise ValueError("order must lie in (1/2, 2)")
-    state = rho_ab
-    rho_x, rho_z = _measured_states(state, pair)
-    r1 = mutual_info_down(rho_x, alpha)
-    rho_b = state.marginal([1]).mat
-    r2 = gen_mutual_info(rho_z, rho_b, 1.0 / alpha, fixed=1)
-    hmin = cond_entropy_up(state, math.inf)
-    small = r1.value + r2.value
-    big = hall_bound(pair) - hmin.value
-    return finish("res2c", seed, state.layout.dims, alpha, 1.0 / alpha, math.nan, None, REVERSE,
-                  small, big, tolerance, wide=True, solves=[r1, r2, hmin])
-
-
-def check_ier(rho_ab, pair: MeasurementPair, alpha, beta, gamma, tau_b,
-              symmetric: bool = False, orientation: str = "xz",
-              tolerance: float = report.BASE_TOL, seed: int = 0) -> InequalityReport:
-    """Improved information-exclusion relations (symmetric, or oriented: "zx"
-    is "xz" on the swapped pair)."""
-    state = rho_ab
-    if symmetric:
-        rho_x, rho_z = _measured_states(state, pair)
-        r1 = mutual_info_down(rho_x, beta)
-        r2 = mutual_info_down(rho_z, gamma)
-        res = cond_entropy_up(state, alpha)
-        small = r1.value + r2.value
-        big = r_cp(pair) - res.value
-        solves = [r1, r2, res]
-    else:
-        if orientation not in ("xz", "zx"):
-            raise ValueError("orientation must be xz or zx")
-        oriented = pair if orientation == "xz" else pair.swapped()
-        first, second = _measured_states(state, oriented)
-        r1 = mutual_info_down(first, beta)
-        r2 = gen_mutual_info(second, tau_b, gamma, fixed=1)
-        small = r1.value + r2.value
-        big = r_xz(oriented) - gen_cond_entropy(state, tau_b, alpha, state.layout, weight_pos=1)
-        solves = [r1, r2]
-    return finish("ier", seed, state.layout.dims, alpha, beta, gamma, None, REVERSE,
-                  small, big, tolerance, wide=True, solves=solves,
-                  note="symmetric" if symmetric else f"orientation {orientation}")
-
-
-def check_iier_opt(rho_ab, pair: MeasurementPair, alpha: float, tau_b,
-                   optimal: bool = False, tolerance: float = report.BASE_TOL,
-                   seed: int = 0) -> InequalityReport:
-    """Min-entropy exclusion bound; `optimal` uses the twin-order special case.
-
-    The general form keeps the stated weight on both sides (the order-infinity
-    limit of the oriented exclusion relation); a fixed bound independent of
-    the weight fails for adversarial weights.
-    """
-    if not (0.5 <= alpha <= 1.5):
-        raise ValueError("order must lie in [1/2, 3/2]")
-    state = rho_ab
-    rho_x, rho_z = _measured_states(state, pair)
-    if optimal:
-        hmin = cond_entropy_up(state, math.inf)
-        r1 = mutual_info_down(rho_x, 0.5)
-        r2 = mutual_info_down(rho_z, 1.5)
-        small = r1.value + r2.value
-        big = r_cp(pair) - hmin.value
-        solves = [r1, r2, hmin]
-    else:
-        r1 = mutual_info_down(rho_x, alpha)
-        r2 = gen_mutual_info(rho_z, tau_b, 2.0 - alpha, fixed=1)
-        small = r1.value + r2.value
-        big = r_xz(pair) - gen_cond_entropy(state, tau_b, math.inf, state.layout, weight_pos=1)
-        solves = [r1, r2]
-    return finish("iier-opt", seed, state.layout.dims, alpha, None if optimal else 2.0 - alpha,
-                  math.nan, None, REVERSE, small, big, tolerance, wide=True, solves=solves,
-                  note="optimal orders" if optimal else "")
 
 
 def check_const_comp(rho_a, pair: MeasurementPair, alpha: float, delta: float,
@@ -380,25 +224,53 @@ def check_hall_classical(rho_ay: DensityOperator, pair: MeasurementPair,
                 + renyi_entropy(state.marginal([1]), 1.0)
                 - renyi_entropy(state, 1.0))
 
-    rho_x, rho_z = _measured_states(rho_ay, pair)
-    small = vn_mutual(rho_x) + vn_mutual(rho_z)
+    small = vn_mutual(measure(rho_ay, pair.basis_x, 0)) + vn_mutual(measure(rho_ay, pair.basis_z, 0))
     return finish("hall-classical", seed, rho_ay.layout.dims, 1.0, 1.0, 1.0, None, REVERSE,
                   small, hall_bound(pair), tolerance)
+
+
+# ---------------------------------------------------------------------------
+# terms of the optimised relations; each returns (bits, the solves it ran)
+# ---------------------------------------------------------------------------
+
+def _cond_term(state: DensityOperator, order: float, weight):
+    """H_order(A|B) against the fixed weight on B, or H^up_order(A|B) when weight is None."""
+    if weight is None:
+        res = cond_entropy_up(state, order)
+        return res.value, [res]
+    return gen_cond_entropy(state, weight, order, state.layout, weight_pos=1), []
+
+
+def _info_term(state: DensityOperator, order: float, weight):
+    """I_order(A:B) against the fixed weight on B, or I^down_order(A:B) when weight is None."""
+    res = mutual_info_down(state, order) if weight is None else \
+        gen_mutual_info(state, weight, order, fixed=1)
+    return res.value, [res]
+
+
+def _measured_side(term, state: DensityOperator, pair: MeasurementPair, x_order: float,
+                   z_order: float, z_weight):
+    """term(X|B) at x_order, optimised, plus term(Z|B) at z_order against z_weight;
+    X and Z are A measured in `pair.basis_x` and `pair.basis_z`."""
+    x, x_solves = term(measure(state, pair.basis_x, 0), x_order, None)
+    z, z_solves = term(measure(state, pair.basis_z, 0), z_order, z_weight)
+    return x + z, x_solves + z_solves
 
 
 # ---------------------------------------------------------------------------
 # samplers for the order constraints
 # ---------------------------------------------------------------------------
 
-def sample_sdg_orders(rng: np.random.Generator, variant: str):
+def sample_sdg_orders(rng: np.random.Generator, twin: bool):
     """(alpha, beta, gamma, delta) satisfying the state-dependent-bound
-    constraints; the common order mu is fixed first and the rest solved."""
+    constraints; the common order mu is fixed first and the rest solved.
+    `twin` ties (alpha, beta) and (gamma, delta), else (alpha, gamma) and (beta, delta)."""
     for _ in range(2000):
         mu = float(rng.uniform(0.52, 3.0))
         if abs(mu - 1.0) < 1e-3:
             continue
         m = 2.0 - 1.0 / mu
-        if variant == "both":
+        if twin:
             # mu ties (alpha, beta) and (gamma, delta); bound 1/beta >= m
             b = float(rng.uniform(0.52, 1.0 / m if m > 0 else 4.0))
             den = mu * b - 1.0
@@ -429,7 +301,10 @@ def sample_sdg_orders(rng: np.random.Generator, variant: str):
     raise RuntimeError("could not sample orders for the state-dependent bound")
 
 
-def sample_ier_orders(rng: np.random.Generator, symmetric: bool):
+def sample_ier_orders(rng: np.random.Generator):
+    """(symmetric, alpha, beta, gamma): a fair coin picks the symmetric or the
+    oriented exclusion relation, then orders meeting its constraint are drawn."""
+    symmetric = bool(rng.uniform() < 0.5)
     for _ in range(2000):
         if symmetric:
             b = float(rng.uniform(0.52, 1.45))
@@ -443,7 +318,7 @@ def sample_ier_orders(rng: np.random.Generator, symmetric: bool):
                 continue
             if surface_residual(a, u, v) > 1e-9:
                 continue
-            return a, b, g
+            return symmetric, a, b, g
         b = float(rng.uniform(0.52, 1.9))
         mu = 1.0 / (2.0 - b)
         g = float(rng.uniform(0.52, min(1.0 / b, 4.0)))
@@ -453,7 +328,7 @@ def sample_ier_orders(rng: np.random.Generator, symmetric: bool):
         a = (2.0 * mu * g - mu - g) / den
         if not (a >= 0.5 and math.isfinite(a) and b * g <= 1.0 + 1e-12):
             continue
-        return a, b, g
+        return symmetric, a, b, g
     raise RuntimeError("could not sample exclusion-relation orders")
 
 
@@ -467,13 +342,25 @@ def sample_marcos_triple(rng: np.random.Generator):
     raise RuntimeError("could not sample a triple for the measured uncertainty relation")
 
 
+def _reverse_chain_triple(rng: np.random.Generator):
+    triple = sample_triple(rng, "chain")
+    while triple.direction != REVERSE:
+        triple = sample_triple(rng, "chain")
+    return triple.as_tuple()
+
+
 # ---------------------------------------------------------------------------
 # suite trial (registered in `inequalities.SUITES`)
 # ---------------------------------------------------------------------------
 
+UNCERTAINTY_SUITES = ("gbur", "sdgbur", "sigbur", "marcos")   # the other optimised ones: exclusion
+
+
 def suite_trial(tag: str, rng: np.random.Generator, dims, tolerance: float,
                 seed: int, explore: bool) -> InequalityReport:
-    """One seeded trial of an uncertainty suite on (d_A, d_B); `explore` is ignored."""
+    """One seeded trial of an uncertainty suite on (d_A, d_B); `explore` is ignored.
+    An optimised suite picks its reported orders, the orientation of `pair`, the
+    terms' orders and weights (None: optimised) and the constant."""
     da, db = dims
     pair = random_pair(da, rng)
     rho = random_density(da * db, int(rng.integers(1, da * db + 1)), rng, dims=(da, db))
@@ -483,47 +370,78 @@ def suite_trial(tag: str, rng: np.random.Generator, dims, tolerance: float,
         rho_a = random_density(da, int(rng.integers(1, da + 1)), rng)
         alpha = float(rng.choice([0.5, 0.8, 1.0, 2.0, 5.0, math.inf]))
         return check_rmu(rho_a, pair, alpha, tolerance, seed)
-    if tag == "gbur":
-        triple = sample_triple(rng, "chain")
-        while triple.direction != REVERSE:
-            triple = sample_triple(rng, "chain")
-        return check_gbur(rho, pair, triple, tau_b, tolerance, seed)
-    if tag == "sdgbur":
-        variant = ("xz", "zx", "both")[int(rng.integers(3))]
-        a, b, g, d = sample_sdg_orders(rng, variant)
-        return check_sdgbur(rho, pair, a, b, g, d, tau_b, variant, tolerance, seed)
-    if tag == "sigbur":
-        a, b, g, d = sample_sdg_orders(rng, "both")
-        return check_sigbur(rho, pair, a, b, g, d, tau_b, tolerance, seed)
-    if tag == "marcos":
-        return check_marcos(rho, pair, sample_marcos_triple(rng), tolerance, seed)
-    if tag == "result2":
-        triple = sample_triple(rng, "chain")
-        while triple.direction != REVERSE:
-            triple = sample_triple(rng, "chain")
-        return check_result2(rho, pair, triple, tau_b, tolerance, seed)
-    if tag == "res2c":
-        alpha = float(rng.uniform(0.55, 1.9))
-        return check_res2c(rho, pair, alpha, tolerance, seed)
-    if tag == "ier":
-        symmetric = bool(rng.uniform() < 0.5)
-        a, b, g = sample_ier_orders(rng, symmetric)
-        orientation = "xz" if rng.uniform() < 0.5 else "zx"
-        return check_ier(rho, pair, a, b, g, tau_b, symmetric, orientation, tolerance, seed)
-    if tag == "iier-opt":
-        optimal = bool(rng.uniform() < 0.5)
-        alpha = float(rng.uniform(0.5, 1.5))
-        return check_iier_opt(rho, pair, alpha, tau_b, optimal, tolerance, seed)
     if tag == "const-comp":
         rho_a = random_density(da, int(rng.integers(1, da + 1)), rng)
         alpha, delta = _sample_const_comp_orders(rng)
         return check_const_comp(rho_a, pair, alpha, delta, tolerance, seed)
-    # hall-classical
-    p = rng.dirichlet(np.ones(db))
-    blocks = [random_density(da, da, rng).mat for _ in range(db)]
-    rho_ay = cq_state(p, blocks, dims=(db, da))
-    rho_ya = DensityOperator(swap_bipartite(rho_ay.mat, (db, da)), as_layout((da, db)))
-    return check_hall_classical(rho_ya, pair, tolerance, seed)
+    if tag == "hall-classical":
+        p = rng.dirichlet(np.ones(db))
+        blocks = [random_density(da, da, rng).mat for _ in range(db)]
+        rho_ay = cq_state(p, blocks, dims=(db, da))
+        rho_ya = DensityOperator(swap_bipartite(rho_ay.mat, (db, da)), as_layout((da, db)))
+        return check_hall_classical(rho_ya, pair, tolerance, seed)
+
+    delta, note = None, ""
+    z_weight = joint_weight = tau_b
+    if tag in ("gbur", "result2"):
+        alpha, beta, gamma = _reverse_chain_triple(rng)
+        x_order, z_order, joint_order = beta, gamma, alpha
+        const = q_mu(pair) if tag == "gbur" else hall_bound(pair)
+    elif tag in ("sdgbur", "sigbur"):
+        variant = ("xz", "zx", "both")[int(rng.integers(3))] if tag == "sdgbur" else "both"
+        alpha, beta, gamma, delta = sample_sdg_orders(rng, variant == "both")
+        x_order, z_order, joint_order = beta, gamma, alpha
+        if variant != "both":
+            pair = pair if variant == "xz" else pair.swapped()
+            const = q_delta_oriented(rho.marginal([0]), pair, delta)
+        else:
+            z_weight = None
+            const = q_delta(rho.marginal([0]), pair, delta) if tag == "sdgbur" \
+                else q_delta_state_independent(pair, delta)
+        note = f"variant {variant}" if tag == "sdgbur" else ""
+    elif tag == "marcos":
+        t = sample_marcos_triple(rng)
+        alpha, beta, gamma = t.alpha, t.gamma, t.beta
+        x_order, z_order, joint_order = gamma, beta, alpha
+        z_weight = joint_weight = None
+        const = q_mu(pair)
+    elif tag == "res2c":
+        alpha = float(rng.uniform(0.55, 1.9))
+        beta, gamma = 1.0 / alpha, math.nan
+        x_order, z_order, joint_order = alpha, beta, math.inf
+        z_weight, joint_weight = rho.marginal([1]).mat, None
+        const = hall_bound(pair)
+    elif tag == "ier":
+        symmetric, alpha, beta, gamma = sample_ier_orders(rng)
+        orientation = "xz" if rng.uniform() < 0.5 else "zx"
+        x_order, z_order, joint_order = beta, gamma, alpha
+        if symmetric:
+            z_weight = joint_weight = None
+            const, note = r_cp(pair), "symmetric"
+        else:
+            pair = pair if orientation == "xz" else pair.swapped()
+            const, note = r_xz(pair), f"orientation {orientation}"
+    else:   # iier-opt: general orders, or the twin-order special case
+        optimal = bool(rng.uniform() < 0.5)
+        alpha, gamma = float(rng.uniform(0.5, 1.5)), math.nan
+        joint_order = math.inf
+        if optimal:
+            beta, x_order, z_order = None, 0.5, 1.5
+            z_weight = joint_weight = None
+            const, note = r_cp(pair), "optimal orders"
+        else:
+            beta = 2.0 - alpha
+            x_order, z_order = alpha, beta
+            const = r_xz(pair)
+
+    uncertainty = tag in UNCERTAINTY_SUITES
+    measured, solves = _measured_side(_cond_term if uncertainty else _info_term, rho, pair,
+                                      x_order, z_order, z_weight)
+    joint, joint_solves = _cond_term(rho, joint_order, joint_weight)
+    # uncertainty: measured >= joint + const; exclusion: measured <= const - joint
+    small, big = (joint + const, measured) if uncertainty else (measured, const - joint)
+    return finish(tag, seed, dims, alpha, beta, gamma, delta, REVERSE, small, big, tolerance,
+                  wide=True, solves=solves + joint_solves, note=note)
 
 
 def _sample_const_comp_orders(rng: np.random.Generator):

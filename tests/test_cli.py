@@ -39,6 +39,27 @@ def test_csv_note_with_commas_is_quoted(tmp_path):
     assert row["note"] == note and row["verdict"] == report.ERROR
 
 
+def test_report_keeps_the_worst_stop_of_its_solves(tmp_path):
+    def solve(stop, iterations=5, residual=1e-11):
+        return entropies.OptimizerResult(None, 0.0, iterations, residual, stop)
+
+    def finish(solves):
+        return report.finish("ier", 0, (2, 2), 1.2, 0.8, 0.9, None, "reverse", 0.5, 1.0,
+                             report.BASE_TOL, wide=True, solves=solves)
+
+    assert finish([]).stop == ""
+    assert finish([solve("ftol")]).stop == "ftol"
+    worst = finish([solve("gradient"), solve("no_step", 7, 2e-10), solve("stall")])
+    assert (worst.stop, worst.opt_iters, worst.opt_residual) == ("no_step", 17, 2e-10)
+    assert finish([solve("max_iter"), solve("no_step")]).stop == "max_iter"
+    path = str(tmp_path / "stops.csv")
+    write_csv(path, [worst, finish([])], 0)
+    with open(path, newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    assert header[-2:] == ["stop_reason", "note"]
+    assert [r[-2] for r in rows] == ["no_step", ""]
+
+
 def test_error_trials_are_recorded_and_counted_as_failed():
     reports, summary = run_suite("decomp", 60, (2, 2), 0, explore=True)
     errors = [r for r in reports if r.verdict == report.ERROR]

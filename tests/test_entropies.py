@@ -288,6 +288,24 @@ class TestMutualInformation:
         assert mutual_info_up(rho, 1.0).value == pytest.approx(expected, abs=1e-8)
         assert mutual_info_down(rho, 1.0).value == pytest.approx(expected, abs=1e-8)
 
+    def test_weight_missing_the_support_gives_inf_without_a_solve(self):
+        # no sigma makes |0><0| (x) sigma dominate rho, so every divergence is +inf
+        # from alpha = 1 - 1e-6 up, and at every order when rho misses the support
+        zero = np.diag([1.0, 0.0]).astype(complex)
+        plus = np.full((2, 2), 0.5, dtype=complex)
+        one = np.diag([0.0, 1.0]).astype(complex)
+        cases = [(plus, 1.0), (plus, 1.5), (plus, 2.0), (plus, 1.0 - 5e-7), (one, 0.75), (one, 2.0)]
+        for a_part, a in cases:
+            rho = np.kron(a_part, np.eye(2) / 2)
+            res = gen_mutual_info(rho, zero, a, (2, 2), fixed=0)
+            assert res.value == math.inf, (a_part.tolist(), a)
+            assert res.iterations == 0 and res.residual == 0.0 and res.stop in STOPS
+            assert np.allclose(res.optimum.mat, np.eye(2) / 2)
+            assert sandwiched_divergence(rho, np.kron(zero, res.optimum.mat), a) == math.inf
+        # below order 1 an overlapping rho keeps its finite value: D(|+><+| || |0><0|) = 3 bits at 3/4
+        rho = np.kron(plus, np.eye(2) / 2)
+        assert gen_mutual_info(rho, zero, 0.75, (2, 2), fixed=0).value == pytest.approx(3.0, abs=1e-8)
+
 
 class TestDualities:
     def test_conditional_entropy_duality(self):

@@ -1,10 +1,10 @@
-"""Fixed-seed golden sweep: every suite's verdicts and both sides, unchanged.
+"""Fixed-seed golden sweep: every suite's verdicts, both sides and what was checked.
 
 `data/golden_sweep.json` holds `run_suite` output for all suites (6 trials,
 master seed 2024, dims (2, 2, 2), of which each suite takes its arity) at full
 float precision.  A refactor that moves a reported side by more than 1e-10
-bits, or flips a verdict, fails here.  Regenerate only for an intended change
-of behaviour:
+bits, flips a verdict, or changes a trial's orders, direction or note fails
+here.  Regenerate only for an intended change of behaviour:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -22,17 +22,31 @@ DATA = os.path.join(os.path.dirname(__file__), "data", "golden_sweep.json")
 SEED = 2024
 TRIALS = 6
 VALUE_TOL = 1e-10   # bits
+ORDERS = ("alpha", "beta", "gamma", "delta")
+LABELS = ORDERS + ("direction", "note")   # compared exactly
+
+
+def _order(x):
+    return None if x is None else float(x)
 
 
 def sweep(tag):
     reports, _ = run_suite(tag, TRIALS, (2, 2, 2), SEED)
-    return [{"verdict": r.verdict, "lhs": float(r.lhs), "rhs": float(r.rhs)} for r in reports]
+    return [{"verdict": r.verdict, "lhs": float(r.lhs), "rhs": float(r.rhs),
+             **{k: _order(getattr(r, k)) for k in ORDERS},
+             "direction": r.direction, "note": r.note} for r in reports]
 
 
 def _same(x, y):
     if math.isnan(x) or math.isinf(x):
         return math.isnan(y) if math.isnan(x) else x == y
     return abs(x - y) <= VALUE_TOL
+
+
+def _identical(x, y):
+    if isinstance(x, float) and math.isnan(x):
+        return isinstance(y, float) and math.isnan(y)
+    return x == y
 
 
 @pytest.fixture(scope="module")
@@ -53,6 +67,8 @@ def test_suite_matches_golden(golden, tag):
     for i, (g, w) in enumerate(zip(got, want)):
         for side in ("lhs", "rhs"):
             assert _same(w[side], g[side]), f"{tag} trial {i} {side}: {g[side]!r} vs {w[side]!r}"
+        for key in LABELS:
+            assert _identical(w[key], g[key]), f"{tag} trial {i} {key}: {g[key]!r} vs {w[key]!r}"
 
 
 if __name__ == "__main__":

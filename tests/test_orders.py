@@ -190,7 +190,7 @@ def test_sdg_sampler_meets_each_variants_constraint():
     for variant in ("xz", "zx", "both"):
         rng = trial_rng(23, 0)
         for _ in range(50):
-            a, b, g, d = sample_sdg_orders(rng, variant)
+            a, b, g, d = sample_sdg_orders(rng, variant == "both")
             if variant == "both":
                 mu, mu2, bounded = solve_beta(a, b), solve_beta(g, d), b
             else:
