@@ -155,6 +155,8 @@ def cmd_sweep(args) -> int:
     explore = args.explore or cfg.get("explore", "").lower() in ("1", "true", "yes")
     if trials < 1:
         raise ConfigError("trials must be >= 1")
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ConfigError(f"tol must be a finite number >= 0, got {tol!r}")
     for d in (dim_a, dim_b, dim_c):
         if not 2 <= d <= 8:
             raise ConfigError("subsystem dimensions must lie in [2, 8]")
@@ -173,11 +175,12 @@ def cmd_sweep(args) -> int:
 def _resolve_pair(args) -> MeasurementPair:
     if args.pair:
         kind, _, arg = args.pair.partition(":")
-        if kind == "mub":
-            return mub_pair(int(arg or 2))
-        if kind == "random":
-            return random_pair(int(arg or 2), trial_rng(_default_seed(args.seed), 0))
-        raise ConfigError(f"unknown named pair {args.pair!r} (use mub:d or random:d)")
+        if kind not in ("mub", "random"):
+            raise ConfigError(f"unknown named pair {args.pair!r} (use mub:d or random:d)")
+        d = int(arg or 2)
+        if d < 1:
+            raise ConfigError(f"pair dimension must be >= 1, got {d} in {args.pair!r}")
+        return mub_pair(d) if kind == "mub" else random_pair(d, trial_rng(_default_seed(args.seed), 0))
     if args.basis_x and args.basis_z:
         return MeasurementPair.from_bases(read_basis_file(args.basis_x), read_basis_file(args.basis_z))
     raise ConfigError("provide --pair or both --basis-x and --basis-z")

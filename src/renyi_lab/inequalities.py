@@ -1,9 +1,13 @@
 """Randomized verification harness for the divergence chain/decomposition
 inequalities.
 
-Each check orients its theorem as `small <= big` (gap = big - small >= 0
-passes), records which side carries optimised quantities, and skips trials
-whose support precondition fails rather than passing them silently.
+Every suite compares two Renyi expressions as `small <= big` (gap = big - small
+>= 0 passes).  A trial computes its forward sides and swaps them when its
+direction is reverse: 1/beta + 1/gamma > 2 for a triple, delta above the other
+orders for noncond, and (a-1)(b-1)(g-1) < 0 for chain-dup.  Trials whose
+support precondition fails at orders above 1 are skipped rather than passed
+silently.  The tolerance widens to `report.WIDE_TOL` exactly when the trial ran
+an optimiser solve and is reversed, which puts the solve on the shrinking side.
 """
 
 from __future__ import annotations
@@ -19,7 +23,6 @@ from .entropies import (
     mutual_info_down,
     renyi_entropy,
     _divergence_any_order,
-    _mat,
     _support_flags,
     _tr_log2,
 )
@@ -37,6 +40,8 @@ from .orders import (
 from .report import InequalityReport, finish, skipped, summarize
 from .states import random_density, random_pure, trial_rng
 
+UNSUPPORTED = "support precondition violated at orders above 1"
+
 
 def _dominates_embedded(rho: np.ndarray, weight: np.ndarray, layout, pos: int) -> bool:
     """Whether id (x) weight-at-pos dominates rho."""
@@ -49,97 +54,6 @@ def _entropy_weight_term(gamma: float, rho_marg: np.ndarray, sigma: np.ndarray) 
         return float(_tr_log2(rho_marg, sigma))
     gp = hconj(gamma)
     return gp * float(np.log2(np.real(np.trace(rho_marg @ frac_power(sigma, 1.0 / gp)))))
-
-
-def check_general_bipartite(rho, sigma_a, tau_b, triple: RenyiTriple, dims=(2, 2),
-                            tolerance: float = report.BASE_TOL, seed: int = 0) -> InequalityReport:
-    """-H_a(rho||tau_B) vs D_b(rho||sigma_A x tau_B) + weight term (no optimiser)."""
-    layout = as_layout(dims)
-    rho = _mat(rho)
-    a, b, g = triple.as_tuple()
-    if not (a < 1 and b < 1) and not _dominates_embedded(rho, tau_b, layout, 1):
-        return skipped("general", seed, layout.dims, a, b, g, None, triple.direction,
-                       "support precondition violated at orders above 1")
-    lhs_ent = -gen_cond_entropy(rho, tau_b, a, layout, weight_pos=1)
-    div = _divergence_any_order(rho, np.kron(sigma_a, tau_b), b)
-    rho_a = partial_trace(rho, layout, [0])
-    other = div + _entropy_weight_term(g, rho_a, np.asarray(sigma_a, complex))
-    small, big = (lhs_ent, other) if triple.direction == FORWARD else (other, lhs_ent)
-    return finish("general", seed, layout.dims, a, b, g, None, triple.direction,
-                  small, big, tolerance)
-
-
-def check_decomposition(rho, tau_a, triple: RenyiTriple, dims=(2, 2),
-                        tolerance: float = report.BASE_TOL, seed: int = 0,
-                        theorem: str = "decomp") -> InequalityReport:
-    """I_b(rho||tau_A) vs H_g(rho_B) - H_a(rho||tau_A)."""
-    layout = as_layout(dims)
-    rho = _mat(rho)
-    a, b, g = triple.as_tuple()
-    if not (a < 1 and b < 1) and not _dominates_embedded(rho, tau_a, layout, 0):
-        return skipped(theorem, seed, layout.dims, a, b, g, None, triple.direction,
-                       "support precondition violated at orders above 1")
-    res = gen_mutual_info(rho, tau_a, b, layout, fixed=0)
-    mi = res.value
-    ent_side = renyi_entropy(partial_trace(rho, layout, [1]), g) \
-        - gen_cond_entropy(rho, tau_a, a, layout, weight_pos=0)
-    fwd = triple.direction == FORWARD
-    small, big = (ent_side, mi) if fwd else (mi, ent_side)
-    return finish(theorem, seed, layout.dims, a, b, g, None, triple.direction,
-                  small, big, tolerance, wide=not fwd, solves=[res])
-
-
-def check_bipartite_chain(rho, triple: RenyiTriple, dims=(2, 2),
-                          tolerance: float = report.BASE_TOL, seed: int = 0,
-                          theorem: str = "bchain") -> InequalityReport:
-    """H_a(rho_AB) vs H_up_b(A|B) + H_g(rho_B)."""
-    layout = as_layout(dims)
-    rho = _mat(rho)
-    a, b, g = triple.as_tuple()
-    res = cond_entropy_up(rho, b, layout)
-    chain_side = res.value + renyi_entropy(partial_trace(rho, layout, [1]), g)
-    joint = renyi_entropy(rho, a)
-    fwd = triple.direction == FORWARD
-    small, big = (chain_side, joint) if fwd else (joint, chain_side)
-    return finish(theorem, seed, layout.dims, a, b, g, None, triple.direction,
-                  small, big, tolerance, wide=not fwd, solves=[res])
-
-
-def check_tripartite_chain(rho, tau_c, triple: RenyiTriple, dims=(2, 2, 2),
-                           tolerance: float = report.BASE_TOL, seed: int = 0,
-                           theorem: str = "chain", direction: str | None = None) -> InequalityReport:
-    """H_a(rho_ABC||tau_C) vs H_up_b(A|BC) + H_g(rho_BC||tau_C)."""
-    layout = as_layout(dims)
-    rho = _mat(rho)
-    a, b, g = triple.as_tuple()
-    direction = direction or triple.direction
-    if not (a < 1 and g < 1) and not _dominates_embedded(rho, tau_c, layout, 2):
-        return skipped(theorem, seed, layout.dims, a, b, g, None, direction,
-                       "support precondition violated at orders above 1")
-    res = cond_entropy_up(rho, b, layout)
-    rho_bc = partial_trace(rho, layout, [1, 2])
-    chain_side = res.value + gen_cond_entropy(rho_bc, tau_c, g, layout.dims[1:], weight_pos=1)
-    joint = gen_cond_entropy(rho, tau_c, a, layout, weight_pos=2)
-    fwd = direction == FORWARD
-    small, big = (chain_side, joint) if fwd else (joint, chain_side)
-    return finish(theorem, seed, layout.dims, a, b, g, None, direction,
-                  small, big, tolerance, wide=not fwd, solves=[res])
-
-
-def check_noncond(rho, alpha: float, beta: float, gamma: float, delta: float,
-                  dims=(2, 2), tolerance: float = report.BASE_TOL, seed: int = 0) -> InequalityReport:
-    """I_down_b(A:B) vs H_a(rho_A) + H_g(rho_B) - H_d(rho_AB)."""
-    layout = as_layout(dims)
-    rho = _mat(rho)
-    res = mutual_info_down(rho, beta, layout)
-    ent_side = (renyi_entropy(partial_trace(rho, layout, [0]), alpha)
-                + renyi_entropy(partial_trace(rho, layout, [1]), gamma)
-                - renyi_entropy(rho, delta))
-    fwd = delta < min(alpha, beta, gamma)
-    direction = FORWARD if fwd else REVERSE
-    small, big = (ent_side, res.value) if fwd else (res.value, ent_side)
-    return finish("noncond", seed, layout.dims, alpha, beta, gamma, delta, direction,
-                  small, big, tolerance, wide=not fwd, solves=[res])
 
 
 # ---------------------------------------------------------------------------
@@ -164,11 +78,22 @@ def _explore_triple(rng) -> RenyiTriple:
 
 
 def _suite_trial(tag: str, rng, dims, tolerance: float, seed: int, explore: bool) -> InequalityReport:
+    """One trial: draw a state and its weight, compute the forward sides, and
+    orient them by the trial's direction."""
+    layout = as_layout(dims)
     da, db = dims[0], dims[1]
     rank_deficient = rng.uniform() < 0.2
     triple = _explore_triple(rng) if explore else (None if tag == "noncond" else sample_triple(rng, tag))
+    if tag == "noncond":
+        # noncond_orders keeps delta below min(a, b, g) forward and above max(a, b, g) in reverse
+        direction = FORWARD if rng.uniform() < 0.5 else REVERSE
+        a, b, g, d = noncond_orders(rng, direction)
+    else:
+        (a, b, g), d, direction = triple.as_tuple(), None, triple.direction
+    solves = []
 
     if tag == "general":
+        # -H_a(rho||tau_B) vs D_b(rho||sigma_A x tau_B) + weight term (no optimiser)
         if rank_deficient:
             rho, tau_b = _rank_deficient_pair(rng, da, db)
         else:
@@ -176,41 +101,66 @@ def _suite_trial(tag: str, rng, dims, tolerance: float, seed: int, explore: bool
             tau_b = random_density(db, db, rng).mat
         sig = random_density(da, da, rng).mat + 0.05 * np.eye(da)
         sig_a = sig / np.trace(sig).real
-        return check_general_bipartite(rho, sig_a, tau_b, triple, dims, tolerance, seed)
+        if not (a < 1 and b < 1) and not _dominates_embedded(rho, tau_b, layout, 1):
+            return skipped(tag, seed, dims, a, b, g, d, direction, UNSUPPORTED)
+        small = -gen_cond_entropy(rho, tau_b, a, layout, weight_pos=1)
+        big = (_divergence_any_order(rho, np.kron(sig_a, tau_b), b)
+               + _entropy_weight_term(g, partial_trace(rho, layout, [0]), sig_a))
 
-    if tag in ("decomp", "decomp-dup"):
+    elif tag in ("decomp", "decomp-dup"):
+        # H_g(rho_B) - H_a(rho||tau_A) vs I_b(rho||tau_A)
         if rank_deficient:
             rho_swapped, tau_a = _rank_deficient_pair(rng, db, da)
             rho = swap_bipartite(rho_swapped, (db, da))
         else:
             rho = random_density(da * db, int(rng.integers(1, da * db + 1)), rng).mat
             tau_a = random_density(da, da, rng).mat
-        return check_decomposition(rho, tau_a, triple, dims, tolerance, seed, theorem=tag)
+        if not (a < 1 and b < 1) and not _dominates_embedded(rho, tau_a, layout, 0):
+            return skipped(tag, seed, dims, a, b, g, d, direction, UNSUPPORTED)
+        solves = [gen_mutual_info(rho, tau_a, b, layout, fixed=0)]
+        small = renyi_entropy(partial_trace(rho, layout, [1]), g) \
+            - gen_cond_entropy(rho, tau_a, a, layout, weight_pos=0)
+        big = solves[0].value
 
-    if tag in ("bchain", "bchain-alt"):
+    elif tag in ("bchain", "bchain-alt"):
+        # H_up_b(A|B) + H_g(rho_B) vs H_a(rho_AB)
         rho = random_density(da * db, int(rng.integers(1, da * db + 1)), rng).mat
-        return check_bipartite_chain(rho, triple, dims, tolerance, seed, theorem=tag)
+        solves = [cond_entropy_up(rho, b, layout)]
+        small = solves[0].value + renyi_entropy(partial_trace(rho, layout, [1]), g)
+        big = renyi_entropy(rho, a)
 
-    if tag in ("chain", "chain-dup"):
+    elif tag in ("chain", "chain-dup"):
+        # H_up_b(A|BC) + H_g(rho_BC||tau_C) vs H_a(rho_ABC||tau_C)
         dc = dims[2]
         if rank_deficient:
-            u = random_pure(dc, rng)
-            tau_c = float(rng.uniform(0.3, 1.5)) * np.outer(u, u.conj())
-            rho = np.kron(random_density(da * db, da * db, rng).mat, np.outer(u, u.conj()))
+            rho, tau_c = _rank_deficient_pair(rng, da * db, dc)
         else:
             full = da * db * dc
             rho = random_density(full, int(rng.integers(1, full + 1)), rng).mat
             tau_c = random_density(dc, dc, rng).mat
-        # chain-dup takes its direction from the sign of (a-1)(b-1)(g-1), not from the triple
-        direction = None if tag == "chain" else (FORWARD if product_sign(triple) > 0 else REVERSE)
-        return check_tripartite_chain(rho, tau_c, triple, dims, tolerance, seed,
-                                      theorem=tag, direction=direction)
+        if tag == "chain-dup":   # oriented by the sign of (a-1)(b-1)(g-1), not by the triple
+            direction = FORWARD if product_sign(triple) > 0 else REVERSE
+        if not (a < 1 and g < 1) and not _dominates_embedded(rho, tau_c, layout, 2):
+            return skipped(tag, seed, dims, a, b, g, d, direction, UNSUPPORTED)
+        solves = [cond_entropy_up(rho, b, layout)]
+        rho_bc = partial_trace(rho, layout, [1, 2])
+        small = solves[0].value + gen_cond_entropy(rho_bc, tau_c, g, layout.dims[1:], weight_pos=1)
+        big = gen_cond_entropy(rho, tau_c, a, layout, weight_pos=2)
 
-    # noncond
-    direction = FORWARD if rng.uniform() < 0.5 else REVERSE
-    a, b, g, d = noncond_orders(rng, direction)
-    rho = random_density(da * db, int(rng.integers(2, da * db + 1)), rng).mat
-    return check_noncond(rho, a, b, g, d, dims, tolerance, seed)
+    else:
+        # noncond: H_a(rho_A) + H_g(rho_B) - H_d(rho_AB) vs I_down_b(A:B)
+        rho = random_density(da * db, int(rng.integers(2, da * db + 1)), rng).mat
+        solves = [mutual_info_down(rho, b, layout)]
+        small = (renyi_entropy(partial_trace(rho, layout, [0]), a)
+                 + renyi_entropy(partial_trace(rho, layout, [1]), g)
+                 - renyi_entropy(rho, d))
+        big = solves[0].value
+
+    forward = direction == FORWARD
+    if not forward:
+        small, big = big, small
+    return finish(tag, seed, dims, a, b, g, d, direction, small, big, tolerance,
+                  wide=bool(solves) and not forward, solves=solves)
 
 
 # tag -> (trial, arity), in the order the CLI lists and sweeps them; a trial

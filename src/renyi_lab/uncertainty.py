@@ -264,40 +264,27 @@ def _measured_side(term, state: DensityOperator, pair: MeasurementPair, x_order:
 def sample_sdg_orders(rng: np.random.Generator, twin: bool):
     """(alpha, beta, gamma, delta) satisfying the state-dependent-bound
     constraints; the common order mu is fixed first and the rest solved.
-    `twin` ties (alpha, beta) and (gamma, delta), else (alpha, gamma) and (beta, delta)."""
+    `twin` ties (alpha, beta) and (gamma, delta), else (alpha, gamma) and (beta, delta);
+    the twin constraint is the pairing rule with beta and gamma swapped."""
     for _ in range(2000):
         mu = float(rng.uniform(0.52, 3.0))
         if abs(mu - 1.0) < 1e-3:
             continue
         m = 2.0 - 1.0 / mu
-        if twin:
-            # mu ties (alpha, beta) and (gamma, delta); bound 1/beta >= m
-            b = float(rng.uniform(0.52, 1.0 / m if m > 0 else 4.0))
-            den = mu * b - 1.0
-            if abs(den) < 1e-9:
-                continue
-            a = (2.0 * mu * b - mu - b) / den
-            g = float(rng.uniform(0.52, 4.0))
-            den2 = mu * g - 2.0 * mu + 1.0
-            if abs(den2) < 1e-9:
-                continue
-            d = (g - mu) / den2
-            # the twin constraint is the pairing rule with beta and gamma swapped
-            ok = sdg_condition(a, g, b, d)[1]
-        else:
-            g = float(rng.uniform(0.52, min(1.0 / m, 4.0) if m > 0 else 4.0))
-            den = mu * g - 1.0
-            if abs(den) < 1e-9:
-                continue
-            a = (2.0 * mu * g - mu - g) / den
-            b = float(rng.uniform(0.52, 4.0))
-            den2 = mu * b - 2.0 * mu + 1.0
-            if abs(den2) < 1e-9:
-                continue
-            d = (b - mu) / den2
-            ok = sdg_condition(a, b, g, d)[1]
-        if ok:
-            return a, b, g, d
+        # the order tied to alpha by mu is bounded by 1/tied >= m
+        top = (1.0 / m if twin else min(1.0 / m, 4.0)) if m > 0 else 4.0
+        tied = float(rng.uniform(0.52, top))
+        den = mu * tied - 1.0
+        if abs(den) < 1e-9:
+            continue
+        a = (2.0 * mu * tied - mu - tied) / den
+        free = float(rng.uniform(0.52, 4.0))
+        den2 = mu * free - 2.0 * mu + 1.0
+        if abs(den2) < 1e-9:
+            continue
+        d = (free - mu) / den2
+        if sdg_condition(a, free, tied, d)[1]:
+            return (a, tied, free, d) if twin else (a, free, tied, d)
     raise RuntimeError("could not sample orders for the state-dependent bound")
 
 

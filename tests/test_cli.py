@@ -105,6 +105,25 @@ def test_unknown_suite_is_rejected(tmp_path, capsys):
         run_suite("nope", 1)
 
 
+@pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
+def test_bad_tolerance_is_rejected(tmp_path, capsys, tol):
+    out = str(tmp_path / "out")
+    assert main(["sweep", "--suite", "general", "--trials", "1", "--tol", tol, "--out", out]) == 2
+    assert "tol must be a finite number >= 0" in capsys.readouterr().err
+    assert not os.path.exists(out)
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(f"suite = general\ntrials = 1\ntol = {tol}\nout = {out}\n")
+    assert main(["sweep", "--config", str(cfg)]) == 2
+    assert "tol must be a finite number >= 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("pair", ["mub:0", "random:0", "random:-2"])
+def test_pair_dimension_below_one_is_rejected(capsys, pair):
+    assert main(["bounds", "--pair", pair]) == 2
+    err = capsys.readouterr().err
+    assert "pair dimension must be >= 1" in err and repr(pair) in err
+
+
 def test_sweep_gives_each_suite_its_arity_of_dims(tmp_path):
     out = str(tmp_path)
     code = main(["sweep", "--suite", "chain", "--suite", "general", "--dim-c", "3",
