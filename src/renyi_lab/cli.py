@@ -39,7 +39,7 @@ CSV_COLUMNS = ("trial_id", "seed", "dim_a", "dim_b", "dim_c", "alpha", "beta", "
                "delta", "direction", "lhs_bits", "rhs_bits", "gap_bits", "verdict",
                "opt_iters", "opt_residual", "stop_reason", "note")
 
-CONFIG_KEYS = {"suite", "trials", "dim_a", "dim_b", "dim_c", "seed", "tol", "out", "explore"}
+CONFIG_KEYS = {"suite", "trials", "dim_a", "dim_b", "dim_c", "seed", "tol", "out"}
 
 
 class ConfigError(ValueError):
@@ -80,33 +80,37 @@ def write_csv(path: str, reports, master_seed: int) -> None:
 # file formats: first line "dim d", then one "re im" pair per entry, row-major
 # ---------------------------------------------------------------------------
 
-def _read_matrix_file(path: str) -> np.ndarray:
+def _read_matrix_file(path: str, build):
+    """`build` of the file's matrix; a malformed file, or a matrix that `build`
+    rejects, is a ConfigError that names the file."""
     with open(path) as fh:
         tokens = [line.split("#")[0].strip() for line in fh]
     tokens = [t for t in tokens if t]
-    head = tokens[0].split()
-    if len(head) != 2 or head[0] != "dim":
-        raise ConfigError(f"{path}: first line must be 'dim d'")
-    d = int(head[1])
-    entries = []
-    for t in tokens[1:]:
-        parts = t.split()
-        if len(parts) != 2:
-            raise ConfigError(f"{path}: expected 're im' rows, got {t!r}")
-        entries.append(complex(float(parts[0]), float(parts[1])))
-    if len(entries) != d * d:
-        raise ConfigError(f"{path}: expected {d * d} entries, found {len(entries)}")
-    return np.array(entries, dtype=complex).reshape(d, d)
+    try:
+        head = tokens[0].split() if tokens else []
+        if len(head) != 2 or head[0] != "dim" or not head[1].isdigit() or int(head[1]) < 1:
+            raise ValueError("first line must be 'dim d' with d >= 1")
+        d = int(head[1])
+        entries = []
+        for t in tokens[1:]:
+            parts = t.split()
+            if len(parts) != 2:
+                raise ValueError(f"expected 're im' rows, got {t!r}")
+            entries.append(complex(float(parts[0]), float(parts[1])))
+        if len(entries) != d * d:
+            raise ValueError(f"expected {d * d} entries, found {len(entries)}")
+        return build(np.array(entries, dtype=complex).reshape(d, d))
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def read_state_file(path: str, dims=None) -> DensityOperator:
-    m = _read_matrix_file(path)
-    layout = SystemLayout(tuple(dims)) if dims else SystemLayout((m.shape[0],))
-    return DensityOperator(m, layout)
+    return _read_matrix_file(path, lambda m: DensityOperator(
+        m, SystemLayout(tuple(dims)) if dims else SystemLayout((m.shape[0],))))
 
 
 def read_basis_file(path: str) -> MeasurementBasis:
-    return MeasurementBasis(_read_matrix_file(path))
+    return _read_matrix_file(path, MeasurementBasis)
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +156,6 @@ def cmd_sweep(args) -> int:
     seed = _default_seed(args.seed if args.seed is not None else cfg.get("seed"))
     tol = float(args.tol if args.tol is not None else cfg.get("tol", report.BASE_TOL))
     out = args.out if args.out is not None else cfg.get("out", "sweep-out")
-    explore = args.explore or cfg.get("explore", "").lower() in ("1", "true", "yes")
     if trials < 1:
         raise ConfigError("trials must be >= 1")
     if not (math.isfinite(tol) and tol >= 0):
@@ -164,10 +167,10 @@ def cmd_sweep(args) -> int:
     os.makedirs(out, exist_ok=True)
     any_fail = False
     for tag in suites:
-        reports, summary = run_suite(tag, trials, (dim_a, dim_b, dim_c), seed, tol, explore)
+        reports, summary = run_suite(tag, trials, (dim_a, dim_b, dim_c), seed, tol)
         write_csv(os.path.join(out, f"{tag}.csv"), reports, seed)
         print(summary.line())
-        if summary.failed and not explore:
+        if summary.failed:
             any_fail = True
     return 1 if any_fail else 0
 
@@ -186,9 +189,17 @@ def _resolve_pair(args) -> MeasurementPair:
     raise ConfigError("provide --pair or both --basis-x and --basis-z")
 
 
+def _orders(text: str, name: str) -> list[float]:
+    """Comma-separated orders; inf is an order, nan is not."""
+    orders = [float(x) for x in text.split(",")]
+    if any(math.isnan(x) for x in orders):
+        raise ConfigError(f"{name} must be numbers, got {text!r}")
+    return orders
+
+
 def cmd_bounds(args) -> int:
     pair = _resolve_pair(args)
-    deltas = [float(x) for x in args.deltas.split(",")] if args.deltas else [0.5, 2.0]
+    deltas = _orders(args.deltas, "deltas") if args.deltas else [0.5, 2.0]
     rng = trial_rng(_default_seed(args.seed), 1)
     rho = random_density(pair.d, pair.d, rng)
     print(f"measurement pair on dimension {pair.d}; max overlap c = {pair.c:.10f}")
@@ -213,7 +224,7 @@ def cmd_bounds(args) -> int:
 def cmd_state(args) -> int:
     dims = tuple(int(x) for x in args.dims.split(",")) if args.dims else None
     rho = read_state_file(args.state, dims)
-    orders = [float(x) for x in args.orders.split(",")] if args.orders else [0.0, 0.5, 1.0, 2.0, math.inf]
+    orders = _orders(args.orders, "orders") if args.orders else [0.0, 0.5, 1.0, 2.0, math.inf]
     print(f"state on dimension {rho.dim} (layout {rho.layout.dims})")
     for a in orders:
         line = f"  H_{a:g} = {renyi_entropy(rho, a): .10f}"
@@ -231,6 +242,8 @@ def cmd_state(args) -> int:
 def cmd_limits(args) -> int:
     seed = _default_seed(args.seed)
     n = args.count
+    if n < 1:
+        raise ConfigError(f"count must be >= 1, got {n}")
     worst_alpha = worst_d1 = worst_d0 = 0.0
     for i in range(n):
         rng = trial_rng(seed, i)
@@ -268,8 +281,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--seed", type=int)
     sweep.add_argument("--tol", type=float)
     sweep.add_argument("--out")
-    sweep.add_argument("--explore", action="store_true",
-                       help="out-of-range sampling; never affects the exit code")
     sweep.add_argument("--config", help="key=value config file; flags override")
     sweep.set_defaults(func=cmd_sweep)
 

@@ -3,11 +3,8 @@ inequalities.
 
 Every suite compares two Renyi expressions as `small <= big` (gap = big - small
 >= 0 passes).  A trial computes its forward sides and swaps them when its
-direction is reverse: 1/beta + 1/gamma > 2 for a triple, delta above the other
-orders for noncond, and (a-1)(b-1)(g-1) < 0 for chain-dup.  Trials whose
-support precondition fails at orders above 1 are skipped rather than passed
-silently.  The tolerance widens to `report.WIDE_TOL` exactly when the trial ran
-an optimiser solve and is reversed, which puts the solve on the shrinking side.
+direction is reverse: 1/beta + 1/gamma > 2 for a triple, and delta above the
+other orders for noncond.
 """
 
 from __future__ import annotations
@@ -23,29 +20,12 @@ from .entropies import (
     mutual_info_down,
     renyi_entropy,
     _divergence_any_order,
-    _support_flags,
     _tr_log2,
 )
-from .linalg import as_layout, embed_block, frac_power, partial_trace, support_projector, swap_bipartite
-from .orders import (
-    FORWARD,
-    REVERSE,
-    RenyiTriple,
-    hconj,
-    make_triple,
-    noncond_orders,
-    product_sign,
-    sample_triple,
-)
-from .report import InequalityReport, finish, skipped, summarize
+from .linalg import as_layout, frac_power, partial_trace, swap_bipartite
+from .orders import FORWARD, REVERSE, hconj, noncond_orders, sample_triple
+from .report import InequalityReport, finish, summarize
 from .states import random_density, random_pure, trial_rng
-
-UNSUPPORTED = "support precondition violated at orders above 1"
-
-
-def _dominates_embedded(rho: np.ndarray, weight: np.ndarray, layout, pos: int) -> bool:
-    """Whether id (x) weight-at-pos dominates rho."""
-    return _support_flags(rho, embed_block(layout, support_projector(weight), [pos]))[1]
 
 
 def _entropy_weight_term(gamma: float, rho_marg: np.ndarray, sigma: np.ndarray) -> float:
@@ -70,25 +50,18 @@ def _rank_deficient_pair(rng, da: int, db: int):
     return rho, tau
 
 
-def _explore_triple(rng) -> RenyiTriple:
-    """Off-range/off-surface orders for the explore mode."""
-    t = sample_triple(rng, "general")
-    jitter = float(rng.uniform(-0.05, 0.05))
-    return make_triple(t.alpha, t.beta, t.gamma + jitter)
-
-
-def _suite_trial(tag: str, rng, dims, tolerance: float, seed: int, explore: bool) -> InequalityReport:
+def _suite_trial(tag: str, rng, dims, tolerance: float, seed: int) -> InequalityReport:
     """One trial: draw a state and its weight, compute the forward sides, and
     orient them by the trial's direction."""
     layout = as_layout(dims)
     da, db = dims[0], dims[1]
-    rank_deficient = rng.uniform() < 0.2
-    triple = _explore_triple(rng) if explore else (None if tag == "noncond" else sample_triple(rng, tag))
+    rank_deficient = rng.uniform() < 0.2   # drawn by every tag, so all draw in one order
     if tag == "noncond":
         # noncond_orders keeps delta below min(a, b, g) forward and above max(a, b, g) in reverse
         direction = FORWARD if rng.uniform() < 0.5 else REVERSE
         a, b, g, d = noncond_orders(rng, direction)
     else:
+        triple = sample_triple(rng, tag)
         (a, b, g), d, direction = triple.as_tuple(), None, triple.direction
     solves = []
 
@@ -101,8 +74,6 @@ def _suite_trial(tag: str, rng, dims, tolerance: float, seed: int, explore: bool
             tau_b = random_density(db, db, rng).mat
         sig = random_density(da, da, rng).mat + 0.05 * np.eye(da)
         sig_a = sig / np.trace(sig).real
-        if not (a < 1 and b < 1) and not _dominates_embedded(rho, tau_b, layout, 1):
-            return skipped(tag, seed, dims, a, b, g, d, direction, UNSUPPORTED)
         small = -gen_cond_entropy(rho, tau_b, a, layout, weight_pos=1)
         big = (_divergence_any_order(rho, np.kron(sig_a, tau_b), b)
                + _entropy_weight_term(g, partial_trace(rho, layout, [0]), sig_a))
@@ -115,8 +86,6 @@ def _suite_trial(tag: str, rng, dims, tolerance: float, seed: int, explore: bool
         else:
             rho = random_density(da * db, int(rng.integers(1, da * db + 1)), rng).mat
             tau_a = random_density(da, da, rng).mat
-        if not (a < 1 and b < 1) and not _dominates_embedded(rho, tau_a, layout, 0):
-            return skipped(tag, seed, dims, a, b, g, d, direction, UNSUPPORTED)
         solves = [gen_mutual_info(rho, tau_a, b, layout, fixed=0)]
         small = renyi_entropy(partial_trace(rho, layout, [1]), g) \
             - gen_cond_entropy(rho, tau_a, a, layout, weight_pos=0)
@@ -138,10 +107,6 @@ def _suite_trial(tag: str, rng, dims, tolerance: float, seed: int, explore: bool
             full = da * db * dc
             rho = random_density(full, int(rng.integers(1, full + 1)), rng).mat
             tau_c = random_density(dc, dc, rng).mat
-        if tag == "chain-dup":   # oriented by the sign of (a-1)(b-1)(g-1), not by the triple
-            direction = FORWARD if product_sign(triple) > 0 else REVERSE
-        if not (a < 1 and g < 1) and not _dominates_embedded(rho, tau_c, layout, 2):
-            return skipped(tag, seed, dims, a, b, g, d, direction, UNSUPPORTED)
         solves = [cond_entropy_up(rho, b, layout)]
         rho_bc = partial_trace(rho, layout, [1, 2])
         small = solves[0].value + gen_cond_entropy(rho_bc, tau_c, g, layout.dims[1:], weight_pos=1)
@@ -156,11 +121,9 @@ def _suite_trial(tag: str, rng, dims, tolerance: float, seed: int, explore: bool
                  - renyi_entropy(rho, d))
         big = solves[0].value
 
-    forward = direction == FORWARD
-    if not forward:
+    if direction == REVERSE:
         small, big = big, small
-    return finish(tag, seed, dims, a, b, g, d, direction, small, big, tolerance,
-                  wide=bool(solves) and not forward, solves=solves)
+    return finish(tag, seed, dims, a, b, g, d, direction, small, big, tolerance, solves=solves)
 
 
 # tag -> (trial, arity), in the order the CLI lists and sweeps them; a trial
@@ -189,12 +152,11 @@ SUITES = {
 
 
 def run_suite(tag: str, trials: int, dims=(2, 2, 2), master_seed: int = 0,
-              tolerance: float = report.BASE_TOL, explore: bool = False):
+              tolerance: float = report.BASE_TOL):
     """Run seeded independent trials of one inequality family.
 
     `dims` needs at least as many entries as the suite's arity in `SUITES`;
-    the trials get exactly the first `arity`.  Explore mode changes only the
-    divergence suites; the uncertainty suites ignore it.
+    the trials get exactly the first `arity`.
 
     A trial that raises a numerical error (ValueError, ArithmeticError or
     RuntimeError, which covers OptimizerDiverged) is recorded with verdict
@@ -210,7 +172,7 @@ def run_suite(tag: str, trials: int, dims=(2, 2, 2), master_seed: int = 0,
     for i in range(trials):
         rng = trial_rng(master_seed, i)
         try:
-            reports.append(trial_fn(tag, rng, dims, tolerance, i, explore))
+            reports.append(trial_fn(tag, rng, dims, tolerance, i))
         except (ValueError, ArithmeticError, RuntimeError) as exc:
             reports.append(report.errored(tag, i, dims, f"{type(exc).__name__}: {exc}"))
     return reports, summarize(tag, reports)

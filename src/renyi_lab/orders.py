@@ -32,7 +32,7 @@ THEOREM_ORDERS = {
     "decomp-dup": ((1, 2, 4, 5, 7, 8), (0.0, False), (0.5, True),  (0.5, False)),
     "bchain-alt": ((1, 2, 4, 5, 7, 8), (0.0, False), (0.5, True),  (0.5, False)),
 }
-# chain-dup samples chain's orders; it differs only in how its trials take a direction
+# chain-dup is chain under a second tag: the same orders and the same trial
 THEOREM_ORDERS["chain-dup"] = THEOREM_ORDERS["chain"]
 
 
@@ -223,10 +223,6 @@ def sample_triple(rng: np.random.Generator, tag: str) -> RenyiTriple:
             continue
         return t
     raise RuntimeError(f"could not sample a triple for {tag}")
-
-
-def product_sign(triple: RenyiTriple) -> float:
-    return (triple.alpha - 1.0) * (triple.beta - 1.0) * (triple.gamma - 1.0)
 
 
 def noncond_condition(a: float, b: float, g: float, d: float) -> float:

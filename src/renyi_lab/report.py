@@ -6,6 +6,7 @@ import math
 from dataclasses import dataclass
 
 from .entropies import STOPS
+from .orders import REVERSE
 
 PASS = "pass"
 FAIL = "fail"
@@ -39,11 +40,13 @@ class InequalityReport:
 
 
 def finish(theorem: str, trial_seed: int, dims, alpha, beta, gamma, delta, direction,
-           small: float, big: float, tolerance: float, wide: bool = False,
-           solves=(), note: str = "") -> InequalityReport:
-    """Assemble a report; infinities resolve to trivially-true or skipped.  The
-    report keeps the summed iterations, the largest residual and the worst stop
-    of `solves`, the trial's `entropies.OptimizerResult`s."""
+           small: float, big: float, tolerance: float, solves=(), note: str = "") -> InequalityReport:
+    """Assemble a report; an infinite side resolves to trivially true or to a fail.
+    The report keeps the summed iterations, the largest residual and the worst
+    stop of `solves`, the trial's `entropies.OptimizerResult`s.  The tolerance
+    widens to `WIDE_TOL` exactly when the trial ran a solve and is reversed,
+    which puts the solve on the shrinking side."""
+    wide = bool(solves) and direction == REVERSE
     tol = max(tolerance, WIDE_TOL) if wide else tolerance
     if wide and not note:
         note = "tolerance widened for one-sided optimiser bias"
@@ -61,12 +64,6 @@ def finish(theorem: str, trial_seed: int, dims, alpha, beta, gamma, delta, direc
                             direction, small, big, gap, verdict, sum(r.iterations for r in solves),
                             max((r.residual for r in solves), default=0.0),
                             max((r.stop for r in solves), key=STOPS.index, default=""), note)
-
-
-def skipped(theorem: str, trial_seed: int, dims, alpha, beta, gamma, delta, direction,
-            note: str) -> InequalityReport:
-    return InequalityReport(theorem, trial_seed, tuple(dims), alpha, beta, gamma, delta,
-                            direction, math.nan, math.nan, math.nan, SKIPPED, note=note)
 
 
 def errored(theorem: str, trial_seed: int, dims, note: str) -> InequalityReport:

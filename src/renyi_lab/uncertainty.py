@@ -344,8 +344,8 @@ UNCERTAINTY_SUITES = ("gbur", "sdgbur", "sigbur", "marcos")   # the other optimi
 
 
 def suite_trial(tag: str, rng: np.random.Generator, dims, tolerance: float,
-                seed: int, explore: bool) -> InequalityReport:
-    """One seeded trial of an uncertainty suite on (d_A, d_B); `explore` is ignored.
+                seed: int) -> InequalityReport:
+    """One seeded trial of an uncertainty suite on (d_A, d_B).
     An optimised suite picks its reported orders, the orientation of `pair`, the
     terms' orders and weights (None: optimised) and the constant."""
     da, db = dims
@@ -428,7 +428,7 @@ def suite_trial(tag: str, rng: np.random.Generator, dims, tolerance: float,
     # uncertainty: measured >= joint + const; exclusion: measured <= const - joint
     small, big = (joint + const, measured) if uncertainty else (measured, const - joint)
     return finish(tag, seed, dims, alpha, beta, gamma, delta, REVERSE, small, big, tolerance,
-                  wide=True, solves=solves + joint_solves, note=note)
+                  solves=solves + joint_solves, note=note)
 
 
 def _sample_const_comp_orders(rng: np.random.Generator):

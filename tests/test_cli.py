@@ -7,24 +7,45 @@ import sys
 
 import pytest
 
-from renyi_lab import entropies, report
+from renyi_lab import entropies, inequalities, report
 from renyi_lab.cli import ALL_SUITES, main, write_csv
 from renyi_lab.inequalities import SUITES, run_suite
+from renyi_lab.linalg import InvalidOrder
 from renyi_lab.states import random_density, trial_rng
 from renyi_lab.uncertainty import q_delta, random_pair
 
 
-def test_explore_sweep_survives_bad_trials(tmp_path):
-    # explore mode draws gamma <= 0 for decomp, which the entropy rejects
+def _entropy_raises_below_order_one(monkeypatch):
+    """Make decomp's H_gamma(rho_B) raise at gamma < 1, as a bad trial would."""
+    def entropy(rho, order):
+        if order < 1:
+            raise InvalidOrder("entropy order below one")
+        return entropies.renyi_entropy(rho, order)
+
+    monkeypatch.setattr(inequalities, "renyi_entropy", entropy)
+
+
+def test_explore_sweep_survives_bad_trials(tmp_path, monkeypatch):
+    _entropy_raises_below_order_one(monkeypatch)
     out = str(tmp_path)
-    code = main(["sweep", "--suite", "decomp", "--explore", "--trials", "60", "--out", out])
-    assert code == 0
+    code = main(["sweep", "--suite", "decomp", "--trials", "60", "--out", out])
+    assert code == 1   # error rows count as failures
     with open(os.path.join(out, "decomp.csv"), newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == 60
     errors = [r for r in rows if r["verdict"] == report.ERROR]
-    assert errors and all(r["note"] == "InvalidOrder: entropy order must be nonnegative"
-                          for r in errors)
+    assert errors and all(r["note"] == "InvalidOrder: entropy order below one" for r in errors)
+    assert any(r["verdict"] == report.PASS for r in rows)
+
+
+def test_explore_is_not_an_option(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--suite", "general", "--explore", "--trials", "1", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(f"suite = general\ntrials = 1\nexplore = 1\nout = {tmp_path}\n")
+    assert main(["sweep", "--config", str(cfg)]) == 2
+    assert "unknown key 'explore'" in capsys.readouterr().err
 
 
 def test_csv_note_with_commas_is_quoted(tmp_path):
@@ -45,7 +66,7 @@ def test_report_keeps_the_worst_stop_of_its_solves(tmp_path):
 
     def finish(solves):
         return report.finish("ier", 0, (2, 2), 1.2, 0.8, 0.9, None, "reverse", 0.5, 1.0,
-                             report.BASE_TOL, wide=True, solves=solves)
+                             report.BASE_TOL, solves=solves)
 
     assert finish([]).stop == ""
     assert finish([solve("ftol")]).stop == "ftol"
@@ -60,10 +81,11 @@ def test_report_keeps_the_worst_stop_of_its_solves(tmp_path):
     assert [r[-2] for r in rows] == ["no_step", ""]
 
 
-def test_error_trials_are_recorded_and_counted_as_failed():
-    reports, summary = run_suite("decomp", 60, (2, 2), 0, explore=True)
+def test_error_trials_are_recorded_and_counted_as_failed(monkeypatch):
+    _entropy_raises_below_order_one(monkeypatch)
+    reports, summary = run_suite("decomp", 60, (2, 2), 0)
     errors = [r for r in reports if r.verdict == report.ERROR]
-    assert errors and all("entropy order must be nonnegative" in r.note for r in errors)
+    assert errors and all("entropy order below one" in r.note for r in errors)
     assert all(math.isnan(r.gap) for r in errors)
     assert summary.failed >= len(errors)
     assert summary.trials == 60
@@ -89,7 +111,7 @@ def test_opt_iters_counts_every_solve(monkeypatch):
     for tag, (trial, arity) in SUITES.items():
         for i in range(3):
             iters.clear()
-            rep = trial(tag, trial_rng(2024, i), (2, 2, 2)[:arity], report.BASE_TOL, i, False)
+            rep = trial(tag, trial_rng(2024, i), (2, 2, 2)[:arity], report.BASE_TOL, i)
             assert rep.opt_iters == sum(iters), (tag, i)
 
 
@@ -164,6 +186,52 @@ def test_limits_command_passes(capsys):
     assert capsys.readouterr().out.splitlines()[-1] == "limits: pass"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["limits", "--count", "0"], "count must be >= 1"),
+    (["limits", "--count", "-2"], "count must be >= 1"),
+    (["state", BELL_FILE, "--orders", "1,nan"], "orders must be numbers"),
+    (["bounds", "--pair", "mub:2", "--deltas", "nan"], "deltas must be numbers"),
+])
+def test_vacuous_checks_are_rejected(capsys, argv, message):
+    # a count below one checks nothing, and a nan order can only print nan rows
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and message in err
+
+
+def test_infinite_orders_stay_valid(capsys):
+    assert main(["state", BELL_FILE, "--orders", "inf"]) == 0
+    assert main(["bounds", "--pair", "mub:2", "--deltas", "inf"]) == 0
+    assert "nan" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("text, message", [
+    ("", "first line must be 'dim d'"),
+    ("# a comment and nothing else\n", "first line must be 'dim d'"),
+    ("dim 2\n-1 0\n0 0\n0 0\n2 0\n", "eigenvalue -1.000e+00 below clamp tolerance"),
+    ("dim 2\n1 0\n0 0\n0 0\n1 0\n", "differs from 1"),
+], ids=["empty", "comment-only", "not-psd", "trace-two"])
+def test_malformed_state_file_names_the_file(tmp_path, capsys, text, message):
+    path = tmp_path / "state.txt"
+    path.write_text(text)
+    assert main(["state", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f"{path}: " in err and message in err
+
+
+@pytest.mark.parametrize("text, message", [
+    ("", "first line must be 'dim d'"),
+    ("dim 2\n1 0\n1 0\n0 0\n1 0\n", "not orthonormal"),
+], ids=["empty", "not-orthonormal"])
+def test_malformed_basis_file_names_the_file(tmp_path, capsys, text, message):
+    good, bad = tmp_path / "z.txt", tmp_path / "x.txt"
+    good.write_text("dim 2\n1 0\n0 0\n0 0\n1 0\n")
+    bad.write_text(text)
+    assert main(["bounds", "--basis-x", str(bad), "--basis-z", str(good)]) == 2
+    err = capsys.readouterr().err
+    assert f"{bad}: " in err and message in err
+
+
 def test_bounds_q_rho_row_is_q_delta_at_one(capsys):
     assert main(["bounds", "--pair", "random:3", "--seed", "4"]) == 0
     (row,) = [line for line in capsys.readouterr().out.splitlines() if "q(rho)" in line]
@@ -213,22 +281,7 @@ def _fields(rep):
     return [rep.alpha, rep.beta, rep.gamma, rep.lhs, rep.rhs, rep.verdict, rep.direction]
 
 
-def test_chain_dup_is_chain_outside_explore_mode():
+def test_chain_dup_is_chain():
     plain, dup = (run_suite(tag, 6, (2, 2, 2), 0)[0] for tag in ("chain", "chain-dup"))
     for x, y in zip(plain, dup):
         assert _fields(x) == _fields(y)
-
-
-def test_chain_dup_orients_by_product_sign_in_explore_mode():
-    # chain-dup takes its direction from the sign of (a-1)(b-1)(g-1); on the
-    # off-surface explore triples that often disagrees with the triple's own
-    plain, dup = (run_suite(tag, 20, (2, 2, 2), 5, explore=True)[0] for tag in ("chain", "chain-dup"))
-    flips = 0
-    for x, y in zip(plain, dup):
-        assert _fields(x)[:3] == _fields(y)[:3]
-        if x.direction == y.direction:
-            assert _fields(x) == _fields(y)
-        else:
-            flips += 1
-            assert (x.lhs, x.rhs) == (y.rhs, y.lhs) and x.verdict != y.verdict
-    assert flips == 10

@@ -1,13 +1,10 @@
-"""Fixed-seed golden sweeps: every suite's verdicts, both sides and what was checked.
+"""Fixed-seed golden sweep: every suite's verdicts, both sides and what was checked.
 
 `data/golden_sweep.json` holds `run_suite` output for all suites (6 trials,
 master seed 2024, dims (2, 2, 2), of which each suite takes its arity) at full
-float precision; `data/golden_explore.json` holds the divergence suites in
-explore mode (6 trials, master seed 5), whose off-surface triples reach
-`error` and `fail` rows and the `chain-dup` product-sign orientation.  A
-refactor that moves a reported side by more than 1e-10 bits, flips a verdict,
-or changes a trial's orders, direction or note fails here.  Regenerate only
-for an intended change of behaviour:
+float precision.  A refactor that moves a reported side by more than 1e-10
+bits, flips a verdict, or changes a trial's orders, direction or note fails
+here.  Regenerate only for an intended change of behaviour:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -19,14 +16,10 @@ import os
 import pytest
 
 from renyi_lab.cli import ALL_SUITES
-from renyi_lab.inequalities import SUITES, run_suite
-from renyi_lab.uncertainty import suite_trial as uncertainty_trial
+from renyi_lab.inequalities import run_suite
 
 DATA = os.path.join(os.path.dirname(__file__), "data", "golden_sweep.json")
-EXPLORE_DATA = os.path.join(os.path.dirname(__file__), "data", "golden_explore.json")
 SEED = 2024
-EXPLORE_SEED = 5
-DIVERGENCE_SUITES = tuple(t for t, (trial, _) in SUITES.items() if trial is not uncertainty_trial)
 TRIALS = 6
 VALUE_TOL = 1e-10   # bits
 ORDERS = ("alpha", "beta", "gamma", "delta")
@@ -37,8 +30,8 @@ def _order(x):
     return None if x is None else float(x)
 
 
-def sweep(tag, seed=SEED, explore=False):
-    reports, _ = run_suite(tag, TRIALS, (2, 2, 2), seed, explore=explore)
+def sweep(tag):
+    reports, _ = run_suite(tag, TRIALS, (2, 2, 2), SEED)
     return [{"verdict": r.verdict, "lhs": float(r.lhs), "rhs": float(r.rhs),
              **{k: _order(getattr(r, k)) for k in ORDERS},
              "direction": r.direction, "note": r.note} for r in reports]
@@ -66,14 +59,8 @@ def golden():
     return _load(DATA)
 
 
-@pytest.fixture(scope="module")
-def golden_explore():
-    return _load(EXPLORE_DATA)
-
-
-def test_golden_covers_every_suite(golden, golden_explore):
+def test_golden_covers_every_suite(golden):
     assert list(golden) == list(ALL_SUITES)
-    assert list(golden_explore) == list(DIVERGENCE_SUITES)
 
 
 def _assert_matches(got, want, tag):
@@ -90,11 +77,6 @@ def test_suite_matches_golden(golden, tag):
     _assert_matches(sweep(tag), golden[tag], tag)
 
 
-@pytest.mark.parametrize("tag", DIVERGENCE_SUITES)
-def test_explore_suite_matches_golden(golden_explore, tag):
-    _assert_matches(sweep(tag, EXPLORE_SEED, explore=True), golden_explore[tag], tag)
-
-
 def _write(path, rows):
     os.makedirs(os.path.dirname(path), exist_ok=True)
     with open(path, "w") as fh:
@@ -104,4 +86,3 @@ def _write(path, rows):
 
 if __name__ == "__main__":
     _write(DATA, {tag: sweep(tag) for tag in ALL_SUITES})
-    _write(EXPLORE_DATA, {tag: sweep(tag, EXPLORE_SEED, explore=True) for tag in DIVERGENCE_SUITES})

@@ -16,7 +16,6 @@ from renyi_lab.orders import (
     make_triple,
     noncond_condition,
     noncond_orders,
-    product_sign,
     recip,
     sample_triple,
     sdg_condition,
@@ -141,8 +140,11 @@ def test_samplers_respect_ranges_and_cover_directions():
             assert t.residual <= 1e-10
             assert admissible(t, tag), (tag, t)
             assert all(math.isinf(x) or abs(x - 1) >= 1e-4 for x in t.as_tuple())
-            dirs.add(t.direction if tag != "chain-dup"
-                     else (FORWARD if product_sign(t) > 0 else REVERSE))
+            if tag in ("chain", "chain-dup"):
+                # the sign of (a-1)(b-1)(g-1) agrees with the triple's own direction
+                sign = (t.alpha - 1.0) * (t.beta - 1.0) * (t.gamma - 1.0)
+                assert (sign > 0) == (t.direction == FORWARD), (tag, t)
+            dirs.add(t.direction)
         assert dirs == {FORWARD, REVERSE}, tag
 
 
