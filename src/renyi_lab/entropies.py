@@ -8,11 +8,19 @@ where it enters, so its sandwich w rho w^dagger gets the product's rounding
 band), and eigenvalues below the support cutoff are dropped for every exponent
 and from every logarithm (pseudoinverse convention).  One formula,
 `_renyi_log_trace`, gives (1/(alpha-1)) log2 tr X^alpha for divergences,
-entropies and the optimiser's objective; `_tr_log2` gives their alpha -> 1
-limits.  Optimised quantities (conditional entropy with optimisation, mutual
-informations) run one mirror-descent loop over density matrices,
-`optimize_density`.  Its qubit reference, a Bloch-ball grid search, lives with
-the tests (`tests/bloch_reference.py`).
+entropies and the optimisers' values; `_tr_log2` gives their alpha -> 1
+limits.
+
+Optimised quantities (conditional entropy with optimisation, mutual
+informations) minimise D_alpha(rho || tau (x) sigma) over one weight factor
+sigma in `_optimize_weight`.  At every finite order it runs the damped
+stationarity fixed point sigma ~ M_sigma**(alpha/(2 alpha - 1)): the value it
+reports is the divergence at the state it returns, and its residual is a
+Frank-Wolfe bound on the distance from optimal.  Inside the order-one window
+the optimum is the marginal, with no iteration.  The mirror-descent loop over
+density matrices, `optimize_density`, now serves alpha = inf only, at the
+stand-in order INF_ORDER.  Its qubit reference, a Bloch-ball grid search,
+lives with the tests (`tests/bloch_reference.py`).
 """
 
 from __future__ import annotations
@@ -23,6 +31,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .linalg import (
+    EIG_CUTOFF,
     InvalidOrder,
     SystemLayout,
     as_layout,
@@ -35,6 +44,7 @@ from .linalg import (
     psd_eigh,
     psd_eigvalsh,
     schatten_norm,
+    spectral_power,
     support_projector,
     _hermitian,
 )
@@ -234,10 +244,11 @@ def _divergence_objective(rho: np.ndarray, alpha: float, dims, opt_positions, fi
 # optimisation over density matrices
 # ---------------------------------------------------------------------------
 
-# Optimiser constants.  Mirror descent stops when an interior-scale step improves
-# less than FTOL; a step taken at the boundary scale never counts as convergence by
-# itself, since its log-chart gradient vanishes while the boundary optimum is
-# still far off.
+# Optimiser constants.  Mirror descent (alpha = inf) stops when an interior-scale
+# step improves less than FTOL; a step taken at the boundary scale never counts as
+# convergence by itself, since its log-chart gradient vanishes while the boundary
+# optimum is still far off.  The fixed point (finite orders) uses the FP_ ones,
+# MAX_ITER, RESIDUAL_TOL and FLOOR.
 MAX_ITER = 10_000
 FTOL = 1e-10
 STALL_WINDOW = 40     # stop when a whole window improves less than STALL_TOL
@@ -249,11 +260,17 @@ BIG_STEP_CAP = 1e16
 GRAD_H = 1e-6
 FLOOR = 1e-11         # kept a decade above the spectral cutoff
 INF_ORDER = 1e6       # finite stand-in for alpha = inf in optimised quantities
+FP_GAP_TOL = 1e-12    # bits: the fixed point stops once its optimality gap is below this
+FP_FTOL = 1e-13       # ... or once a step changes it by no more than rounding (relative)
+FP_ETA_CAP = 16.0
+FP_ETA_MIN = 2.0 ** -30
 MI_DOWN_ROUNDS = 40   # alternating rounds of mutual_info_down
 MI_DOWN_TOL = 1e-9
-# why a solve stopped, best to worst: the log-chart gradient vanished, an
-# interior step improved less than FTOL, a STALL_WINDOW improved less than
-# STALL_TOL, no trial step improved, or MAX_ITER ran out
+# why a solve stopped, best to worst: the optimality test held (the fixed point's
+# gap is at most FP_GAP_TOL; mirror descent's log-chart gradient vanished), an
+# accepted step improved less than FP_FTOL (relative) or an interior step less
+# than FTOL, a STALL_WINDOW improved less than STALL_TOL, no trial step
+# improved, or MAX_ITER ran out
 STOPS = ("gradient", "ftol", "stall", "no_step", "max_iter")
 
 
@@ -262,8 +279,9 @@ class OptimizerResult:
     optimum: DensityOperator
     value: float
     iterations: int
-    # the last accepted step's improvement (the window's on a stall); 0 on a
-    # gradient stop, inf when no step was ever accepted
+    # fixed point: the Frank-Wolfe bound, in bits, on the distance from optimal;
+    # mirror descent: the last accepted step's improvement (the window's on a
+    # stall), 0 on a gradient stop, inf when no step was ever accepted
     residual: float
     stop: str         # one of STOPS
 
@@ -442,12 +460,210 @@ def _layout_of(rho, dims) -> SystemLayout:
     raise ValueError("subsystem dimensions required")
 
 
+@dataclass
+class _FixedPoint:
+    """sigma |-> D_alpha(rho || tau (x) sigma) at a finite order, with sigma
+    restricted to supp rho_P (rho_P the marginal on the optimised block P).
+
+    Every minimiser lives there: pinching the block onto supp rho_P and
+    renormalising never raises the divergence.  With Q = tr Y**alpha and
+    Y = rho^(1/2) (tau (x) sigma)**s rho^(1/2), s = (1 - alpha)/alpha, one
+    eigendecomposition of Y gives both the value (1/(alpha - 1)) log2 Q and
+    M = tr_rest[(tau**s (x) id) rho^(1/2) Y**(alpha-1) rho^(1/2)], the factor
+    of dQ = alpha tr[M d(sigma**s)].  The weight's spectrum is the product of
+    tau's and sigma's, cut as `linalg` cuts every spectrum, so the value is
+    `sandwiched_divergence` at the returned sigma.  Points are log sigma in
+    the eigenbasis `basis` of rho_P on its support.
+    """
+
+    alpha: float
+    basis: np.ndarray   # (d_P, r): the support eigenvectors of rho_P
+    c: np.ndarray       # rho^(1/2) (tau's eigenbasis (x) basis), indexed (row, rest, r)
+    tau: np.ndarray     # tau's spectrum on the rest, 0 off its support
+    tau_s: np.ndarray   # the same to the power s
+
+    @classmethod
+    def build(cls, rho: np.ndarray, alpha: float, layout: SystemLayout, positions, weight):
+        """The problem, and log sigma of the first iterate sigma = rho_P in `basis`."""
+        lam, vecs, live = psd_eigh(partial_trace(rho, layout, positions))
+        basis = vecs[:, live]
+        lo, hi = positions[0], positions[-1]
+        front, back = math.prod(layout.dims[:lo]), math.prod(layout.dims[hi + 1:])
+        if weight is None:
+            weight = (np.ones(front * back), np.eye(front * back), np.ones(front * back, dtype=bool))
+        b = spectral_power(*psd_eigh(rho), 0.5).reshape(len(rho), front, -1, back)
+        c = np.einsum("ifpb,pj,fbk->ikj", b, basis, weight[1].reshape(front, back, -1))
+        tau, live_tau = np.where(weight[2], weight[0], 1.0), weight[2]
+        problem = cls(alpha, basis, c, np.where(live_tau, tau, 0.0),
+                      np.where(live_tau, tau ** ((1.0 - alpha) / alpha), 0.0))
+        return problem, np.diag(np.log(lam[live])).astype(complex)
+
+    def at(self, log_sigma: np.ndarray) -> "_Point":
+        """The iterate exp(log_sigma) / tr, its spectrum clipped at FLOOR: in
+        the log chart an eigenvector of a vanishing eigenvalue stops turning."""
+        a = self.alpha
+        s = (1.0 - a) / a
+        w, v = np.linalg.eigh(log_sigma)
+        logl = np.maximum(w - w.max() - math.log(np.sum(np.exp(w - w.max()))), math.log(FLOOR))
+        logl -= math.log(np.sum(np.exp(logl)))
+        cv = self.c @ v                          # sigma's eigenbasis on P
+        spec = self.tau[:, None] * np.exp(logl)
+        keep = spec > EIG_CUTOFF * spec.max()
+        k = (cv * np.where(keep, np.where(keep, spec, 1.0) ** (0.5 * s), 0.0)).reshape(len(cv), -1)
+        lam, vy, live = psd_eigh(k @ dagger(k))  # Y
+        ratio = np.where(live, lam / lam[-1], 1.0)
+        g = dagger(vy) @ cv.reshape(len(cv), -1)
+        weights = np.outer(np.where(live, ratio ** (a - 1.0), 0.0), self.tau_s).reshape(-1, 1)
+        g = g.reshape(-1, len(logl))
+        # M in sigma's eigenbasis, scaled so that tr(sigma grad Q) / Q = 1 - alpha
+        m = dagger(g * weights) @ g
+        m /= np.sum(np.diag(m).real * np.exp(s * logl))
+        return _Point(v, logl, float(_renyi_log_trace(lam, live, a)), m, a)
+
+
+@dataclass
+class _Point:
+    """One iterate: sigma = vecs diag(exp(logl)) vecs^dagger in the support
+    basis, its value in bits and the scaled M in sigma's eigenbasis."""
+
+    vecs: np.ndarray
+    logl: np.ndarray
+    value: float
+    m: np.ndarray
+    alpha: float
+
+    @property
+    def log_sigma(self) -> np.ndarray:
+        return (self.vecs * self.logl) @ dagger(self.vecs)
+
+    @property
+    def rounding(self) -> float:
+        """Changes of the value below this are rounding: log2 Q / (alpha - 1)
+        carries an error of about FP_FTOL max(1, |log2 Q|) / |alpha - 1|."""
+        return FP_FTOL * max(1.0, abs(self.value), 1.0 / abs(self.alpha - 1.0))
+
+    def step(self) -> np.ndarray:
+        """log M - k log sigma, k = (2 alpha - 1)/alpha: a multiple of the
+        identity exactly at a fixed point sigma = M**(1/k) / tr."""
+        w, u = np.linalg.eigh(self.m)
+        u = self.vecs @ u
+        log_m = (u * np.log(np.maximum(w, w[-1] * 1e-300))) @ dagger(u)
+        return log_m - (2.0 - 1.0 / self.alpha) * self.log_sigma
+
+    def gap(self) -> float:
+        """Frank-Wolfe bound, in bits, on how far the value lies above the optimum.
+
+        Q is convex in sigma for alpha > 1 and concave for 1/2 <= alpha < 1
+        (Frank-Lieb, arXiv:1306.5358), so Q(sigma) - Q* <= tr(sigma grad Q)
+        - lambda_min(grad Q) when minimised, and the mirror image when
+        maximised.  grad Q comes from M through the Daleckii-Krein divided
+        differences of x**s on sigma's spectrum.
+        """
+        a = self.alpha
+        s = (1.0 - a) / a
+        u = self.logl[:, None] - self.logl[None, :]
+        safe = np.where(u == 0.0, 1.0, u)
+        slope = np.where(u == 0.0, s, np.expm1(s * safe) / np.expm1(safe))
+        grad = a * np.exp((s - 1.0) * self.logl)[None, :] * slope * self.m
+        h = np.linalg.eigvalsh(grad)
+        t = float(np.sum(np.diag(grad).real * np.exp(self.logl)))
+        x = max(t - h[0] if a > 1.0 else h[-1] - t, 0.0)
+        if a > 1.0:
+            return math.inf if x >= 1.0 else -math.log1p(-x) / ((a - 1.0) * math.log(2.0))
+        return math.log1p(x) / ((1.0 - a) * math.log(2.0))
+
+
+def _traceless(h: np.ndarray) -> np.ndarray:
+    return h - np.trace(h).real / len(h) * np.eye(len(h))
+
+
+def _fixed_point_iterates(problem: _FixedPoint, start: np.ndarray):
+    """The accepted iterates of the damped fixed point from log sigma = `start`;
+    the value never rises.
+
+    Each step is log sigma + eta (log M - k log sigma).  eta is halved until
+    the value does not rise.  After a success the next eta is the secant
+    estimate that zeroes the new direction along the last one, within
+    [eta/4, 2 eta] and capped at 1/k (the plain fixed point) or FP_ETA_CAP,
+    which covers k = 0 at alpha = 1/2.  A step whose value rises by no more
+    than rounding yields the point again.  The sequence ends when no eta
+    above FP_ETA_MIN keeps the value from rising.
+    """
+    point = problem.at(start)
+    cap = min(1.0 / max(2.0 - 1.0 / problem.alpha, 1e-300), FP_ETA_CAP)
+    eta, last = cap, None
+    while True:
+        yield point
+        direction = point.step()
+        if last is not None:
+            d0, d1 = _traceless(last), _traceless(direction)
+            den = np.vdot(d0, d0 - d1).real
+            guess = eta * np.vdot(d0, d0).real / den if den > 0.0 else 2.0 * eta
+            eta = min(max(guess, eta / 4.0), 2.0 * eta, cap)
+        base = point.log_sigma
+        while True:
+            trial = problem.at(base + eta * direction)
+            if trial.value <= point.value:
+                break
+            if trial.value - point.value <= point.rounding:
+                trial = point   # a rise within rounding: stay, which ends the solve
+                break
+            eta /= 2.0
+            if eta < FP_ETA_MIN:
+                return
+        point, last = trial, direction
+
+
+def _solve_fixed_point(rho: np.ndarray, alpha: float, layout: SystemLayout, opt_positions,
+                       weight) -> OptimizerResult:
+    """Minimise D_alpha(rho || tau (x) sigma) over sigma at a finite order by the
+    damped stationarity fixed point, from sigma = rho_P.  `residual` is the
+    Frank-Wolfe bound on the distance from optimal; `stop` is "gradient" once
+    it is at most FP_GAP_TOL, "ftol" when an accepted step improved the value
+    by no more than rounding, "no_step" when no step kept the value from
+    rising."""
+    problem, start = _FixedPoint.build(rho, alpha, layout, opt_positions, weight)
+    stop, it, prev = "no_step", 0, math.inf
+    for point in _fixed_point_iterates(problem, start):
+        gap = point.gap()
+        if gap <= FP_GAP_TOL:
+            stop = "gradient"
+        elif prev - point.value <= point.rounding:
+            stop = "ftol"
+        elif it == MAX_ITER:
+            stop = "max_iter"
+        else:
+            it, prev = it + 1, point.value
+            continue
+        break
+    if stop == "max_iter" and gap > RESIDUAL_TOL:
+        raise OptimizerDiverged(f"no convergence after {it} iterations (gap {gap:.2e} bits)")
+    basis = problem.basis @ point.vecs
+    sigma = (basis * np.exp(point.logl)) @ dagger(basis)
+    return OptimizerResult(DensityOperator(sigma, SystemLayout(sigma.shape[:1])), point.value, it,
+                           gap, stop)
+
+
 def _optimize_weight(rho: np.ndarray, alpha: float, layout: SystemLayout, opt_positions,
-                     fixed=None) -> OptimizerResult:
-    alpha = INF_ORDER if math.isinf(alpha) else alpha
-    objective = _divergence_objective(rho, alpha, layout, opt_positions, fixed)
-    block = int(np.prod([layout.dims[k] for k in opt_positions]))
-    return optimize_density(objective, block, init=partial_trace(rho, layout, opt_positions))
+                     weight=None) -> OptimizerResult:
+    """Minimise D_alpha(rho || tau (x) sigma) over the density matrices sigma on
+    the contiguous block `opt_positions`; `weight` is the `psd_eigh` triple of
+    tau on the other subsystems, None for the identity.
+
+    Inside the order-one window the optimum is the marginal rho_P.  alpha = inf
+    runs mirror descent at INF_ORDER; every other order the fixed point.
+    """
+    opt_positions = sorted(opt_positions)
+    if not (math.isinf(alpha) or abs(alpha - 1.0) <= ALPHA_ONE_WINDOW):
+        return _solve_fixed_point(rho, alpha, layout, opt_positions, weight)
+    fixed = None if weight is None else spectral_power(*weight, 1.0)
+    objective = _divergence_objective(rho, INF_ORDER if math.isinf(alpha) else alpha, layout,
+                                      opt_positions, fixed)
+    marginal = partial_trace(rho, layout, opt_positions)
+    if math.isinf(alpha):
+        return optimize_density(objective, len(marginal), init=marginal)
+    return OptimizerResult(DensityOperator(marginal, SystemLayout(marginal.shape[:1])),
+                           _value_at(objective, marginal), 0, 0.0, STOPS[0])
 
 
 def cond_entropy_up(rho, alpha: float, dims=None) -> OptimizerResult:
@@ -478,12 +694,14 @@ def gen_mutual_info(rho, tau, alpha: float, dims=None, fixed: int = 0) -> Optimi
     if len(layout.dims) != 2:
         raise ValueError("generalised mutual information is bipartite")
     rho, tau = _mat(rho), _mat(tau)
-    overlapping, dominated = _support_flags(rho, embed_block(layout, support_projector(tau), [fixed]))
+    weight = psd_eigh(tau)
+    overlapping, dominated = _support_flags(partial_trace(rho, layout, [fixed]),
+                                            spectral_power(*weight, 0.0))
     if not overlapping or alpha >= 1.0 - ALPHA_ONE_WINDOW and not dominated:
         other = partial_trace(rho, layout, [1 - fixed])
         return OptimizerResult(DensityOperator(other, SystemLayout(other.shape[:1])), math.inf, 0,
                                0.0, STOPS[0])
-    return _optimize_weight(rho, alpha, layout, [1 - fixed], tau)
+    return _optimize_weight(rho, alpha, layout, [1 - fixed], weight)
 
 
 def mutual_info_up(rho, alpha: float, dims=None) -> OptimizerResult:

@@ -125,15 +125,20 @@ def congruence_eigvalsh(w: np.ndarray, rho: np.ndarray):
     return _psd_policy(lam, np.sum(np.abs(w) ** 2, axis=(-2, -1)) * np.linalg.norm(rho))
 
 
+def spectral_power(lam: np.ndarray, v: np.ndarray, live: np.ndarray, a: float) -> np.ndarray:
+    """The matrix power a from a `psd_eigh` decomposition (lam, v, live);
+    eigenvalues off `live` map to 0 for every a."""
+    wp = np.where(live, np.where(live, lam, 1.0) ** a, 0.0)
+    return (v * wp[..., None, :]) @ v.conj().swapaxes(-1, -2)
+
+
 def frac_power(h: np.ndarray, a: float) -> np.ndarray:
     """h**a for a PSD matrix or (..., d, d) stack; eigenvalues below the
     cutoff map to 0 for every a (a = 0 gives the support projector)."""
     h = np.asarray(h, dtype=complex)
     if h.ndim == 2:
         h = _hermitian(h)
-    w, v, live = psd_eigh(h)
-    wp = np.where(live, np.where(live, w, 1.0) ** a, 0.0)
-    return (v * wp[..., None, :]) @ v.conj().swapaxes(-1, -2)
+    return spectral_power(*psd_eigh(h), a)
 
 
 def support_projector(h: np.ndarray) -> np.ndarray:

@@ -100,14 +100,14 @@ def test_suite_registry_is_the_cli_suite_list():
 def test_opt_iters_counts_every_solve(monkeypatch):
     # master seed 2024, trials 0-2 draw both iier-opt variants
     iters = []
-    solve = entropies.optimize_density
+    solve = entropies._optimize_weight
 
     def counted(*args, **kwargs):
         res = solve(*args, **kwargs)
         iters.append(res.iterations)
         return res
 
-    monkeypatch.setattr(entropies, "optimize_density", counted)
+    monkeypatch.setattr(entropies, "_optimize_weight", counted)
     for tag, (trial, arity) in SUITES.items():
         for i in range(3):
             iters.clear()

@@ -1,4 +1,6 @@
+import importlib.util
 import math
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -41,6 +43,19 @@ from bloch_reference import _ball_from_free, bloch_density, grid_qubit_minimize
 
 BELL = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
 ORDERS = (0.5, 0.7, 1.0, 2.0, 5.0, math.inf)
+
+
+def _load_reference():
+    """The benchmark's closed forms (perfbench/reference.py), which import
+    nothing from renyi_lab; loaded from its file, read only."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "reference.py")
+    spec = importlib.util.spec_from_file_location("perfbench_reference", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+REFERENCE = _load_reference()
 
 
 def rand_pos(d, rng, floor=0.05):
@@ -585,3 +600,114 @@ class TestOptimizer:
             sizes.clear()
             assert solve() == pytest.approx(0.3, abs=1e-5)
             assert 1 in sizes
+
+
+def sweep_style_state(seed, i, dims):
+    """A state drawn as the divergence suites draw one: its rank first."""
+    rng = trial_rng(seed, i)
+    d = math.prod(dims)
+    return random_density(d, int(rng.integers(1, d + 1)), rng, dims=dims)
+
+
+def schmidt_state(p, dims, rng):
+    """|psi><psi| with squared Schmidt coefficients p in Haar-random local bases."""
+    ua, ub = random_onb(dims[0], rng).vectors, random_onb(dims[1], rng).vectors
+    psi = sum(math.sqrt(lam) * np.kron(ua[:, i], ub[:, i]) for i, lam in enumerate(p))
+    return np.outer(psi, psi.conj())
+
+
+class TestFixedPoint:
+    """Finite-order weight optimisation: closed forms, attained values, monotone iterates."""
+
+    @pytest.mark.parametrize("alpha", (0.5, 0.52, 0.55, 0.75, 2.0, 4.0))
+    @pytest.mark.parametrize("dims", [(2, 2), (3, 3), (2, 4)])
+    def test_pure_state_duality(self, dims, alpha):
+        # H^up_alpha(A|B) = -H_beta(A), 1/alpha + 1/beta = 2, with rho_B of full
+        # rank (Schmidt rank d_B) and rank-deficient (Schmidt rank below d_B)
+        rng = trial_rng(45, int(100 * alpha))
+        for rank in sorted({min(dims), 1, min(dims) - 1} - {0}):
+            for _ in range(2):
+                p = rng.dirichlet(np.ones(rank))
+                res = cond_entropy_up(schmidt_state(p, dims, rng), alpha, dims)
+                assert res.value == pytest.approx(REFERENCE.pure_cond_entropy_up(p, alpha), abs=1e-10), rank
+
+    def test_pure_state_duality_on_a_sampled_rank_one_state(self):
+        # the divergence suites' draw for trial_rng(3, 5) at (3, 3) is rank one
+        rho = sweep_style_state(3, 5, (3, 3))
+        p = np.linalg.eigvalsh(rho.marginal([0]).mat)
+        assert cond_entropy_up(rho, 0.55).value == pytest.approx(
+            REFERENCE.pure_cond_entropy_up(p, 0.55), abs=1e-10)
+
+    @pytest.mark.parametrize("alpha", (0.5, 0.75, 2.0, 4.0))
+    def test_classical_closed_forms(self, alpha):
+        # Arimoto's H^up and Sibson's I^up, with and without empty columns
+        rng = trial_rng(46, int(100 * alpha))
+        for dims, live in (((2, 2), 2), ((3, 3), 3), ((2, 4), 2), ((3, 4), 4)):
+            p = np.zeros(dims)
+            p[:, :live] = rng.dirichlet(np.ones(dims[0] * live)).reshape(dims[0], live)
+            rho = np.diag(p.ravel()).astype(complex)
+            assert cond_entropy_up(rho, alpha, dims).value == pytest.approx(
+                REFERENCE.classical_cond_entropy_up(p, alpha), abs=1e-11), dims
+            assert mutual_info_up(rho, alpha, dims).value == pytest.approx(
+                REFERENCE.classical_mutual_info_up(p, alpha), abs=1e-11), dims
+
+    def test_value_is_the_divergence_at_the_returned_state(self):
+        for i in range(4):
+            for dims in ((2, 2), (3, 2), (2, 3)):
+                rho = sweep_style_state(47, i, dims).mat
+                rng = trial_rng(47, 100 + i)
+                tau = random_density(dims[0], dims[0], rng).mat
+                for alpha in (0.5, 0.55, 0.8, 1.5, 3.0, 8.0):
+                    up = cond_entropy_up(rho, alpha, dims)
+                    assert -up.value == pytest.approx(sandwiched_divergence(
+                        rho, np.kron(np.eye(dims[0]), up.optimum.mat), alpha), abs=1e-12), (i, dims, alpha)
+                    mi = gen_mutual_info(rho, tau, alpha, dims, fixed=0)
+                    assert mi.value == pytest.approx(sandwiched_divergence(
+                        rho, np.kron(tau, mi.optimum.mat), alpha), abs=1e-12), (i, dims, alpha)
+
+    def test_rank_deficient_weight_below_order_one(self):
+        # tau misses part of supp rho_A, so only orders below 1 are finite
+        rng = trial_rng(48, 0)
+        rho = random_density(6, 4, rng, dims=(3, 2)).mat
+        tau = np.diag([0.6, 0.4, 0.0]).astype(complex)
+        for alpha in (0.5, 0.6, 0.9):
+            mi = gen_mutual_info(rho, tau, alpha, (3, 2), fixed=0)
+            assert mi.stop in STOPS and math.isfinite(mi.value)
+            assert mi.value == pytest.approx(sandwiched_divergence(
+                rho, np.kron(tau, mi.optimum.mat), alpha), abs=1e-12)
+
+    def test_iterates_never_rise(self, monkeypatch):
+        iterates = entropies._fixed_point_iterates
+        runs = []
+
+        def recorded(*args):
+            runs.append([])
+            for point in iterates(*args):
+                runs[-1].append(point.value)
+                yield point
+
+        monkeypatch.setattr(entropies, "_fixed_point_iterates", recorded)
+        for i in range(4):
+            rho = sweep_style_state(49, i, (2, 3))
+            for alpha in (0.5, 0.52, 0.7, 2.0, 10.0):
+                cond_entropy_up(rho, alpha)
+                mutual_info_down(rho, alpha)
+        assert len(runs) > 40 and max(len(r) for r in runs) > 5
+        for values in runs:
+            assert all(b <= a for a, b in zip(values, values[1:]))
+
+    def test_order_one_half(self):
+        # k = (2 alpha - 1)/alpha vanishes: the damped step is still defined
+        rho = sweep_style_state(50, 1, (2, 2))
+        tau = random_density(2, 2, trial_rng(50, 2))
+        for res in (cond_entropy_up(rho, 0.5), gen_mutual_info(rho, tau, 0.5, fixed=1),
+                    mutual_info_down(rho, 0.5)):
+            assert math.isfinite(res.value) and res.stop in STOPS and res.iterations >= 1
+
+    def test_order_one_window_returns_the_marginal_without_iterating(self):
+        rho = sweep_style_state(51, 3, (2, 3))
+        for alpha in (1.0 - 5e-7, 1.0, 1.0 + 5e-7):
+            res = cond_entropy_up(rho, alpha)
+            assert res.iterations == 0
+            assert np.allclose(res.optimum.mat, rho.marginal([1]).mat, atol=1e-14)
+            assert res.value == pytest.approx(cond_entropy_down(rho, 1.0), abs=1e-12)
