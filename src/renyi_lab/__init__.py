@@ -37,7 +37,6 @@ from .entropies import (
     gen_mutual_info,
     mutual_info_down,
     mutual_info_up,
-    optimize_density,
     renyi_entropy,
     sandwiched_divergence,
     weighted_norm,

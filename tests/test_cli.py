@@ -70,7 +70,7 @@ def test_report_keeps_the_worst_stop_of_its_solves(tmp_path):
 
     assert finish([]).stop == ""
     assert finish([solve("ftol")]).stop == "ftol"
-    worst = finish([solve("gradient"), solve("no_step", 7, 2e-10), solve("stall")])
+    worst = finish([solve("gradient"), solve("no_step", 7, 2e-10), solve("ftol")])
     assert (worst.stop, worst.opt_iters, worst.opt_residual) == ("no_step", 17, 2e-10)
     assert finish([solve("max_iter"), solve("no_step")]).stop == "max_iter"
     path = str(tmp_path / "stops.csv")
