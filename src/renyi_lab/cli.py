@@ -1,7 +1,7 @@
 """Command-line entry point: suite sweeps with CSV output, bound tables for
 measurement pairs, per-state entropy tables, and the limit checks.
 
-Exit codes: 0 all pass, 1 any failure, 2 configuration error, 141 output pipe closed.
+Exit codes: 0 all pass, 1 a failed check or computation, 2 configuration error, 141 pipe closed.
 """
 
 from __future__ import annotations
@@ -39,21 +39,26 @@ CSV_COLUMNS = ("trial_id", "seed", "dim_a", "dim_b", "dim_c", "alpha", "beta", "
                "delta", "direction", "lhs_bits", "rhs_bits", "gap_bits", "verdict",
                "opt_iters", "opt_residual", "stop_reason", "note")
 
-CONFIG_KEYS = {"suite", "trials", "dim_a", "dim_b", "dim_c", "seed", "tol", "out"}
+CONFIG_KEYS = {"suite": str, "trials": int, "dim_a": int, "dim_b": int, "dim_c": int,
+               "seed": int, "tol": float, "out": str}   # each key's value type
 
 
 class ConfigError(ValueError):
     pass
 
 
+def _read(convert, text, name: str):
+    """convert(text); a text it rejects is a ConfigError that names the setting."""
+    try:
+        return convert(text)
+    except ValueError as exc:
+        raise ConfigError(f"{name}: {exc}") from None
+
+
 def _fmt(x) -> str:
     if x is None:
         return ""
-    if isinstance(x, float):
-        if math.isnan(x):
-            return "nan"
-        return f"{x:.12g}"
-    return str(x)
+    return f"{x:.12g}" if isinstance(x, float) else str(x)   # nan prints as "nan"
 
 
 def _trial_seed_value(master_seed: int, i: int) -> int:
@@ -129,15 +134,14 @@ def load_config(path: str) -> dict:
             key, val = (s.strip() for s in line.split("=", 1))
             if key not in CONFIG_KEYS:
                 raise ConfigError(f"{path}:{ln}: unknown key {key!r}")
-            cfg[key] = val
+            cfg[key] = _read(CONFIG_KEYS[key], val, f"{path}:{ln}: {key}")
     return cfg
 
 
 def _default_seed(args_seed) -> int:
     if args_seed is not None:
-        return int(args_seed)
-    env = os.environ.get(ENV_SEED)
-    return int(env) if env else 0
+        return args_seed
+    return _read(int, os.environ.get(ENV_SEED) or "0", ENV_SEED)
 
 
 def cmd_sweep(args) -> int:
@@ -149,12 +153,12 @@ def cmd_sweep(args) -> int:
     for s in suites:
         if s not in ALL_SUITES:
             raise ConfigError(f"unknown suite {s!r}; known: {', '.join(ALL_SUITES)}")
-    trials = int(args.trials if args.trials is not None else cfg.get("trials", 100))
-    dim_a = int(args.dim_a if args.dim_a is not None else cfg.get("dim_a", 2))
-    dim_b = int(args.dim_b if args.dim_b is not None else cfg.get("dim_b", 2))
-    dim_c = int(args.dim_c if args.dim_c is not None else cfg.get("dim_c", 2))
+    trials = args.trials if args.trials is not None else cfg.get("trials", 100)
+    dim_a = args.dim_a if args.dim_a is not None else cfg.get("dim_a", 2)
+    dim_b = args.dim_b if args.dim_b is not None else cfg.get("dim_b", 2)
+    dim_c = args.dim_c if args.dim_c is not None else cfg.get("dim_c", 2)
     seed = _default_seed(args.seed if args.seed is not None else cfg.get("seed"))
-    tol = float(args.tol if args.tol is not None else cfg.get("tol", report.BASE_TOL))
+    tol = args.tol if args.tol is not None else cfg.get("tol", report.BASE_TOL)
     out = args.out if args.out is not None else cfg.get("out", "sweep-out")
     if trials < 1:
         raise ConfigError("trials must be >= 1")
@@ -180,7 +184,7 @@ def _resolve_pair(args) -> MeasurementPair:
         kind, _, arg = args.pair.partition(":")
         if kind not in ("mub", "random"):
             raise ConfigError(f"unknown named pair {args.pair!r} (use mub:d or random:d)")
-        d = int(arg or 2)
+        d = _read(int, arg or "2", f"pair dimension in {args.pair!r}")
         if d < 1:
             raise ConfigError(f"pair dimension must be >= 1, got {d} in {args.pair!r}")
         return mub_pair(d) if kind == "mub" else random_pair(d, trial_rng(_default_seed(args.seed), 0))
@@ -191,7 +195,7 @@ def _resolve_pair(args) -> MeasurementPair:
 
 def _orders(text: str, name: str) -> list[float]:
     """Comma-separated orders; inf is an order, nan is not."""
-    orders = [float(x) for x in text.split(",")]
+    orders = [_read(float, x, name) for x in text.split(",")]
     if any(math.isnan(x) for x in orders):
         raise ConfigError(f"{name} must be numbers, got {text!r}")
     return orders
@@ -222,9 +226,11 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_state(args) -> int:
-    dims = tuple(int(x) for x in args.dims.split(",")) if args.dims else None
+    dims = tuple(_read(int, x, "dims") for x in args.dims.split(",")) if args.dims else None
     rho = read_state_file(args.state, dims)
     orders = _orders(args.orders, "orders") if args.orders else [0.0, 0.5, 1.0, 2.0, math.inf]
+    if min(orders) < 0:
+        raise ConfigError(f"orders must be >= 0, got {args.orders!r}")
     print(f"state on dimension {rho.dim} (layout {rho.layout.dims})")
     for a in orders:
         line = f"  H_{a:g} = {renyi_entropy(rho, a): .10f}"
@@ -317,9 +323,12 @@ def main(argv=None) -> int:
         with open(os.devnull, "w") as devnull:
             os.dup2(devnull.fileno(), sys.stdout.fileno())
         return 141
-    except (OSError, ValueError) as exc:   # ConfigError is a ValueError
+    except (OSError, ConfigError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
+    except (ArithmeticError, ValueError, RuntimeError) as exc:   # numpy's LinAlgError is a ValueError
+        print(f"computation error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -126,42 +126,38 @@ def q_delta(rho, pair: MeasurementPair, delta: float) -> float:
     return max(q_delta_oriented(rho, pair, delta), q_delta_oriented(rho, pair.swapped(), delta))
 
 
-def _delta_matrix(pair: MeasurementPair, delta: float, p: float) -> np.ndarray:
-    dp = hconj(delta)
-    cx = pair.overlaps.max(axis=1) ** (1.0 / dp)
-    cz = pair.overlaps.max(axis=0) ** (1.0 / dp)
+def _mixed_matrix(pair: MeasurementPair, wx: np.ndarray, wz: np.ndarray, p) -> np.ndarray:
+    """p V_x diag(wx) V_x^dag + (1 - p) V_z diag(wz) V_z^dag, stacked over the shape of p."""
     vx, vz = pair.basis_x.vectors, pair.basis_z.vectors
-    return p * (vx * cx) @ dagger(vx) + (1.0 - p) * (vz * cz) @ dagger(vz)
+    p = np.asarray(p)[..., None, None]
+    return p * (vx * wx) @ dagger(vx) + (1.0 - p) * (vz * wz) @ dagger(vz)
 
 
 def q_delta_state_independent(pair: MeasurementPair, delta: float) -> float:
     """Worst-case-over-states bound via the mixing-weight minimax form: a
-    SI_GRID_STEP grid over the weight, refined around its best point."""
+    SI_GRID_STEP grid over the weight, evaluated as one stack of matrices and
+    one eigvalsh, refined around its best point."""
     if abs(delta) <= DELTA_ZERO_WINDOW:
         return q_mu(pair)
-    vx, vz = pair.basis_x.vectors, pair.basis_z.vectors
+    cx, cz = pair.overlaps.max(axis=1), pair.overlaps.max(axis=0)
     if abs(delta - 1.0) <= DELTA_ONE_WINDOW:
         # delta -> 1 limit: the smallest eigenvalue of the mixed log-overlap matrix
-        lx = -np.log2(pair.overlaps.max(axis=1))
-        lz = -np.log2(pair.overlaps.max(axis=0))
-
-        def objective(p: float) -> float:
-            m = p * (vx * lx) @ dagger(vx) + (1.0 - p) * (vz * lz) @ dagger(vz)
-            return -float(np.linalg.eigvalsh(m)[0])
+        def objective(p):
+            return -np.linalg.eigvalsh(_mixed_matrix(pair, -np.log2(cx), -np.log2(cz), p))[..., 0]
     else:
         dp = hconj(delta)
 
-        def objective(p: float) -> float:
-            lam = np.linalg.eigvalsh(_delta_matrix(pair, delta, p))
-            ext = lam[-1] if dp > 0 else lam[0]   # lambda_max of the delta'-power
-            return dp * float(np.log2(ext))
+        def objective(p):
+            lam = np.linalg.eigvalsh(_mixed_matrix(pair, cx ** (1.0 / dp), cz ** (1.0 / dp), p))
+            ext = lam[..., -1] if dp > 0 else lam[..., 0]   # lambda_max of the delta'-power
+            return dp * np.log2(ext)
 
     grid = np.arange(0.0, 1.0 + SI_GRID_STEP / 2, SI_GRID_STEP)
-    vals = [objective(p) for p in grid]
+    vals = objective(grid)
     k = int(np.argmin(vals))
     lo, hi = max(0.0, grid[k] - SI_GRID_STEP), min(1.0, grid[k] + SI_GRID_STEP)
-    res = scipy.optimize.minimize_scalar(objective, bounds=(lo, hi), method="bounded",
-                                         options={"xatol": 1e-10})
+    res = scipy.optimize.minimize_scalar(lambda p: float(objective(p)), bounds=(lo, hi),
+                                         method="bounded", options={"xatol": 1e-10})
     return -min(float(res.fun), float(vals[k]))
 
 

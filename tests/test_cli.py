@@ -7,10 +7,10 @@ import sys
 
 import pytest
 
-from renyi_lab import entropies, inequalities, report
+from renyi_lab import cli, entropies, inequalities, report
 from renyi_lab.cli import ALL_SUITES, main, write_csv
 from renyi_lab.inequalities import SUITES, run_suite
-from renyi_lab.linalg import InvalidOrder
+from renyi_lab.linalg import InvalidOrder, NotPositiveSemidefinite
 from renyi_lab.states import random_density, trial_rng
 from renyi_lab.uncertainty import q_delta, random_pair
 
@@ -203,6 +203,51 @@ def test_infinite_orders_stay_valid(capsys):
     assert main(["state", BELL_FILE, "--orders", "inf"]) == 0
     assert main(["bounds", "--pair", "mub:2", "--deltas", "inf"]) == 0
     assert "nan" not in capsys.readouterr().out
+
+
+def _raise(exc):
+    def fail(*args, **kwargs):
+        raise exc
+    return fail
+
+
+@pytest.mark.parametrize("target, exc, argv", [
+    ("renyi_entropy", NotPositiveSemidefinite("eigenvalue below clamp tolerance"),
+     ["state", BELL_FILE, "--dims", "2,2"]),
+    ("q_delta_state_independent", entropies.OptimizerDiverged("no finite optimum"),
+     ["bounds", "--pair", "random:3"]),
+])
+def test_computation_error_is_a_failure_not_a_configuration_error(monkeypatch, capsys,
+                                                                   target, exc, argv):
+    monkeypatch.setattr(cli, target, _raise(exc))
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("computation error: ") and str(exc) in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["state", BELL_FILE, "--orders=-1"], "orders must be >= 0"),
+    (["state", BELL_FILE, "--orders", "1,x"], "orders: could not convert"),
+    (["state", BELL_FILE, "--dims", "2,x"], "dims: invalid literal"),
+    (["bounds", "--pair", "random:x"], "pair dimension in 'random:x'"),
+])
+def test_unreadable_settings_are_configuration_errors(capsys, argv, message):
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("configuration error: ") and message in err
+
+
+def test_unreadable_seed_variable_is_a_configuration_error(monkeypatch, capsys):
+    monkeypatch.setenv(cli.ENV_SEED, "x")
+    assert main(["limits", "--count", "1"]) == 2
+    assert f"{cli.ENV_SEED}: invalid literal" in capsys.readouterr().err
+
+
+def test_unreadable_config_value_names_its_line(tmp_path, capsys):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("suite = general\ntrials = many\n")
+    assert main(["sweep", "--config", str(cfg)]) == 2
+    assert f"{cfg}:2: trials: invalid literal" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("text, message", [

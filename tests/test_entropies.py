@@ -673,6 +673,30 @@ class TestFixedPoint:
             assert res.value == pytest.approx(cond_entropy_down(rho, 1.0), abs=1e-12)
 
 
+ONE_WINDOW_QUANTITIES = {
+    "Hdn": lambda rho, a: cond_entropy_down(rho, a),
+    "Hup": lambda rho, a: cond_entropy_up(rho, a).value,
+    "Iup": lambda rho, a: mutual_info_up(rho, a).value,
+    "Idn": lambda rho, a: mutual_info_down(rho, a).value,
+}
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2)])
+def test_crossing_the_alpha_one_window_has_no_jump(dims):
+    # inside ALPHA_ONE_WINDOW the alpha = 1 closed forms answer, just outside it
+    # the general routes do; across the edge every quantity moves by O(window)
+    w = entropies.ALPHA_ONE_WINDOW
+    d = math.prod(dims)
+    for rank in range(1, d + 1):
+        for j in range(2):
+            rho = random_density(d, rank, trial_rng(90 + d, 10 * rank + j + dims[0]), dims=dims)
+            for name, quantity in ONE_WINDOW_QUANTITIES.items():
+                for side in (-1.0, 1.0):
+                    inside = quantity(rho, 1.0 + side * 0.9 * w)
+                    outside = quantity(rho, 1.0 + side * 1.1 * w)
+                    assert abs(inside - outside) <= 1e-5, (rank, j, name, side)
+
+
 def certified_bounds(monkeypatch):
     """The (lo, hi) of every min-entropy programme solved from here on: certified
     bounds, in bits, on the minimum over sigma of D_max(rho || tau (x) sigma)."""

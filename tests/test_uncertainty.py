@@ -3,18 +3,24 @@
 For a mutually unbiased pair every overlap is 1/d, so every bound constant
 is log2 d, in either orientation and for every state and delta; and the
 Maassen-Uffink relation is tight on an eigenstate of either basis (Coles et
-al., arXiv:1511.04857).
+al., arXiv:1511.04857).  The state-independent delta bound is pinned to a
+per-point evaluation of its grid and bounded by the state-dependent one.
 """
 
 import math
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 from renyi_lab.cli import main
-from renyi_lab.linalg import SystemLayout
+from renyi_lab.linalg import SystemLayout, dagger
+from renyi_lab.orders import hconj
 from renyi_lab.states import DensityOperator, random_density, trial_rng
 from renyi_lab.uncertainty import (
+    DELTA_ONE_WINDOW,
+    DELTA_ZERO_WINDOW,
+    SI_GRID_STEP,
     check_rmu,
     hall_bound,
     mub_pair,
@@ -24,6 +30,7 @@ from renyi_lab.uncertainty import (
     r_cp,
     r_grudka,
     r_xz,
+    random_pair,
 )
 
 DELTAS = (-1.0, 0.0, 0.5, 1.0, 2.0)
@@ -64,3 +71,65 @@ def test_maassen_uffink_is_tight_on_a_basis_eigenstate(d):
     rho = DensityOperator(np.outer(ket, ket.conj()), SystemLayout((d,)))
     rep = check_rmu(rho, pair, 1.0)
     assert abs(rep.gap) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the state-independent delta bound: stacked grid against the per-point loop
+# ---------------------------------------------------------------------------
+
+SI_DELTAS = (-1.5, 0.3, 0.7, 1.0, 1.0 + 5e-7, 1.6, 3.0)
+
+
+def _q_delta_si_per_point(pair, delta):
+    """The bound with one 2-D matrix and one eigvalsh per grid point."""
+    if abs(delta) <= DELTA_ZERO_WINDOW:
+        return q_mu(pair)
+    vx, vz = pair.basis_x.vectors, pair.basis_z.vectors
+    if abs(delta - 1.0) <= DELTA_ONE_WINDOW:
+        lx = -np.log2(pair.overlaps.max(axis=1))
+        lz = -np.log2(pair.overlaps.max(axis=0))
+
+        def objective(p):
+            m = p * (vx * lx) @ dagger(vx) + (1.0 - p) * (vz * lz) @ dagger(vz)
+            return -float(np.linalg.eigvalsh(m)[0])
+    else:
+        dp = hconj(delta)
+        cx = pair.overlaps.max(axis=1) ** (1.0 / dp)
+        cz = pair.overlaps.max(axis=0) ** (1.0 / dp)
+
+        def objective(p):
+            m = p * (vx * cx) @ dagger(vx) + (1.0 - p) * (vz * cz) @ dagger(vz)
+            lam = np.linalg.eigvalsh(m)
+            return dp * float(np.log2(lam[-1] if dp > 0 else lam[0]))
+
+    grid = np.arange(0.0, 1.0 + SI_GRID_STEP / 2, SI_GRID_STEP)
+    vals = [objective(p) for p in grid]
+    k = int(np.argmin(vals))
+    lo, hi = max(0.0, grid[k] - SI_GRID_STEP), min(1.0, grid[k] + SI_GRID_STEP)
+    res = scipy.optimize.minimize_scalar(objective, bounds=(lo, hi), method="bounded",
+                                         options={"xatol": 1e-10})
+    return -min(float(res.fun), float(vals[k]))
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_stacked_si_bound_equals_the_per_point_loop(d):
+    for i in range(17):   # 51 pairs over the three dimensions
+        pair = random_pair(d, trial_rng(70 + d, i))
+        for delta in SI_DELTAS:
+            stacked = q_delta_state_independent(pair, delta)
+            assert isinstance(stacked, float)
+            assert stacked == _q_delta_si_per_point(pair, delta), (i, delta)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_si_bound_is_at_most_the_state_dependent_bound(d):
+    # the state-independent bound is the minimum over states of q_delta(rho)
+    for i in range(6):
+        rng = trial_rng(80 + d, i)
+        pair = random_pair(d, rng)
+        bounds = {delta: q_delta_state_independent(pair, delta) for delta in SI_DELTAS}
+        for rank in range(1, d + 1):
+            for _ in range(3):
+                rho = random_density(d, rank, rng)
+                for delta, si in bounds.items():
+                    assert si <= q_delta(rho, pair, delta) + 1e-12, (i, rank, delta)
