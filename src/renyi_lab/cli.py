@@ -221,7 +221,7 @@ def cmd_bounds(args) -> int:
         rows.append((f"q_delta_SI delta={d:g}", q_delta_state_independent(pair, d)))
     width = max(len(r[0]) for r in rows)
     for name, val in rows:
-        print(f"  {name:<{width}}  {val: .10f} bits")
+        print(f"  {name:<{width}}  {round(val, 10) + 0.0: .10f} bits")   # + 0.0: a rounded 0 is unsigned
     return 0
 
 
@@ -233,14 +233,13 @@ def cmd_state(args) -> int:
         raise ConfigError(f"orders must be >= 0, got {args.orders!r}")
     print(f"state on dimension {rho.dim} (layout {rho.layout.dims})")
     for a in orders:
-        line = f"  H_{a:g} = {renyi_entropy(rho, a): .10f}"
+        line = f"  H_{a:g} = {round(renyi_entropy(rho, a), 10) + 0.0: .10f}"   # unsigned 0, as in bounds
         if len(rho.layout.dims) == 2 and a >= 0.5:
-            down = cond_entropy_down(rho, a)
-            up = cond_entropy_up(rho, a)
-            mi_up = mutual_info_up(rho, a)
-            mi_dn = mutual_info_down(rho, a)
-            line += (f"   Hdn(A|B) = {down: .8f}  Hup(A|B) = {up.value: .8f}"
-                     f"  Iup = {mi_up.value: .8f}  Idn = {mi_dn.value: .8f}")
+            values = (cond_entropy_down(rho, a), cond_entropy_up(rho, a).value,
+                      mutual_info_up(rho, a).value, mutual_info_down(rho, a).value)
+            down, up, mi_up, mi_dn = (round(v, 8) + 0.0 for v in values)
+            line += (f"   Hdn(A|B) = {down: .8f}  Hup(A|B) = {up: .8f}"
+                     f"  Iup = {mi_up: .8f}  Idn = {mi_dn: .8f}")
         print(line)
     return 0
 

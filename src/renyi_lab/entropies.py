@@ -12,19 +12,22 @@ entropies and the optimisers' values; `_tr_log2` gives their alpha -> 1
 limits.
 
 Optimised quantities (conditional entropy with optimisation, mutual
-informations) minimise D_alpha(rho || tau (x) sigma) over one weight factor
-sigma in `_optimize_weight`.  At every finite order it runs the damped
+informations) minimise D_alpha(rho || tau (x) sigma) in `_optimize_weight`,
+over one weight factor sigma or, for I-down, over both factors of
+sigma_A (x) sigma_B together.  At every finite order it runs the damped
 stationarity fixed point sigma ~ M_sigma**(alpha/(2 alpha - 1)); at alpha =
 inf it solves the min-entropy semidefinite programme min{tr Y : tau (x) Y >=
-rho} by a primal-dual interior-point method; inside the order-one window the
-optimum is the marginal, with no iteration.  Either way the value reported is
-the divergence at the state returned, and the residual is a bound, in bits,
-on its distance from the optimum: a Frank-Wolfe bound for the fixed point,
-the width of a primal-dual certificate for the programme.
+rho} by a primal-dual interior-point method, which I-down alternates over
+its two factors; inside the order-one window the optimum is the marginal,
+with no iteration.  Either way the value reported is the divergence at the
+state returned, and the residual is a bound, in bits, on its distance from
+the optimum: a Frank-Wolfe bound for the fixed point (for I-down per factor,
+the other held fixed), the width of a primal-dual certificate for the programme.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -212,7 +215,7 @@ FP_ETA_MIN = 2.0 ** -30
 SDP_GAP_TOL = 1e-12   # bits: the programme stops once its certified interval is this narrow
 SDP_STEP = 0.95       # share of the step to the boundary of the PSD cone
 SDP_CERTIFY = 1e-6    # relative duality gap below which each iterate is certified
-MI_DOWN_ROUNDS = 40   # alternating rounds of mutual_info_down
+MI_DOWN_ROUNDS = 40   # alternating rounds of mutual_info_down at alpha = inf
 MI_DOWN_TOL = 1e-9
 # why a solve stopped, best to worst: the optimality test held (the residual is
 # at most FP_GAP_TOL or SDP_GAP_TOL), the value or the certified interval
@@ -227,7 +230,8 @@ class OptimizerResult:
     value: float
     iterations: int
     # a bound, in bits, on the distance of `value` from the optimum: the fixed
-    # point's Frank-Wolfe bound, the width of the programme's certified interval
+    # point's Frank-Wolfe bound, the programme's certified width; for I-down the
+    # larger per-block bound (not global), at alpha = inf the last round's gain
     residual: float
     stop: str         # one of STOPS
 
@@ -279,78 +283,88 @@ def _weight_times(layout: SystemLayout, positions, weight, sigma: np.ndarray) ->
 
 @dataclass
 class _FixedPoint:
-    """sigma |-> D_alpha(rho || tau (x) sigma) at a finite order, with sigma
-    restricted to supp rho_P (rho_P the marginal on the optimised block P).
+    """(sigma_1, ...) |-> D_alpha(rho || tau (x) sigma_1 (x) ...) at a finite
+    order, each block sigma_k restricted to supp rho_k (its marginal): one
+    block against tau on the other subsystems, or both blocks of a bipartite
+    rho against no weight.  Pinching a block onto supp rho_k and
+    renormalising never raises the divergence, so every minimiser lives there.
 
-    Every minimiser lives there: pinching the block onto supp rho_P and
-    renormalising never raises the divergence.  With Q = tr Y**alpha and
-    Y = rho^(1/2) (tau (x) sigma)**s rho^(1/2), s = (1 - alpha)/alpha, one
-    eigendecomposition of Y gives both the value (1/(alpha - 1)) log2 Q and
-    M = tr_rest[(tau**s (x) id) rho^(1/2) Y**(alpha-1) rho^(1/2)], the factor
-    of dQ = alpha tr[M d(sigma**s)].  The weight's spectrum is the product of
-    tau's and sigma's, cut as `linalg` cuts every spectrum, so the value is
-    `sandwiched_divergence` at the returned sigma.  Points are log sigma in
-    the eigenbasis `basis` of rho_P on its support.
+    With Q = tr Y**alpha and Y = rho^(1/2) (tau (x) sigma_1 (x) ...)**s rho^(1/2),
+    s = (1 - alpha)/alpha, one eigendecomposition of Y gives the value
+    (1/(alpha - 1)) log2 Q and, with Z = rho^(1/2) Y**(alpha-1) rho^(1/2), each
+    M_k = tr_(not k)[(tau**s (x) sigma_j**s, j != k) Z], the factor of
+    dQ = alpha tr[M_k d(sigma_k**s)].  The weight's spectrum is the product of
+    the factors', cut as `linalg` cuts every spectrum, so the value is
+    `sandwiched_divergence` at the returned product.  Points are log sigma_k
+    in the eigenbasis `bases[k]` of rho_k on its support.
     """
 
     alpha: float
-    basis: np.ndarray   # (d_P, r): the support eigenvectors of rho_P
-    c: np.ndarray       # rho^(1/2) (tau's eigenbasis (x) basis), indexed (row, rest, r)
-    tau: np.ndarray     # tau's spectrum on the rest, 0 off its support
+    bases: list         # per block (d_k, r_k): the support eigenvectors of rho_k
+    c: np.ndarray       # rho^(1/2) (tau's eigenbasis (x) bases), indexed (row, rest, r_1, ...)
+    tau: np.ndarray     # tau's spectrum on the rest, 0 off its support ([1] for two blocks)
     tau_s: np.ndarray   # the same to the power s
 
     @classmethod
-    def build(cls, rho: np.ndarray, alpha: float, layout: SystemLayout, positions, weight):
-        """The problem, and log sigma of the first iterate sigma = rho_P in `basis`."""
-        lam, vecs, live = psd_eigh(partial_trace(rho, layout, positions))
-        basis = vecs[:, live]
-        front, _, back = _block_sizes(layout, positions)
-        if weight is None:
-            weight = (np.ones(front * back), np.eye(front * back), np.ones(front * back, dtype=bool))
+    def build(cls, rho: np.ndarray, alpha: float, layout: SystemLayout, blocks, weight):
+        """The problem, and log sigma_k of the first iterate sigma_k = rho_k in `bases[k]`."""
+        eigs = [psd_eigh(partial_trace(rho, layout, p)) for p in blocks]
+        bases = [vecs[:, live] for _, vecs, live in eigs]
+        front, _, back = _block_sizes(layout, blocks[-1])
+        if weight is None:      # the identity on the rest, which two blocks leave empty
+            n = front * back if len(blocks) == 1 else 1
+            weight = (np.ones(n), np.eye(n), np.ones(n, dtype=bool))
+        outer = weight[1] if len(blocks) == 1 else bases[0]   # block A where tau's eigenbasis goes
         b = spectral_power(*psd_eigh(rho), 0.5).reshape(len(rho), front, -1, back)
-        c = np.einsum("ifpb,pj,fbk->ikj", b, basis, weight[1].reshape(front, back, -1))
+        c = np.einsum("ifpb,pj,fbk->ikj", b, bases[-1], outer.reshape(front, back, -1))
+        c = c.reshape(len(rho), len(weight[0]), *(basis.shape[1] for basis in bases))
         tau, live_tau = np.where(weight[2], weight[0], 1.0), weight[2]
-        problem = cls(alpha, basis, c, np.where(live_tau, tau, 0.0),
+        problem = cls(alpha, bases, c, np.where(live_tau, tau, 0.0),
                       np.where(live_tau, tau ** ((1.0 - alpha) / alpha), 0.0))
-        return problem, np.diag(np.log(lam[live])).astype(complex)
+        return problem, [np.diag(np.log(lam[live])).astype(complex) for lam, _, live in eigs]
 
-    def at(self, log_sigma: np.ndarray) -> "_Point":
-        """The iterate exp(log_sigma) / tr, its spectrum clipped at FLOOR: in
-        the log chart an eigenvector of a vanishing eigenvalue stops turning."""
+    def at(self, log_sigmas) -> "_Point":
+        """The iterate exp(log sigma_k) / tr per block, spectra clipped at FLOOR:
+        in the log chart an eigenvector of a vanishing eigenvalue stops turning."""
         a = self.alpha
         s = (1.0 - a) / a
-        w, v = np.linalg.eigh(log_sigma)
-        logl = np.maximum(w - w.max() - math.log(np.sum(np.exp(w - w.max()))), math.log(FLOOR))
-        logl -= math.log(np.sum(np.exp(logl)))
-        cv = self.c @ v                          # sigma's eigenbasis on P
-        spec = self.tau[:, None] * np.exp(logl)
+        cv, spec, eigs = self.c, self.tau, []
+        for axis, log_sigma in enumerate(log_sigmas, start=2):
+            w, v = np.linalg.eigh(log_sigma)
+            logl = np.maximum(w - w.max() - math.log(np.sum(np.exp(w - w.max()))), math.log(FLOOR))
+            logl -= math.log(np.sum(np.exp(logl)))
+            cv = (cv.swapaxes(axis, -1) @ v).swapaxes(axis, -1)   # sigma_k's eigenbasis
+            spec = spec[..., None] * np.exp(logl)
+            eigs.append((v, logl))
         keep = spec > EIG_CUTOFF * spec.max()
         k = (cv * np.where(keep, np.where(keep, spec, 1.0) ** (0.5 * s), 0.0)).reshape(len(cv), -1)
         lam, vy, live = psd_eigh(k @ dagger(k))  # Y
         ratio = np.where(live, lam / lam[-1], 1.0)
-        g = dagger(vy) @ cv.reshape(len(cv), -1)
-        weights = np.outer(np.where(live, ratio ** (a - 1.0), 0.0), self.tau_s).reshape(-1, 1)
-        g = g.reshape(-1, len(logl))
-        # M in sigma's eigenbasis, scaled so that tr(sigma grad Q) / Q = 1 - alpha
-        m = dagger(g * weights) @ g
-        m /= np.sum(np.diag(m).real * np.exp(s * logl))
-        return _Point(v, logl, float(_renyi_log_trace(lam, live, a)), m, a)
+        g = (dagger(vy) @ cv.reshape(len(cv), -1)).reshape(cv.shape)
+        factors = [np.where(live, ratio ** (a - 1.0), 0.0), self.tau_s] + [np.exp(s * x) for _, x in eigs]
+        blocks = []
+        for axis, (v, logl) in enumerate(eigs, start=2):
+            # M_k in sigma_k's eigenbasis, scaled so that tr(sigma_k grad Q) / Q = 1 - alpha
+            weights = functools.reduce(np.multiply.outer, factors[:axis] + factors[axis + 1:])
+            gk = g.swapaxes(axis, -1).reshape(-1, len(logl))
+            m = dagger(gk * weights.reshape(-1, 1)) @ gk
+            blocks.append((v, logl, m / np.sum(np.diag(m).real * factors[axis])))
+        return _Point(blocks, float(_renyi_log_trace(lam, live, a)), a)
 
 
 @dataclass
 class _Point:
-    """One iterate: sigma = vecs diag(exp(logl)) vecs^dagger in the support
-    basis, its value in bits and the scaled M in sigma's eigenbasis."""
+    """One iterate and its value in bits: per block (vecs, logl, m), sigma_k =
+    vecs diag(exp(logl)) vecs^dagger in its support basis and the scaled M_k
+    in sigma_k's eigenbasis."""
 
-    vecs: np.ndarray
-    logl: np.ndarray
+    blocks: list
     value: float
-    m: np.ndarray
     alpha: float
 
     @property
-    def log_sigma(self) -> np.ndarray:
-        return (self.vecs * self.logl) @ dagger(self.vecs)
+    def log_sigma(self) -> list:
+        return [(v * logl) @ dagger(v) for v, logl, _ in self.blocks]
 
     @property
     def rounding(self) -> float:
@@ -358,32 +372,40 @@ class _Point:
         carries an error of about FP_FTOL max(1, |log2 Q|) / |alpha - 1|."""
         return FP_FTOL * max(1.0, abs(self.value), 1.0 / abs(self.alpha - 1.0))
 
-    def step(self) -> np.ndarray:
-        """log M - k log sigma, k = (2 alpha - 1)/alpha: a multiple of the
-        identity exactly at a fixed point sigma = M**(1/k) / tr."""
-        w, u = np.linalg.eigh(self.m)
-        u = self.vecs @ u
-        log_m = (u * np.log(np.maximum(w, w[-1] * 1e-300))) @ dagger(u)
-        return log_m - (2.0 - 1.0 / self.alpha) * self.log_sigma
+    def step(self) -> list:
+        """log M_k - k log sigma_k per block, k = (2 alpha - 1)/alpha: a multiple
+        of the identity exactly at a fixed point sigma_k = M_k**(1/k) / tr."""
+        steps = []
+        for (vecs, _, m), log_sigma in zip(self.blocks, self.log_sigma):
+            w, u = np.linalg.eigh(m)
+            u = vecs @ u
+            log_m = (u * np.log(np.maximum(w, w[-1] * 1e-300))) @ dagger(u)
+            steps.append(log_m - (2.0 - 1.0 / self.alpha) * log_sigma)
+        return steps
 
     def gap(self) -> float:
-        """Frank-Wolfe bound, in bits, on how far the value lies above the optimum.
+        """The larger per-block Frank-Wolfe bound, in bits, on how far the value
+        lies above the optimum over that block with the others held fixed.
 
-        Q is convex in sigma for alpha > 1 and concave for 1/2 <= alpha < 1
-        (Frank-Lieb, arXiv:1306.5358), so Q(sigma) - Q* <= tr(sigma grad Q)
+        Q is convex in sigma_k for alpha > 1 and concave for 1/2 <= alpha < 1
+        (Frank-Lieb, arXiv:1306.5358), so Q(sigma_k) - Q* <= tr(sigma_k grad Q)
         - lambda_min(grad Q) when minimised, and the mirror image when
-        maximised.  grad Q comes from M through the Daleckii-Krein divided
-        differences of x**s on sigma's spectrum.
+        maximised.  grad Q comes from M_k through the Daleckii-Krein divided
+        differences of x**s on sigma_k's spectrum.  The set of products is not
+        convex, so with two blocks this certifies no global optimum.
         """
         a = self.alpha
         s = (1.0 - a) / a
-        u = self.logl[:, None] - self.logl[None, :]
-        safe = np.where(u == 0.0, 1.0, u)
-        slope = np.where(u == 0.0, s, np.expm1(s * safe) / np.expm1(safe))
-        grad = a * np.exp((s - 1.0) * self.logl)[None, :] * slope * self.m
-        h = np.linalg.eigvalsh(grad)
-        t = float(np.sum(np.diag(grad).real * np.exp(self.logl)))
-        x = max(t - h[0] if a > 1.0 else h[-1] - t, 0.0)
+        xs = []
+        for _, logl, m in self.blocks:
+            u = logl[:, None] - logl[None, :]
+            safe = np.where(u == 0.0, 1.0, u)
+            slope = np.where(u == 0.0, s, np.expm1(s * safe) / np.expm1(safe))
+            grad = a * np.exp((s - 1.0) * logl)[None, :] * slope * m
+            h = np.linalg.eigvalsh(grad)
+            t = float(np.sum(np.diag(grad).real * np.exp(logl)))
+            xs.append(t - h[0] if a > 1.0 else h[-1] - t)
+        x = max(max(xs), 0.0)
         if a > 1.0:
             return math.inf if x >= 1.0 else -math.log1p(-x) / ((a - 1.0) * math.log(2.0))
         return math.log1p(x) / ((1.0 - a) * math.log(2.0))
@@ -393,17 +415,18 @@ def _traceless(h: np.ndarray) -> np.ndarray:
     return h - np.trace(h).real / len(h) * np.eye(len(h))
 
 
-def _fixed_point_iterates(problem: _FixedPoint, start: np.ndarray):
-    """The accepted iterates of the damped fixed point from log sigma = `start`;
-    the value never rises.
+def _fixed_point_iterates(problem: _FixedPoint, start):
+    """The accepted iterates of the damped fixed point from log sigma_k =
+    `start[k]`; the value never rises.
 
-    Each step is log sigma + eta (log M - k log sigma).  eta is halved until
-    the value does not rise.  After a success the next eta is the secant
-    estimate that zeroes the new direction along the last one, within
-    [eta/4, 2 eta] and capped at 1/k (the plain fixed point) or FP_ETA_CAP,
-    which covers k = 0 at alpha = 1/2.  A step whose value rises by no more
-    than rounding yields the point again.  The sequence ends when no eta
-    above FP_ETA_MIN keeps the value from rising.
+    Each step is log sigma_k + eta (log M_k - k log sigma_k), one eta for all
+    blocks, halved until the value does not rise.  After a success the next
+    eta is the secant estimate that zeroes the new direction (the blocks'
+    traceless parts together) along the last one, within [eta/4, 2 eta] and
+    capped at 1/k (the plain fixed point) or FP_ETA_CAP, which covers k = 0
+    at alpha = 1/2.  A step whose value rises by no more than rounding yields
+    the point again.  The sequence ends when no eta above FP_ETA_MIN keeps the
+    value from rising.
     """
     point = problem.at(start)
     cap = min(1.0 / max(2.0 - 1.0 / problem.alpha, 1e-300), FP_ETA_CAP)
@@ -411,14 +434,14 @@ def _fixed_point_iterates(problem: _FixedPoint, start: np.ndarray):
     while True:
         yield point
         direction = point.step()
+        tangent = [_traceless(d) for d in direction]
         if last is not None:
-            d0, d1 = _traceless(last), _traceless(direction)
-            den = np.vdot(d0, d0 - d1).real
-            guess = eta * np.vdot(d0, d0).real / den if den > 0.0 else 2.0 * eta
+            den = sum(np.vdot(d0, d0 - d1).real for d0, d1 in zip(last, tangent))
+            guess = eta * sum(np.vdot(d0, d0).real for d0 in last) / den if den > 0.0 else 2.0 * eta
             eta = min(max(guess, eta / 4.0), 2.0 * eta, cap)
         base = point.log_sigma
         while True:
-            trial = problem.at(base + eta * direction)
+            trial = problem.at([x + eta * d for x, d in zip(base, direction)])
             if trial.value <= point.value:
                 break
             if trial.value - point.value <= point.rounding:
@@ -427,18 +450,21 @@ def _fixed_point_iterates(problem: _FixedPoint, start: np.ndarray):
             eta /= 2.0
             if eta < FP_ETA_MIN:
                 return
-        point, last = trial, direction
+        point, last = trial, tangent
 
 
-def _solve_fixed_point(rho: np.ndarray, alpha: float, layout: SystemLayout, opt_positions,
+def _product_state(sigmas) -> DensityOperator:
+    return DensityOperator(functools.reduce(np.kron, sigmas), SystemLayout(tuple(len(x) for x in sigmas)))
+
+
+def _solve_fixed_point(rho: np.ndarray, alpha: float, layout: SystemLayout, blocks,
                        weight) -> OptimizerResult:
-    """Minimise D_alpha(rho || tau (x) sigma) over sigma at a finite order by the
-    damped stationarity fixed point, from sigma = rho_P.  `residual` is the
-    Frank-Wolfe bound on the distance from optimal; `stop` is "gradient" once
-    it is at most FP_GAP_TOL, "ftol" when an accepted step improved the value
-    by no more than rounding, "no_step" when no step kept the value from
-    rising."""
-    problem, start = _FixedPoint.build(rho, alpha, layout, opt_positions, weight)
+    """Minimise D_alpha(rho || tau (x) sigma_1 (x) ...) at a finite order by the
+    damped stationarity fixed point, from sigma_k = rho_k.  `residual` is the
+    larger per-block Frank-Wolfe bound; `stop` is "gradient" once it is at most
+    FP_GAP_TOL, "ftol" when an accepted step improved the value by no more
+    than rounding, "no_step" when no step kept the value from rising."""
+    problem, start = _FixedPoint.build(rho, alpha, layout, blocks, weight)
     stop, it, prev = "no_step", 0, math.inf
     for point in _fixed_point_iterates(problem, start):
         gap = point.gap()
@@ -454,10 +480,9 @@ def _solve_fixed_point(rho: np.ndarray, alpha: float, layout: SystemLayout, opt_
         break
     if stop == "max_iter" and gap > RESIDUAL_TOL:
         raise OptimizerDiverged(f"no convergence after {it} iterations (gap {gap:.2e} bits)")
-    basis = problem.basis @ point.vecs
-    sigma = (basis * np.exp(point.logl)) @ dagger(basis)
-    return OptimizerResult(DensityOperator(sigma, SystemLayout(sigma.shape[:1])), point.value, it,
-                           gap, stop)
+    bases = [basis @ v for basis, (v, _, _) in zip(problem.bases, point.blocks)]
+    sigmas = [(b * np.exp(logl)) @ dagger(b) for b, (_, logl, _) in zip(bases, point.blocks)]
+    return OptimizerResult(_product_state(sigmas), point.value, it, gap, stop)
 
 
 def _herm_basis(d: int) -> np.ndarray:
@@ -640,26 +665,26 @@ def _solve_min_entropy(rho: np.ndarray, layout: SystemLayout, opt_positions,
     return OptimizerResult(DensityOperator(sigma, SystemLayout((d,))), value, it, hi - lo, stop)
 
 
-def _optimize_weight(rho: np.ndarray, alpha: float, layout: SystemLayout, opt_positions,
+def _optimize_weight(rho: np.ndarray, alpha: float, layout: SystemLayout, blocks,
                      weight=None) -> OptimizerResult:
-    """Minimise D_alpha(rho || tau (x) sigma) over the density matrices sigma on
-    the contiguous block `opt_positions`; `weight` is the `psd_eigh` triple of
-    tau on the other subsystems, None for the identity.
+    """Minimise D_alpha(rho || tau (x) sigma_1 (x) ...) over density matrices
+    sigma_k on the contiguous `blocks` (lists of positions): one block, with
+    `weight` the `psd_eigh` triple of tau on the other subsystems (None for
+    the identity), or the blocks ([0], [1]) of a bipartite rho with no weight.
 
-    Inside the order-one window the optimum is the marginal rho_P, with no
-    iteration; alpha = inf solves the min-entropy programme; every other
-    order runs the fixed point.
+    Inside the order-one window the optimum is the product of the marginals;
+    alpha = inf solves the min-entropy programme (one block only); every
+    other order runs the fixed point over all blocks at once.
     """
-    opt_positions = sorted(opt_positions)
+    blocks = [sorted(p) for p in blocks]
     if math.isinf(alpha):
-        return _solve_min_entropy(rho, layout, opt_positions, weight)
+        return _solve_min_entropy(rho, layout, *blocks, weight)
     if abs(alpha - 1.0) > ALPHA_ONE_WINDOW:
-        return _solve_fixed_point(rho, alpha, layout, opt_positions, weight)
-    marginal = partial_trace(rho, layout, opt_positions)
-    weighted = _weight_times(layout, opt_positions, weight, marginal)
+        return _solve_fixed_point(rho, alpha, layout, blocks, weight)
+    marginals = [partial_trace(rho, layout, p) for p in blocks]
+    weighted = _weight_times(layout, sum(blocks, []), weight, functools.reduce(np.kron, marginals))
     value = _divergence_any_order(rho, weighted, alpha)
-    return OptimizerResult(DensityOperator(marginal, SystemLayout(marginal.shape[:1])), value, 0,
-                           0.0, STOPS[0])
+    return OptimizerResult(_product_state(marginals), value, 0, 0.0, STOPS[0])
 
 
 def cond_entropy_up(rho, alpha: float, dims=None) -> OptimizerResult:
@@ -674,7 +699,7 @@ def cond_entropy_up(rho, alpha: float, dims=None) -> OptimizerResult:
     layout = _layout_of(rho, dims)
     rho = _mat(rho)
     rest = list(range(1, len(layout.dims)))
-    res = _optimize_weight(rho, alpha, layout, rest)
+    res = _optimize_weight(rho, alpha, layout, [rest])
     return replace(res, value=-res.value)
 
 
@@ -694,10 +719,9 @@ def gen_mutual_info(rho, tau, alpha: float, dims=None, fixed: int = 0) -> Optimi
     overlapping, dominated = _support_flags(partial_trace(rho, layout, [fixed]),
                                             spectral_power(*weight, 0.0))
     if not overlapping or alpha >= 1.0 - ALPHA_ONE_WINDOW and not dominated:
-        other = partial_trace(rho, layout, [1 - fixed])
-        return OptimizerResult(DensityOperator(other, SystemLayout(other.shape[:1])), math.inf, 0,
-                               0.0, STOPS[0])
-    return _optimize_weight(rho, alpha, layout, [1 - fixed], weight)
+        return OptimizerResult(_product_state([partial_trace(rho, layout, [1 - fixed])]), math.inf,
+                               0, 0.0, STOPS[0])
+    return _optimize_weight(rho, alpha, layout, [[1 - fixed]], weight)
 
 
 def mutual_info_up(rho, alpha: float, dims=None) -> OptimizerResult:
@@ -707,25 +731,32 @@ def mutual_info_up(rho, alpha: float, dims=None) -> OptimizerResult:
 
 
 def mutual_info_down(rho, alpha: float, dims=None) -> OptimizerResult:
-    """Alternating minimisation over both marginal weights, at most
-    MI_DOWN_ROUNDS rounds, until a round improves less than MI_DOWN_TOL.
-    `stop` is the worst stop of its solves."""
+    """inf over sigma_A, sigma_B of D_alpha(rho || sigma_A (x) sigma_B).
+
+    At a finite order one fixed point updates both factors; its `residual`
+    bounds each block's distance from its optimum with the other held fixed
+    (no global certificate: products are not a convex set).  At alpha = inf
+    it alternates certified one-block solves until a round improves less than
+    MI_DOWN_TOL, and `stop` is "max_iter" if MI_DOWN_ROUNDS run out first.
+    """
     layout = _layout_of(rho, dims)
+    if len(layout.dims) != 2:
+        raise ValueError("mutual information is bipartite")
     rho = _mat(rho)
+    if not math.isinf(alpha):
+        return _optimize_weight(rho, alpha, layout, ([0], [1]))
     sig_a = partial_trace(rho, layout, [0])
-    value = math.inf
-    iterations = 0
-    stop = STOPS[0]
+    value, iterations, stop = math.inf, 0, STOPS[0]
     for _ in range(MI_DOWN_ROUNDS):
         res_b = gen_mutual_info(rho, sig_a, alpha, layout, fixed=0)
-        sig_b = res_b.optimum.mat
-        res_a = gen_mutual_info(rho, sig_b, alpha, layout, fixed=1)
-        sig_a = res_a.optimum.mat
+        res_a = gen_mutual_info(rho, res_b.optimum.mat, alpha, layout, fixed=1)
+        sig_a, sig_b = res_a.optimum.mat, res_b.optimum.mat
         iterations += res_a.iterations + res_b.iterations
         stop = max(stop, res_a.stop, res_b.stop, key=STOPS.index)
         residual = value - res_a.value
         value = min(value, res_a.value, res_b.value)
         if residual < MI_DOWN_TOL:
             break
-    return OptimizerResult(DensityOperator(np.kron(sig_a, sig_b), layout), value, iterations,
-                           max(residual, 0.0), stop)
+    else:
+        stop = "max_iter"
+    return OptimizerResult(_product_state([sig_a, sig_b]), value, iterations, max(residual, 0.0), stop)

@@ -205,6 +205,16 @@ def test_infinite_orders_stay_valid(capsys):
     assert "nan" not in capsys.readouterr().out
 
 
+def test_values_that_round_to_zero_print_without_a_sign(capsys):
+    # q_delta on dimension 1 and H_a of a pure state are 0 up to rounding
+    assert main(["bounds", "--pair", "mub:1"]) == 0
+    assert main(["state", BELL_FILE, "--orders", "0.3,0.49"]) == 0
+    assert main(["state", BELL_FILE, "--dims", "2,2", "--orders", "0.5,2"]) == 0
+    out = capsys.readouterr().out
+    assert "-0.0000" not in out
+    assert out.count(" 0.0000000000") == 11 + 2 + 2 and "Hdn(A|B) = -1.00000000" in out
+
+
 def _raise(exc):
     def fail(*args, **kwargs):
         raise exc

@@ -533,7 +533,18 @@ class TestOptimizer:
     def test_solves_say_why_they_stopped(self, monkeypatch):
         rho = random_density(4, 4, trial_rng(38, 2), dims=(2, 2))
         assert cond_entropy_up(rho, 2.0).stop in STOPS
-        # mutual_info_down keeps the worst stop of its alternating solves
+        # at a finite order I-down is one solve, which reports its own stop
+        fixed_point = entropies._solve_fixed_point
+        solves = []
+
+        def marked_once(*args):
+            solves.append(None)
+            return replace(fixed_point(*args), stop="no_step")
+
+        monkeypatch.setattr(entropies, "_solve_fixed_point", marked_once)
+        assert mutual_info_down(rho, 2.0).stop == "no_step" and len(solves) == 1
+        monkeypatch.undo()
+        # at alpha = inf mutual_info_down keeps the worst stop of its alternating solves
         solve = entropies.gen_mutual_info
         calls = []
 
@@ -543,7 +554,7 @@ class TestOptimizer:
             return res if len(calls) != 2 else replace(res, stop="no_step")
 
         monkeypatch.setattr(entropies, "gen_mutual_info", marked)
-        assert mutual_info_down(rho, 2.0).stop == "no_step"
+        assert mutual_info_down(rho, math.inf).stop == "no_step"
         assert len(calls) > 2
 
     def test_objective_receives_only_stacks(self):
@@ -652,7 +663,8 @@ class TestFixedPoint:
             for alpha in (0.5, 0.52, 0.7, 2.0, 10.0):
                 cond_entropy_up(rho, alpha)
                 mutual_info_down(rho, alpha)
-        assert len(runs) > 40 and max(len(r) for r in runs) > 5
+        # one run each: H-up, and I-down's joint solve over both blocks
+        assert len(runs) == 40 and max(len(r) for r in runs) > 5
         for values in runs:
             assert all(b <= a for a, b in zip(values, values[1:]))
 
@@ -671,6 +683,61 @@ class TestFixedPoint:
             assert res.iterations == 0
             assert np.allclose(res.optimum.mat, rho.marginal([1]).mat, atol=1e-14)
             assert res.value == pytest.approx(cond_entropy_down(rho, 1.0), abs=1e-12)
+            mi = mutual_info_down(rho, alpha)
+            marginals = np.kron(rho.marginal([0]).mat, rho.marginal([1]).mat)
+            assert mi.iterations == 0 and np.allclose(mi.optimum.mat, marginals, atol=1e-14)
+
+
+def alternating_mutual_info_down(rho, alpha, dims):
+    """Cold-start alternation over the two marginal weights: a round solves each
+    block with the other held fixed, until a round improves less than 1e-9."""
+    sig_a, value = partial_trace(rho, dims, [0]), math.inf
+    for _ in range(entropies.MI_DOWN_ROUNDS):
+        sig_b = gen_mutual_info(rho, sig_a, alpha, dims, fixed=0).optimum.mat
+        res = gen_mutual_info(rho, sig_b, alpha, dims, fixed=1)
+        sig_a, done = res.optimum.mat, value - res.value < 1e-9
+        value = min(value, res.value)
+        if done:
+            break
+    return value
+
+
+class TestJointMutualInfoDown:
+    """I-down at finite orders: one fixed point over sigma_A (x) sigma_B."""
+
+    @pytest.mark.parametrize("i, bound", [(9, 0.6106267), (27, 0.2678884)])
+    def test_order_one_half_reaches_below_the_alternating_stall(self, i, bound):
+        # cold-start alternation stopped at 0.64992 and 0.27959 bits on these rank-2 states
+        rho = sweep_style_state(95, i, (2, 2))
+        res = mutual_info_down(rho, 0.5)
+        assert res.value <= bound + 1e-9
+        assert res.value == pytest.approx(sandwiched_divergence(rho, res.optimum.mat, 0.5), abs=1e-12)
+
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2)])
+    def test_never_above_alternation_and_no_block_improves(self, dims):
+        d = math.prod(dims)
+        for rank in range(1, d + 1):
+            rho = random_density(d, rank, trial_rng(96, 10 * d + rank + dims[0]), dims=dims).mat
+            for alpha in (0.5, 0.52, 0.75, 1.5, 2.5, 4.0, 12.0):
+                res = mutual_info_down(rho, alpha, dims)
+                assert res.value <= alternating_mutual_info_down(rho, alpha, dims) + 1e-9, (rank, alpha)
+                # re-solving either block with the other held fixed finds nothing lower
+                for fixed in (0, 1):
+                    other = partial_trace(res.optimum.mat, dims, [fixed])
+                    again = gen_mutual_info(rho, other, alpha, dims, fixed=fixed).value
+                    assert again >= res.value - 1e-9, (rank, alpha, fixed)
+
+    @pytest.mark.parametrize("alpha", (0.5, 0.75, 2.0, 12.0, math.inf))
+    def test_product_states_with_rank_deficient_factors(self, alpha):
+        rng = trial_rng(97, 0)
+        for da, db, ra, rb in ((2, 2, 1, 1), (2, 3, 1, 2), (3, 2, 2, 1), (3, 3, 2, 2), (2, 4, 2, 3)):
+            rho = np.kron(random_density(da, ra, rng).mat, random_density(db, rb, rng).mat)
+            assert mutual_info_down(rho, alpha, (da, db)).value == pytest.approx(0.0, abs=1e-10)
+
+    def test_alternation_at_infinity_says_when_its_rounds_ran_out(self):
+        # the last of the MI_DOWN_ROUNDS rounds still lowers I-down_inf by about 6e-5 bits
+        res = mutual_info_down(sweep_style_state(8, 9, (2, 2)), math.inf)
+        assert res.stop == "max_iter" and res.residual > entropies.MI_DOWN_TOL
 
 
 ONE_WINDOW_QUANTITIES = {
