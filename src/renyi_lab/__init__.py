@@ -48,9 +48,7 @@ from .orders import (
     conjugates,
     hatconj,
     hconj,
-    ier_condition,
     make_triple,
-    noncond_condition,
     sample_triple,
     sdg_condition,
     solve_beta,

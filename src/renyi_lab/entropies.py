@@ -23,6 +23,11 @@ with no iteration.  Either way the value reported is the divergence at the
 state returned, and the residual is a bound, in bits, on its distance from
 the optimum: a Frank-Wolfe bound for the fixed point (for I-down per factor,
 the other held fixed), the width of a primal-dual certificate for the programme.
+
+A measured I(X:B), X being A measured in a basis, is solved through its
+classical register (`measured_mutual_info`): the weight on X has a closed
+form, so I_alpha(X:B) against a fixed weight needs no iteration and
+I-down(X:B) is the fixed point over sigma_B alone, the sectors x its stack.
 """
 
 from __future__ import annotations
@@ -45,12 +50,13 @@ from .linalg import (
     frac_power,
     partial_trace,
     psd_eigh,
+    psd_eigh_blocks,
     psd_eigvalsh,
     schatten_norm,
     spectral_power,
     support_projector,
 )
-from .states import DensityOperator, Pmf
+from .states import DensityOperator, Pmf, measure
 
 SUPPORT_TOL = 1e-9
 ALPHA_ONE_WINDOW = 1e-6
@@ -281,6 +287,24 @@ def _weight_times(layout: SystemLayout, positions, weight, sigma: np.ndarray) ->
     return np.einsum("fbgc,pq->fpbgqc", tau, sigma).reshape(n, n)
 
 
+def _sector_values(lam: np.ndarray, live: np.ndarray, alpha: float):
+    """From the spectra (k, d) of sector blocks Y_x, cut as one matrix: the
+    extremum over weights q of (1/(alpha-1)) log2 sum_x q_x**(1-alpha) tr
+    Y_x**alpha, which is (alpha/(alpha-1)) log2 sum_x (tr Y_x**alpha)**(1/alpha)
+    at q_x ~ (tr Y_x**alpha)**(1/alpha); each eigenvalue over the largest and
+    over its q_x; and q, 0 on an empty sector.  One sector is q = (1)."""
+    top = max(lam[:, -1].max(), 1e-300)
+    ratio = np.where(live, lam / top, 1.0)
+    tr = np.where(live, ratio ** alpha, 0.0).sum(axis=-1)   # tr Y_x**alpha / top**alpha
+    if len(tr) == 1:
+        return (alpha * np.log2(top) + np.log2(tr[0])) / (alpha - 1.0), ratio, np.ones(1)
+    peak = tr.max()
+    q = (tr / peak) ** (1.0 / alpha)
+    value = (alpha * np.log2(top) + np.log2(peak) + alpha * np.log2(q.sum())) / (alpha - 1.0)
+    # q_x**(1-alpha) Y_x**(alpha-1) = (Y_x / q_x)**(alpha-1), up to one factor
+    return value, ratio / np.where(q > 0.0, q, 1.0)[:, None], q / q.sum()
+
+
 @dataclass
 class _FixedPoint:
     """(sigma_1, ...) |-> D_alpha(rho || tau (x) sigma_1 (x) ...) at a finite
@@ -289,11 +313,15 @@ class _FixedPoint:
     rho against no weight.  Pinching a block onto supp rho_k and
     renormalising never raises the divergence, so every minimiser lives there.
 
-    With Q = tr Y**alpha and Y = rho^(1/2) (tau (x) sigma_1 (x) ...)**s rho^(1/2),
-    s = (1 - alpha)/alpha, one eigendecomposition of Y gives the value
-    (1/(alpha - 1)) log2 Q and, with Z = rho^(1/2) Y**(alpha-1) rho^(1/2), each
-    M_k = tr_(not k)[(tau**s (x) sigma_j**s, j != k) Z], the factor of
-    dQ = alpha tr[M_k d(sigma_k**s)].  The weight's spectrum is the product of
+    rho comes as the stack of its sectors rho~_x, rho = sum_x |x><x| (x) rho~_x
+    on a classical register whose weight diag(q) takes its closed form at each
+    iterate (`_sector_values`); a state without a register is one sector.
+    With Q = sum_x tr Y_x**alpha and Y_x = rho~_x^(1/2) (q_x tau (x) sigma_1
+    (x) ...)**s rho~_x^(1/2), s = (1 - alpha)/alpha, one stacked
+    eigendecomposition gives the value (1/(alpha - 1)) log2 Q and, with Z_x =
+    rho~_x^(1/2) Y_x**(alpha-1) rho~_x^(1/2), each M_k = sum_x q_x**s
+    tr_(not k)[(tau**s (x) sigma_j**s, j != k) Z_x], the factor of dQ =
+    alpha tr[M_k d(sigma_k**s)].  The weight's spectrum is the product of
     the factors', cut as `linalg` cuts every spectrum, so the value is
     `sandwiched_divergence` at the returned product.  Points are log sigma_k
     in the eigenbasis `bases[k]` of rho_k on its support.
@@ -301,23 +329,25 @@ class _FixedPoint:
 
     alpha: float
     bases: list         # per block (d_k, r_k): the support eigenvectors of rho_k
-    c: np.ndarray       # rho^(1/2) (tau's eigenbasis (x) bases), indexed (row, rest, r_1, ...)
+    c: np.ndarray       # rho~^(1/2) (tau's eigenbasis (x) bases), indexed (sector, row, rest, r_1, ...)
     tau: np.ndarray     # tau's spectrum on the rest, 0 off its support ([1] for two blocks)
     tau_s: np.ndarray   # the same to the power s
 
     @classmethod
     def build(cls, rho: np.ndarray, alpha: float, layout: SystemLayout, blocks, weight):
-        """The problem, and log sigma_k of the first iterate sigma_k = rho_k in `bases[k]`."""
-        eigs = [psd_eigh(partial_trace(rho, layout, p)) for p in blocks]
+        """The problem on the (k, n, n) stack of sectors rho, and log sigma_k of
+        the first iterate sigma_k = rho_k in `bases[k]`."""
+        marginal = rho.sum(axis=0)
+        eigs = [psd_eigh(partial_trace(marginal, layout, p)) for p in blocks]
         bases = [vecs[:, live] for _, vecs, live in eigs]
-        front, _, back = _block_sizes(layout, blocks[-1])
+        front, d, back = _block_sizes(layout, blocks[-1])
         if weight is None:      # the identity on the rest, which two blocks leave empty
             n = front * back if len(blocks) == 1 else 1
             weight = (np.ones(n), np.eye(n), np.ones(n, dtype=bool))
         outer = weight[1] if len(blocks) == 1 else bases[0]   # block A where tau's eigenbasis goes
-        b = spectral_power(*psd_eigh(rho), 0.5).reshape(len(rho), front, -1, back)
+        b = spectral_power(*psd_eigh_blocks(rho), 0.5).reshape(-1, front, d, back)
         c = np.einsum("ifpb,pj,fbk->ikj", b, bases[-1], outer.reshape(front, back, -1))
-        c = c.reshape(len(rho), len(weight[0]), *(basis.shape[1] for basis in bases))
+        c = c.reshape(*rho.shape[:2], len(weight[0]), *(basis.shape[1] for basis in bases))
         tau, live_tau = np.where(weight[2], weight[0], 1.0), weight[2]
         problem = cls(alpha, bases, c, np.where(live_tau, tau, 0.0),
                       np.where(live_tau, tau ** ((1.0 - alpha) / alpha), 0.0))
@@ -329,27 +359,28 @@ class _FixedPoint:
         a = self.alpha
         s = (1.0 - a) / a
         cv, spec, eigs = self.c, self.tau, []
-        for axis, log_sigma in enumerate(log_sigmas, start=2):
+        for axis, log_sigma in enumerate(log_sigmas, start=3):
             w, v = np.linalg.eigh(log_sigma)
-            logl = np.maximum(w - w.max() - math.log(np.sum(np.exp(w - w.max()))), math.log(FLOOR))
-            logl -= math.log(np.sum(np.exp(logl)))
+            w = w - w.max()
+            logl = np.maximum(w - math.log(np.exp(w).sum()), math.log(FLOOR))
+            logl -= math.log(np.exp(logl).sum())
             cv = (cv.swapaxes(axis, -1) @ v).swapaxes(axis, -1)   # sigma_k's eigenbasis
             spec = spec[..., None] * np.exp(logl)
             eigs.append((v, logl))
         keep = spec > EIG_CUTOFF * spec.max()
-        k = (cv * np.where(keep, np.where(keep, spec, 1.0) ** (0.5 * s), 0.0)).reshape(len(cv), -1)
-        lam, vy, live = psd_eigh(k @ dagger(k))  # Y
-        ratio = np.where(live, lam / lam[-1], 1.0)
-        g = (dagger(vy) @ cv.reshape(len(cv), -1)).reshape(cv.shape)
+        k = (cv * np.where(keep, np.where(keep, spec, 1.0) ** (0.5 * s), 0.0)).reshape(*cv.shape[:2], -1)
+        lam, vy, live = psd_eigh_blocks(k @ k.conj().swapaxes(1, 2))   # the Y_x
+        value, ratio, _ = _sector_values(lam, live, a)
+        g = (vy.conj().swapaxes(1, 2) @ cv.reshape(k.shape[:2] + (-1,))).reshape(cv.shape)
         factors = [np.where(live, ratio ** (a - 1.0), 0.0), self.tau_s] + [np.exp(s * x) for _, x in eigs]
         blocks = []
         for axis, (v, logl) in enumerate(eigs, start=2):
             # M_k in sigma_k's eigenbasis, scaled so that tr(sigma_k grad Q) / Q = 1 - alpha
             weights = functools.reduce(np.multiply.outer, factors[:axis] + factors[axis + 1:])
-            gk = g.swapaxes(axis, -1).reshape(-1, len(logl))
+            gk = g.swapaxes(axis + 1, -1).reshape(-1, len(logl))
             m = dagger(gk * weights.reshape(-1, 1)) @ gk
-            blocks.append((v, logl, m / np.sum(np.diag(m).real * factors[axis])))
-        return _Point(blocks, float(_renyi_log_trace(lam, live, a)), a)
+            blocks.append((v, logl, m / (np.diag(m).real * factors[axis]).sum()))
+        return _Point(blocks, float(value), a)
 
 
 @dataclass
@@ -362,7 +393,7 @@ class _Point:
     value: float
     alpha: float
 
-    @property
+    @functools.cached_property
     def log_sigma(self) -> list:
         return [(v * logl) @ dagger(v) for v, logl, _ in self.blocks]
 
@@ -403,16 +434,12 @@ class _Point:
             slope = np.where(u == 0.0, s, np.expm1(s * safe) / np.expm1(safe))
             grad = a * np.exp((s - 1.0) * logl)[None, :] * slope * m
             h = np.linalg.eigvalsh(grad)
-            t = float(np.sum(np.diag(grad).real * np.exp(logl)))
+            t = float((np.diag(grad).real * np.exp(logl)).sum())
             xs.append(t - h[0] if a > 1.0 else h[-1] - t)
         x = max(max(xs), 0.0)
         if a > 1.0:
             return math.inf if x >= 1.0 else -math.log1p(-x) / ((a - 1.0) * math.log(2.0))
         return math.log1p(x) / ((1.0 - a) * math.log(2.0))
-
-
-def _traceless(h: np.ndarray) -> np.ndarray:
-    return h - np.trace(h).real / len(h) * np.eye(len(h))
 
 
 def _fixed_point_iterates(problem: _FixedPoint, start):
@@ -434,7 +461,7 @@ def _fixed_point_iterates(problem: _FixedPoint, start):
     while True:
         yield point
         direction = point.step()
-        tangent = [_traceless(d) for d in direction]
+        tangent = [d - np.trace(d).real / len(d) * np.eye(len(d)) for d in direction]
         if last is not None:
             den = sum(np.vdot(d0, d0 - d1).real for d0, d1 in zip(last, tangent))
             guess = eta * sum(np.vdot(d0, d0).real for d0 in last) / den if den > 0.0 else 2.0 * eta
@@ -457,14 +484,14 @@ def _product_state(sigmas) -> DensityOperator:
     return DensityOperator(functools.reduce(np.kron, sigmas), SystemLayout(tuple(len(x) for x in sigmas)))
 
 
-def _solve_fixed_point(rho: np.ndarray, alpha: float, layout: SystemLayout, blocks,
-                       weight) -> OptimizerResult:
+def _solve_fixed_point(problem: _FixedPoint, start) -> OptimizerResult:
     """Minimise D_alpha(rho || tau (x) sigma_1 (x) ...) at a finite order by the
-    damped stationarity fixed point, from sigma_k = rho_k.  `residual` is the
-    larger per-block Frank-Wolfe bound; `stop` is "gradient" once it is at most
-    FP_GAP_TOL, "ftol" when an accepted step improved the value by no more
-    than rounding, "no_step" when no step kept the value from rising."""
-    problem, start = _FixedPoint.build(rho, alpha, layout, blocks, weight)
+    damped stationarity fixed point, from `start`, which `_FixedPoint.build`
+    sets to sigma_k = rho_k.  The optimum is the product of the sigma_k.
+    `residual` is the larger per-block Frank-Wolfe bound; `stop` is "gradient"
+    once it is at most FP_GAP_TOL, "ftol" when an accepted step improved the
+    value by no more than rounding, "no_step" when no step kept the value from
+    rising."""
     stop, it, prev = "no_step", 0, math.inf
     for point in _fixed_point_iterates(problem, start):
         gap = point.gap()
@@ -671,6 +698,8 @@ def _optimize_weight(rho: np.ndarray, alpha: float, layout: SystemLayout, blocks
     sigma_k on the contiguous `blocks` (lists of positions): one block, with
     `weight` the `psd_eigh` triple of tau on the other subsystems (None for
     the identity), or the blocks ([0], [1]) of a bipartite rho with no weight.
+    At a finite order rho may also be the (k, n, n) stack of the sectors of a
+    cq state, whose register weight takes its closed form (`_FixedPoint`).
 
     Inside the order-one window the optimum is the product of the marginals;
     alpha = inf solves the min-entropy programme (one block only); every
@@ -680,7 +709,8 @@ def _optimize_weight(rho: np.ndarray, alpha: float, layout: SystemLayout, blocks
     if math.isinf(alpha):
         return _solve_min_entropy(rho, layout, *blocks, weight)
     if abs(alpha - 1.0) > ALPHA_ONE_WINDOW:
-        return _solve_fixed_point(rho, alpha, layout, blocks, weight)
+        sectors = rho.reshape(-1, *rho.shape[-2:])
+        return _solve_fixed_point(*_FixedPoint.build(sectors, alpha, layout, blocks, weight))
     marginals = [partial_trace(rho, layout, p) for p in blocks]
     weighted = _weight_times(layout, sum(blocks, []), weight, functools.reduce(np.kron, marginals))
     value = _divergence_any_order(rho, weighted, alpha)
@@ -703,6 +733,14 @@ def cond_entropy_up(rho, alpha: float, dims=None) -> OptimizerResult:
     return replace(res, value=-res.value)
 
 
+def _misses_weight(part: np.ndarray, weight, alpha: float) -> bool:
+    """Whether I_alpha against the weight tau (its `psd_eigh` triple) is +inf:
+    `part`, the marginal of rho that tau weighs, misses supp tau, or leaves it
+    from alpha = 1 - 1e-6 up."""
+    overlapping, dominated = _support_flags(part, spectral_power(*weight, 0.0))
+    return not overlapping or alpha >= 1.0 - ALPHA_ONE_WINDOW and not dominated
+
+
 def gen_mutual_info(rho, tau, alpha: float, dims=None, fixed: int = 0) -> OptimizerResult:
     """I_alpha(rho || tau) = inf over sigma of D_alpha(rho || tau (x) sigma).
 
@@ -716,9 +754,7 @@ def gen_mutual_info(rho, tau, alpha: float, dims=None, fixed: int = 0) -> Optimi
         raise ValueError("generalised mutual information is bipartite")
     rho, tau = _mat(rho), _mat(tau)
     weight = psd_eigh(tau)
-    overlapping, dominated = _support_flags(partial_trace(rho, layout, [fixed]),
-                                            spectral_power(*weight, 0.0))
-    if not overlapping or alpha >= 1.0 - ALPHA_ONE_WINDOW and not dominated:
+    if _misses_weight(partial_trace(rho, layout, [fixed]), weight, alpha):
         return OptimizerResult(_product_state([partial_trace(rho, layout, [1 - fixed])]), math.inf,
                                0, 0.0, STOPS[0])
     return _optimize_weight(rho, alpha, layout, [[1 - fixed]], weight)
@@ -760,3 +796,49 @@ def mutual_info_down(rho, alpha: float, dims=None) -> OptimizerResult:
     else:
         stop = "max_iter"
     return OptimizerResult(_product_state([sig_a, sig_b]), value, iterations, max(residual, 0.0), stop)
+
+
+def _register_weights(sectors: np.ndarray, weight, alpha: float):
+    """The optimal register weight q against tau (its `psd_eigh` triple),
+    q_x ~ Q_x**(1/alpha) with Q_x = tr(tau**c rho~_x tau**c)**alpha, and the
+    divergence at diag(q) (x) tau, its spectrum cut as `sandwiched_divergence`
+    cuts it (in exact arithmetic (alpha/(alpha-1)) log2 sum_x Q_x**(1/alpha))."""
+    c = _sandwich_exponent(alpha)
+    lam, _ = congruence_eigvalsh(spectral_power(*weight, c), sectors)
+    _, _, q = _sector_values(lam, lam > EIG_CUTOFF * lam[:, -1].max(), alpha)
+    spec, u, live = weight
+    prod = q[:, None] * np.where(live, spec, 0.0)
+    keep = prod > EIG_CUTOFF * prod.max()
+    w = (u * np.where(keep, np.where(keep, prod, 1.0) ** c, 0.0)[:, None, :]) @ dagger(u)
+    lam = np.sort(congruence_eigvalsh(w, sectors)[0], axis=None)
+    return float(_renyi_log_trace(lam, lam > EIG_CUTOFF * lam[-1], alpha)), q
+
+
+def measured_mutual_info(rho: DensityOperator, basis, alpha: float, tau=None) -> OptimizerResult:
+    """I(X:B) of X, A of a bipartite rho measured in `basis` (the state
+    `measure(rho, basis, 0)`): I-down_alpha(X:B) when tau is None, else
+    I_alpha(X:B) against tau on B, optimised over sigma_X.
+
+    The measured state is sum_x |x><x| (x) rho~_x in the basis, with rho~_x =
+    (<x| (x) 1) rho (|x> (x) 1), and a sigma_X = diag(q) there loses nothing.
+    The optimal q_x ~ Q_x**(1/alpha), Q_x = tr(sigma_B**c rho~_x sigma_B**c)**alpha,
+    gives I_alpha in closed form (0 iterations, residual 0) and makes I-down
+    a fixed point over sigma_B alone, residual sigma_B's Frank-Wolfe bound.
+    At alpha = inf, inside the order-one window and when rho misses supp tau,
+    `mutual_info_down` and `gen_mutual_info` answer on the measured state.
+    """
+    da, db = rho.layout.dims
+    v = basis.vectors
+    sectors = np.einsum("ix,iajb,jx->xab", v.conj(), rho.mat.reshape(da, db, da, db), v)
+    dense = math.isinf(alpha) or abs(alpha - 1.0) <= ALPHA_ONE_WINDOW
+    if tau is None:
+        if dense:
+            return mutual_info_down(measure(rho, basis, 0), alpha)
+        res = _optimize_weight(sectors, alpha, SystemLayout((db,)), [[0]])
+        value, q = _register_weights(sectors, psd_eigh(res.optimum.mat), alpha)
+        return replace(res, value=value, optimum=_product_state([(v * q) @ dagger(v), res.optimum.mat]))
+    weight = psd_eigh(_mat(tau))
+    if dense or _misses_weight(sectors.sum(axis=0), weight, alpha):
+        return gen_mutual_info(measure(rho, basis, 0), tau, alpha, fixed=1)
+    value, q = _register_weights(sectors, weight, alpha)
+    return OptimizerResult(_product_state([(v * q) @ dagger(v)]), value, 0, 0.0, STOPS[0])

@@ -112,6 +112,17 @@ def psd_eigh(h: np.ndarray):
     return lam, v, live
 
 
+def psd_eigh_blocks(h: np.ndarray):
+    """`psd_eigh` of the block-diagonal matrix whose blocks are the (k, d, d)
+    stack h, block by block: one clamp band and one support cutoff, both set
+    by the largest eigenvalue over all blocks, so a block of rounding noise
+    has no support.  For k = 1 it is `psd_eigh` of the one block."""
+    lam, v = np.linalg.eigh(h)
+    top = lam[:, -1].max()
+    lam, _ = _psd_policy(lam, top)
+    return lam, v, lam > EIG_CUTOFF * top
+
+
 def congruence_eigvalsh(w: np.ndarray, rho: np.ndarray):
     """`psd_eigvalsh` of w rho w^dagger for a matrix or stack w and a rho
     already checked PSD.

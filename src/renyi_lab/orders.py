@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 SURFACE_TOL = 1e-10
-NEAR_ONE = 1e-4  # samplers keep every order at least this far from 1
+NEAR_ONE = 1e-4  # sample_triple and noncond_orders keep every order this far from 1
 
 FORWARD = "forward"   # 1/beta + 1/gamma <= 2
 REVERSE = "reverse"   # 1/beta + 1/gamma >= 2
@@ -225,22 +225,6 @@ def sample_triple(rng: np.random.Generator, tag: str) -> RenyiTriple:
     raise RuntimeError(f"could not sample a triple for {tag}")
 
 
-def noncond_condition(a: float, b: float, g: float, d: float) -> float:
-    """Residual of the four-order compatibility used by the unconditioned
-    mutual-information comparison.
-
-    The intermediate order tying the two two-step derivations is
-    t = (2ba - b - a)/(ba - 1); the condition states solve_beta(d, g) = t.
-    """
-    den1 = b * a - 1.0
-    den2 = d * g - 2.0 * g + 1.0
-    if abs(den1) <= 1e-12 or abs(den2) <= 1e-12:
-        return math.inf
-    t1 = (2.0 * b * a - b - a) / den1
-    t2 = (d - g) / den2
-    return abs(t1 - t2)
-
-
 def noncond_orders(rng: np.random.Generator, direction: str):
     """Sample (alpha, beta, gamma, delta) for the unconditioned comparison."""
     for _ in range(1000):
@@ -282,22 +266,3 @@ def sdg_condition(a: float, b: float, g: float, d: float):
     ok = (recip(d) <= m + 1e-12) and (m <= recip(g) + 1e-12)
     ok = ok and a >= 0.5 and g >= 0.5 and b > 0.5
     return mu, ok
-
-
-def ier_condition(a: float, b: float, g: float, symmetric: bool = False) -> bool:
-    """Admissibility for the improved information-exclusion relations."""
-    if not (a >= 0.5 and g >= 0.5 and 0.5 <= b <= 2.0):
-        return False
-    if not symmetric:
-        if b == 2.0:
-            return False
-        try:
-            mu = solve_beta(a, g)
-        except Degenerate:
-            return False
-        return (not math.isinf(mu)) and abs(mu - 1.0 / (2.0 - b)) <= 1e-9 and b * g <= 1.0 + 1e-12
-    if g > 2.0 - b + 1e-12:
-        return False
-    u = 1.0 / (2.0 - b)
-    v = 1.0 / (2.0 - g)
-    return surface_residual(a, u, v) <= 1e-9

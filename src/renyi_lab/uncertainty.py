@@ -29,8 +29,7 @@ from .entropies import (
     classical_renyi_entropy,
     cond_entropy_up,
     gen_cond_entropy,
-    gen_mutual_info,
-    mutual_info_down,
+    measured_mutual_info,
     renyi_entropy,
 )
 from .linalg import as_layout, dagger, swap_bipartite
@@ -237,10 +236,18 @@ def _cond_term(state: DensityOperator, order: float, weight):
     return gen_cond_entropy(state, weight, order, state.layout, weight_pos=1), []
 
 
-def _info_term(state: DensityOperator, order: float, weight):
-    """I_order(A:B) against the fixed weight on B, or I^down_order(A:B) when weight is None."""
-    res = mutual_info_down(state, order) if weight is None else \
-        gen_mutual_info(state, weight, order, fixed=1)
+def _measured_cond_term(state: DensityOperator, basis: MeasurementBasis, order: float, weight):
+    """`_cond_term` of A measured in `basis`."""
+    return _cond_term(measure(state, basis, 0), order, weight)
+
+
+def _info_term(state: DensityOperator, basis: MeasurementBasis, order: float, weight):
+    """I_order(X:B) against the fixed weight on B, or I^down_order(X:B) when
+    weight is None, X being A measured in `basis`.  The measured state is
+    classical-quantum and `measured_mutual_info` solves it through its
+    classical register: I_order in closed form, I^down as a fixed point over
+    sigma_B alone; its dense routes answer at order inf and near 1."""
+    res = measured_mutual_info(state, basis, order, weight)
     return res.value, [res]
 
 
@@ -248,8 +255,8 @@ def _measured_side(term, state: DensityOperator, pair: MeasurementPair, x_order:
                    z_order: float, z_weight):
     """term(X|B) at x_order, optimised, plus term(Z|B) at z_order against z_weight;
     X and Z are A measured in `pair.basis_x` and `pair.basis_z`."""
-    x, x_solves = term(measure(state, pair.basis_x, 0), x_order, None)
-    z, z_solves = term(measure(state, pair.basis_z, 0), z_order, z_weight)
+    x, x_solves = term(state, pair.basis_x, x_order, None)
+    z, z_solves = term(state, pair.basis_z, z_order, z_weight)
     return x + z, x_solves + z_solves
 
 
@@ -418,7 +425,7 @@ def suite_trial(tag: str, rng: np.random.Generator, dims, tolerance: float,
             const = r_xz(pair)
 
     uncertainty = tag in UNCERTAINTY_SUITES
-    measured, solves = _measured_side(_cond_term if uncertainty else _info_term, rho, pair,
+    measured, solves = _measured_side(_measured_cond_term if uncertainty else _info_term, rho, pair,
                                       x_order, z_order, z_weight)
     joint, joint_solves = _cond_term(rho, joint_order, joint_weight)
     # uncertainty: measured >= joint + const; exclusion: measured <= const - joint

@@ -1,6 +1,7 @@
 import importlib.util
 import math
 import os
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -16,6 +17,7 @@ from renyi_lab.entropies import (
     cond_entropy_up,
     gen_cond_entropy,
     gen_mutual_info,
+    measured_mutual_info,
     mutual_info_down,
     mutual_info_up,
     renyi_entropy,
@@ -35,7 +37,16 @@ from renyi_lab.linalg import (
     schatten_norm,
 )
 from renyi_lab.orders import hatconj, hconj
-from renyi_lab.states import DensityOperator, cq_state, measure, random_density, random_onb, random_pure, trial_rng
+from renyi_lab.states import (
+    DensityOperator,
+    MeasurementBasis,
+    cq_state,
+    measure,
+    random_density,
+    random_onb,
+    random_pure,
+    trial_rng,
+)
 
 from bloch_reference import grid_qubit_minimize
 
@@ -738,6 +749,108 @@ class TestJointMutualInfoDown:
         # the last of the MI_DOWN_ROUNDS rounds still lowers I-down_inf by about 6e-5 bits
         res = mutual_info_down(sweep_style_state(8, 9, (2, 2)), math.inf)
         assert res.stop == "max_iter" and res.residual > entropies.MI_DOWN_TOL
+
+
+CQ_ORDERS = (0.5, 0.52, 0.75, 1.5, 2.5, 4.0, 12.0)
+
+
+def measured_states(dims, seed):
+    """(rho, basis, tau_B) per rank of rho at `dims`: the basis and tau_B random."""
+    d = math.prod(dims)
+    for rank in range(1, d + 1):
+        rng = trial_rng(seed, 10 * d + rank + dims[0])
+        yield (random_density(d, rank, rng, dims=dims), random_onb(dims[0], rng),
+               random_density(dims[1], dims[1], rng).mat)
+
+
+class TestMeasuredMutualInfo:
+    """I(X:B) of A measured in a basis, solved through the classical register X."""
+
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (3, 3)])
+    def test_register_route_meets_the_dense_solves(self, dims):
+        for rho, basis, tau in measured_states(dims, 98):
+            measured = measure(rho, basis, 0)
+            for alpha in CQ_ORDERS:
+                down = measured_mutual_info(rho, basis, alpha)
+                assert down.value <= mutual_info_down(measured, alpha).value + 1e-10, alpha
+                assert down.value == pytest.approx(
+                    sandwiched_divergence(measured, down.optimum.mat, alpha), abs=1e-12), alpha
+                for weight in (tau, rho.marginal([1]).mat):
+                    res = measured_mutual_info(rho, basis, alpha, weight)
+                    assert (res.iterations, res.residual, res.stop) == (0, 0.0, "gradient")
+                    assert res.value == pytest.approx(
+                        gen_mutual_info(measured, weight, alpha, fixed=1).value, abs=1e-11), alpha
+                    assert res.value == pytest.approx(sandwiched_divergence(
+                        measured, np.kron(res.optimum.mat, weight), alpha), abs=1e-12), alpha
+
+    @pytest.mark.parametrize("alpha", CQ_ORDERS)
+    def test_register_weight_is_optimal_at_the_returned_sigma_b(self, alpha):
+        # I-down's value is I_alpha against its own sigma_B, and no sigma_X does better there
+        for rho, basis, _ in measured_states((2, 3), 99):
+            down = measured_mutual_info(rho, basis, alpha)
+            sigma_b = partial_trace(down.optimum.mat, (2, 3), [1])
+            again = measured_mutual_info(rho, basis, alpha, sigma_b)
+            assert again.value == pytest.approx(down.value, abs=1e-11)
+            dense = gen_mutual_info(measure(rho, basis, 0), sigma_b, alpha, fixed=1)
+            assert dense.value >= down.value - 1e-10
+
+    def test_an_empty_sector(self):
+        # rho = |0><0| (x) rho_B measured in the computational basis: sector 1 is exactly 0
+        rng = trial_rng(100, 0)
+        rho_b = random_density(2, 2, rng).mat
+        zero = np.diag([1.0, 0.0]).astype(complex)
+        rho = DensityOperator(np.kron(zero, rho_b), SystemLayout((2, 2)))
+        basis = MeasurementBasis(np.eye(2, dtype=complex))
+        tau = random_density(2, 2, rng).mat
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for alpha in CQ_ORDERS:
+                down = measured_mutual_info(rho, basis, alpha)
+                assert down.value == pytest.approx(0.0, abs=1e-10)
+                assert np.allclose(partial_trace(down.optimum.mat, (2, 2), [0]), zero, atol=1e-14)
+                res = measured_mutual_info(rho, basis, alpha, tau)
+                assert res.value == pytest.approx(sandwiched_divergence(rho_b, tau, alpha), abs=1e-12)
+                assert np.allclose(res.optimum.mat, zero, atol=1e-14)
+
+    def test_pure_states(self):
+        # a maximally entangled state measured in any basis leaves one bit about X in B
+        for d in (2, 3):
+            psi = np.eye(d).reshape(-1) / math.sqrt(d)
+            rho = DensityOperator(np.outer(psi, psi.conj()), SystemLayout((d, d)))
+            basis = random_onb(d, trial_rng(101, d))
+            for alpha in CQ_ORDERS:
+                down = measured_mutual_info(rho, basis, alpha)
+                assert down.value == pytest.approx(math.log2(d), abs=1e-10), (d, alpha)
+                # against the maximally mixed rho_B the closed form is the same
+                res = measured_mutual_info(rho, basis, alpha, np.eye(d) / d)
+                assert res.value == pytest.approx(math.log2(d), abs=1e-11), (d, alpha)
+
+    @pytest.mark.parametrize("dims", [(2, 2), (3, 2)])
+    def test_crossing_the_alpha_one_window_has_no_jump(self, dims):
+        w = entropies.ALPHA_ONE_WINDOW
+        for rho, basis, tau in measured_states(dims, 102):
+            for weight in (None, tau):
+                for side in (-1.0, 1.0):
+                    inside = measured_mutual_info(rho, basis, 1.0 + side * 0.9 * w, weight).value
+                    outside = measured_mutual_info(rho, basis, 1.0 + side * 1.1 * w, weight).value
+                    assert abs(inside - outside) <= 1e-5, (side, weight is None)
+
+    @pytest.mark.parametrize("alpha", CQ_ORDERS)
+    def test_classical_anchor(self, alpha):
+        # blocks and tau_B diagonal in one rotated B basis: Sibson's closed form
+        rng = trial_rng(103, int(100 * alpha))
+        for dx, db in ((2, 2), (3, 2), (2, 3)):
+            p = rng.dirichlet(np.ones(dx * db)).reshape(dx, db)
+            t = rng.dirichlet(np.ones(db))
+            vx, wb = random_onb(dx, rng).vectors, random_onb(db, rng).vectors
+            u = np.kron(vx, wb)
+            rho = DensityOperator(u @ np.diag(p.reshape(-1)).astype(complex) @ dagger(u),
+                                  SystemLayout((dx, db)))
+            tau = wb @ np.diag(t).astype(complex) @ dagger(wb)
+            closed = (alpha / (alpha - 1.0)) * math.log2(
+                np.sum(np.sum(p ** alpha * t ** (1.0 - alpha), axis=1) ** (1.0 / alpha)))
+            res = measured_mutual_info(rho, MeasurementBasis(vx), alpha, tau)
+            assert res.value == pytest.approx(closed, abs=1e-12), (dx, db)
 
 
 ONE_WINDOW_QUANTITIES = {

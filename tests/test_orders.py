@@ -12,9 +12,7 @@ from renyi_lab.orders import (
     conjugates,
     hatconj,
     hconj,
-    ier_condition,
     make_triple,
-    noncond_condition,
     noncond_orders,
     recip,
     sample_triple,
@@ -26,6 +24,45 @@ from renyi_lab.states import trial_rng
 from renyi_lab.uncertainty import sample_sdg_orders
 
 INF = math.inf
+
+
+# Independent statements of two order constraints, used to check the samplers
+# from outside: the samplers themselves solve the constraints directly.
+
+def noncond_condition(a: float, b: float, g: float, d: float) -> float:
+    """Residual of the four-order compatibility used by the unconditioned
+    mutual-information comparison.
+
+    The intermediate order tying the two two-step derivations is
+    t = (2ba - b - a)/(ba - 1); the condition states solve_beta(d, g) = t.
+    """
+    den1 = b * a - 1.0
+    den2 = d * g - 2.0 * g + 1.0
+    if abs(den1) <= 1e-12 or abs(den2) <= 1e-12:
+        return math.inf
+    t1 = (2.0 * b * a - b - a) / den1
+    t2 = (d - g) / den2
+    return abs(t1 - t2)
+
+
+def ier_condition(a: float, b: float, g: float, symmetric: bool = False) -> bool:
+    """Admissibility for the improved information-exclusion relations."""
+    if not (a >= 0.5 and g >= 0.5 and 0.5 <= b <= 2.0):
+        return False
+    if not symmetric:
+        if b == 2.0:
+            return False
+        try:
+            mu = solve_beta(a, g)
+        except Degenerate:
+            return False
+        return (not math.isinf(mu)) and abs(mu - 1.0 / (2.0 - b)) <= 1e-9 and b * g <= 1.0 + 1e-12
+    if g > 2.0 - b + 1e-12:
+        return False
+    u = 1.0 / (2.0 - b)
+    v = 1.0 / (2.0 - g)
+    return surface_residual(a, u, v) <= 1e-9
+
 
 # full table of particular surface solutions: rows gamma, columns alpha
 TABLE = {
