@@ -54,7 +54,7 @@ from .linalg import (
     psd_eigvalsh,
     schatten_norm,
     spectral_power,
-    support_projector,
+    _hermitian,
 )
 from .states import DensityOperator, Pmf, measure
 
@@ -163,14 +163,15 @@ def _sandwich_exponent(alpha: float) -> float:
 def _divergence_any_order(rho: np.ndarray, sigma: np.ndarray, alpha: float) -> float:
     """Sandwiched divergence for alpha in (0, inf]; no DPI-range gate."""
     psd_eigvalsh(rho)   # the sandwich of a checked rho needs only the rounding band
-    overlapping, dominated = _support_flags(rho, support_projector(sigma))
+    weight = psd_eigh(_hermitian(sigma))   # its support projector and its power c
+    overlapping, dominated = _support_flags(rho, spectral_power(*weight, 0.0))
     if not overlapping:
         return math.inf
     if alpha >= 1.0 - ALPHA_ONE_WINDOW and not dominated:
         return math.inf
     if abs(alpha - 1.0) <= ALPHA_ONE_WINDOW:
         return float(_tr_log2(rho, rho) - _tr_log2(rho, sigma))
-    w = frac_power(sigma, _sandwich_exponent(alpha))
+    w = spectral_power(*weight, _sandwich_exponent(alpha))
     return float(_renyi_log_trace(*congruence_eigvalsh(w, rho), alpha))
 
 
@@ -232,7 +233,7 @@ STOPS = ("gradient", "ftol", "no_step", "max_iter")
 
 @dataclass
 class OptimizerResult:
-    optimum: DensityOperator
+    factors: list     # the optimum's Kronecker factors; `optimum` builds it when first read
     value: float
     iterations: int
     # a bound, in bits, on the distance of `value` from the optimum: the fixed
@@ -240,6 +241,11 @@ class OptimizerResult:
     # larger per-block bound (not global), at alpha = inf the last round's gain
     residual: float
     stop: str         # one of STOPS
+
+    @functools.cached_property
+    def optimum(self) -> DensityOperator:
+        return DensityOperator(functools.reduce(np.kron, self.factors),
+                               SystemLayout(tuple(len(x) for x in self.factors)))
 
 
 # ---------------------------------------------------------------------------
@@ -480,10 +486,6 @@ def _fixed_point_iterates(problem: _FixedPoint, start):
         point, last = trial, tangent
 
 
-def _product_state(sigmas) -> DensityOperator:
-    return DensityOperator(functools.reduce(np.kron, sigmas), SystemLayout(tuple(len(x) for x in sigmas)))
-
-
 def _solve_fixed_point(problem: _FixedPoint, start) -> OptimizerResult:
     """Minimise D_alpha(rho || tau (x) sigma_1 (x) ...) at a finite order by the
     damped stationarity fixed point, from `start`, which `_FixedPoint.build`
@@ -509,7 +511,7 @@ def _solve_fixed_point(problem: _FixedPoint, start) -> OptimizerResult:
         raise OptimizerDiverged(f"no convergence after {it} iterations (gap {gap:.2e} bits)")
     bases = [basis @ v for basis, (v, _, _) in zip(problem.bases, point.blocks)]
     sigmas = [(b * np.exp(logl)) @ dagger(b) for b, (_, logl, _) in zip(bases, point.blocks)]
-    return OptimizerResult(_product_state(sigmas), point.value, it, gap, stop)
+    return OptimizerResult(sigmas, point.value, it, gap, stop)
 
 
 def _herm_basis(d: int) -> np.ndarray:
@@ -689,7 +691,7 @@ def _solve_min_entropy(rho: np.ndarray, layout: SystemLayout, opt_positions,
     sigma = (sigma + dagger(sigma)) / (2.0 * np.trace(y).real)
     weighted = _weight_times(layout, opt_positions, weight, sigma)
     value = _divergence_any_order(rho, weighted, math.inf)
-    return OptimizerResult(DensityOperator(sigma, SystemLayout((d,))), value, it, hi - lo, stop)
+    return OptimizerResult([sigma], value, it, hi - lo, stop)
 
 
 def _optimize_weight(rho: np.ndarray, alpha: float, layout: SystemLayout, blocks,
@@ -714,7 +716,7 @@ def _optimize_weight(rho: np.ndarray, alpha: float, layout: SystemLayout, blocks
     marginals = [partial_trace(rho, layout, p) for p in blocks]
     weighted = _weight_times(layout, sum(blocks, []), weight, functools.reduce(np.kron, marginals))
     value = _divergence_any_order(rho, weighted, alpha)
-    return OptimizerResult(_product_state(marginals), value, 0, 0.0, STOPS[0])
+    return OptimizerResult(marginals, value, 0, 0.0, STOPS[0])
 
 
 def cond_entropy_up(rho, alpha: float, dims=None) -> OptimizerResult:
@@ -755,8 +757,7 @@ def gen_mutual_info(rho, tau, alpha: float, dims=None, fixed: int = 0) -> Optimi
     rho, tau = _mat(rho), _mat(tau)
     weight = psd_eigh(tau)
     if _misses_weight(partial_trace(rho, layout, [fixed]), weight, alpha):
-        return OptimizerResult(_product_state([partial_trace(rho, layout, [1 - fixed])]), math.inf,
-                               0, 0.0, STOPS[0])
+        return OptimizerResult([partial_trace(rho, layout, [1 - fixed])], math.inf, 0, 0.0, STOPS[0])
     return _optimize_weight(rho, alpha, layout, [[1 - fixed]], weight)
 
 
@@ -795,7 +796,7 @@ def mutual_info_down(rho, alpha: float, dims=None) -> OptimizerResult:
             break
     else:
         stop = "max_iter"
-    return OptimizerResult(_product_state([sig_a, sig_b]), value, iterations, max(residual, 0.0), stop)
+    return OptimizerResult([sig_a, sig_b], value, iterations, max(residual, 0.0), stop)
 
 
 def _register_weights(sectors: np.ndarray, weight, alpha: float):
@@ -814,6 +815,20 @@ def _register_weights(sectors: np.ndarray, weight, alpha: float):
     return float(_renyi_log_trace(lam, lam > EIG_CUTOFF * lam[-1], alpha)), q
 
 
+def _register_window(sectors: np.ndarray, v: np.ndarray, tau) -> OptimizerResult:
+    """I(X:B) inside the order-one window against tau on B or, when tau is None,
+    I-down with sigma_B = rho~ = sum_x rho~_x: at sigma_X = diag(p), p_x = tr rho~_x,
+    sum_x tr rho~_x log2 rho~_x - sum_x p_x log2 p_x - tr rho~ log2 sigma_B, the
+    sectors' spectra cut as one matrix."""
+    marginal = sectors.sum(axis=0)
+    lam, _, live = psd_eigh_blocks(sectors)
+    p = np.einsum("xaa->x", sectors).real
+    joint = np.sum(np.where(live, lam * np.log2(np.where(live, lam, 1.0)), 0.0))
+    value = joint + classical_renyi_entropy(p, 1.0) - _tr_log2(marginal, marginal if tau is None else _mat(tau))
+    factors = [(v * p) @ dagger(v)] + ([marginal] if tau is None else [])
+    return OptimizerResult(factors, float(value), 0, 0.0, STOPS[0])
+
+
 def measured_mutual_info(rho: DensityOperator, basis, alpha: float, tau=None) -> OptimizerResult:
     """I(X:B) of X, A of a bipartite rho measured in `basis` (the state
     `measure(rho, basis, 0)`): I-down_alpha(X:B) when tau is None, else
@@ -823,22 +838,22 @@ def measured_mutual_info(rho: DensityOperator, basis, alpha: float, tau=None) ->
     (<x| (x) 1) rho (|x> (x) 1), and a sigma_X = diag(q) there loses nothing.
     The optimal q_x ~ Q_x**(1/alpha), Q_x = tr(sigma_B**c rho~_x sigma_B**c)**alpha,
     gives I_alpha in closed form (0 iterations, residual 0) and makes I-down
-    a fixed point over sigma_B alone, residual sigma_B's Frank-Wolfe bound.
-    At alpha = inf, inside the order-one window and when rho misses supp tau,
+    a fixed point over sigma_B alone, residual sigma_B's Frank-Wolfe bound (near
+    alpha = 1: `_register_window`).  At alpha = inf and when rho misses supp tau,
     `mutual_info_down` and `gen_mutual_info` answer on the measured state.
     """
     da, db = rho.layout.dims
     v = basis.vectors
     sectors = np.einsum("ix,iajb,jx->xab", v.conj(), rho.mat.reshape(da, db, da, db), v)
-    dense = math.isinf(alpha) or abs(alpha - 1.0) <= ALPHA_ONE_WINDOW
+    weight = None if tau is None else psd_eigh(_mat(tau))
+    if math.isinf(alpha) or tau is not None and _misses_weight(sectors.sum(axis=0), weight, alpha):
+        measured = measure(rho, basis, 0)
+        return mutual_info_down(measured, alpha) if tau is None else gen_mutual_info(measured, tau, alpha, fixed=1)
+    if abs(alpha - 1.0) <= ALPHA_ONE_WINDOW:
+        return _register_window(sectors, v, tau)
     if tau is None:
-        if dense:
-            return mutual_info_down(measure(rho, basis, 0), alpha)
         res = _optimize_weight(sectors, alpha, SystemLayout((db,)), [[0]])
         value, q = _register_weights(sectors, psd_eigh(res.optimum.mat), alpha)
-        return replace(res, value=value, optimum=_product_state([(v * q) @ dagger(v), res.optimum.mat]))
-    weight = psd_eigh(_mat(tau))
-    if dense or _misses_weight(sectors.sum(axis=0), weight, alpha):
-        return gen_mutual_info(measure(rho, basis, 0), tau, alpha, fixed=1)
+        return replace(res, value=value, factors=[(v * q) @ dagger(v), res.optimum.mat])
     value, q = _register_weights(sectors, weight, alpha)
-    return OptimizerResult(_product_state([(v * q) @ dagger(v)]), value, 0, 0.0, STOPS[0])
+    return OptimizerResult([(v * q) @ dagger(v)], value, 0, 0.0, STOPS[0])

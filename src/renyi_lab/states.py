@@ -100,18 +100,23 @@ def random_pure(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def random_density(dim: int, rank: int, rng: np.random.Generator, dims=None) -> DensityOperator:
-    """Marginal of a Haar pure state on dim (x) rank; full rank when rank >= dim.
+    """Marginal of a Haar pure state on dim (x) rank; full rank when rank >= dim."""
+    return density_from_factor(random_density_factor(dim, rank, rng), dims)
 
-    This is the induced measure of Zyczkowski and Sommers: with the pure state
-    v reshaped to G = v.reshape(dim, rank), the partial trace over the rank
-    factor is rho = G G^dagger.  It is summed here as rank-one terms in index
-    order, which is bit-identical to tracing out the (dim*rank)^2 outer product
-    but needs only O(dim*rank) memory besides the dim x dim result and one
-    dim x dim term.
-    """
+
+def random_density_factor(dim: int, rank: int, rng: np.random.Generator) -> np.ndarray:
+    """The draw of `random_density`: the pure state as the dim x rank matrix G."""
     if rank < 1:
         raise ValueError("rank must be >= 1")
-    g = random_pure(dim * rank, rng).reshape(dim, rank)
+    return random_pure(dim * rank, rng).reshape(dim, rank)
+
+
+def density_from_factor(g: np.ndarray, dims=None) -> DensityOperator:
+    """The build of `random_density`: rho = G G^dagger, the partial trace over the
+    rank factor (the induced measure of Zyczkowski and Sommers).  It is summed as
+    rank-one terms in index order, bit-identical to tracing out the (dim*rank)^2
+    outer product in O(dim*rank) memory besides the result and one term."""
+    dim, rank = g.shape
     rho = np.zeros((dim, dim), dtype=complex)
     for k in range(rank):
         rho += np.outer(g[:, k], g[:, k].conj())

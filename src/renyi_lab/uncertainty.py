@@ -30,7 +30,6 @@ from .entropies import (
     cond_entropy_up,
     gen_cond_entropy,
     measured_mutual_info,
-    renyi_entropy,
 )
 from .linalg import as_layout, dagger, swap_bipartite
 from .orders import hatconj, hconj, sample_triple, sdg_condition, surface_residual, FORWARD, REVERSE
@@ -39,9 +38,11 @@ from .states import (
     DensityOperator,
     MeasurementBasis,
     cq_state,
+    density_from_factor,
     measure,
     measurement_pmf,
     random_density,
+    random_density_factor,
     random_onb,
 )
 
@@ -214,12 +215,8 @@ def check_const_comp(rho_a, pair: MeasurementPair, alpha: float, delta: float,
 def check_hall_classical(rho_ay: DensityOperator, pair: MeasurementPair,
                          tolerance: float = report.BASE_TOL, seed: int = 0) -> InequalityReport:
     """Shannon/von Neumann baseline: I(X:Y) + I(Z:Y) <= log(d^2 c)."""
-    def vn_mutual(state: DensityOperator) -> float:
-        return (renyi_entropy(state.marginal([0]), 1.0)
-                + renyi_entropy(state.marginal([1]), 1.0)
-                - renyi_entropy(state, 1.0))
-
-    small = vn_mutual(measure(rho_ay, pair.basis_x, 0)) + vn_mutual(measure(rho_ay, pair.basis_z, 0))
+    small = (measured_mutual_info(rho_ay, pair.basis_x, 1.0).value
+             + measured_mutual_info(rho_ay, pair.basis_z, 1.0).value)
     return finish("hall-classical", seed, rho_ay.layout.dims, 1.0, 1.0, 1.0, None, REVERSE,
                   small, hall_bound(pair), tolerance)
 
@@ -353,8 +350,9 @@ def suite_trial(tag: str, rng: np.random.Generator, dims, tolerance: float,
     terms' orders and weights (None: optimised) and the constant."""
     da, db = dims
     pair = random_pair(da, rng)
-    rho = random_density(da * db, int(rng.integers(1, da * db + 1)), rng, dims=(da, db))
-    tau_b = random_density(db, db, rng).mat
+    # drawn for every tag, built only where read
+    rho_factor = random_density_factor(da * db, int(rng.integers(1, da * db + 1)), rng)
+    tau_factor = random_density_factor(db, db, rng)
 
     if tag == "rmu":
         rho_a = random_density(da, int(rng.integers(1, da + 1)), rng)
@@ -367,10 +365,12 @@ def suite_trial(tag: str, rng: np.random.Generator, dims, tolerance: float,
     if tag == "hall-classical":
         p = rng.dirichlet(np.ones(db))
         blocks = [random_density(da, da, rng).mat for _ in range(db)]
-        rho_ay = cq_state(p, blocks, dims=(db, da))
-        rho_ya = DensityOperator(swap_bipartite(rho_ay.mat, (db, da)), as_layout((da, db)))
-        return check_hall_classical(rho_ya, pair, tolerance, seed)
+        rho_ya = cq_state(p, blocks, dims=(db, da))
+        rho_ay = DensityOperator(swap_bipartite(rho_ya.mat, (db, da)), as_layout((da, db)))
+        return check_hall_classical(rho_ay, pair, tolerance, seed)
 
+    rho = density_from_factor(rho_factor, dims=(da, db))
+    tau_b = density_from_factor(tau_factor).mat
     delta, note = None, ""
     z_weight = joint_weight = tau_b
     if tag in ("gbur", "result2"):

@@ -25,18 +25,24 @@ from renyi_lab.entropies import (
     weighted_norm,
     _divergence_any_order,
 )
+from renyi_lab import uncertainty
 from renyi_lab.linalg import (
     InvalidOrder,
     NotHermitian,
     NotPositiveSemidefinite,
     SystemLayout,
+    congruence_eigvalsh,
     dagger,
     embed_block,
     frac_power,
     partial_trace,
+    psd_eigvalsh,
     schatten_norm,
+    support_projector,
+    swap_bipartite,
 )
 from renyi_lab.orders import hatconj, hconj
+from renyi_lab.report import FAIL, PASS
 from renyi_lab.states import (
     DensityOperator,
     MeasurementBasis,
@@ -210,6 +216,37 @@ class TestSandwichedDivergence:
             kl = sandwiched_divergence(rho, sig, 1.0)
             for a in (1.0 - 1e-4, 1.0 + 1e-4):
                 assert abs(sandwiched_divergence(rho, sig, a) - kl) <= 1e-3
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 8])
+    def test_one_decomposition_of_sigma_is_bit_identical(self, d):
+        # sigma's support projector and its power c come from one decomposition;
+        # the separate support_projector and frac_power calls gave the same bits
+        def separate(rho, sigma, alpha):
+            psd_eigvalsh(rho)
+            overlapping, dominated = entropies._support_flags(rho, support_projector(sigma))
+            if not overlapping:
+                return math.inf
+            if alpha >= 1.0 - entropies.ALPHA_ONE_WINDOW and not dominated:
+                return math.inf
+            if abs(alpha - 1.0) <= entropies.ALPHA_ONE_WINDOW:
+                return float(entropies._tr_log2(rho, rho) - entropies._tr_log2(rho, sigma))
+            w = frac_power(sigma, entropies._sandwich_exponent(alpha))
+            return float(entropies._renyi_log_trace(*congruence_eigvalsh(w, rho), alpha))
+
+        for rank in range(1, d + 1):
+            rng = trial_rng(31, 10 * d + rank)
+            sigma = random_density(d, rank, rng).mat
+            u = np.linalg.eigh(sigma)[1][:, ::-1][:, :rank]
+            g = u @ (rng.standard_normal((rank, rank)) + 1j * rng.standard_normal((rank, rank)))
+            inside = g @ dagger(g) / np.trace(g @ dagger(g)).real   # on supp sigma
+            for rho in (random_density(d, int(rng.integers(1, d + 1)), rng).mat, inside):
+                for alpha in (0.3, 0.5, 0.75, 1.0 - 5e-7, 1.0, 1.5, 4.0, math.inf):
+                    assert _divergence_any_order(rho, sigma, alpha) == separate(rho, sigma, alpha), \
+                        (rank, alpha)
+        skew = np.eye(d, dtype=complex) / d
+        skew[0, -1] = 0.1
+        with pytest.raises(NotHermitian):
+            _divergence_any_order(np.eye(d, dtype=complex) / d, skew, 2.0)
 
 
 class TestRenyiEntropy:
@@ -752,6 +789,7 @@ class TestJointMutualInfoDown:
 
 
 CQ_ORDERS = (0.5, 0.52, 0.75, 1.5, 2.5, 4.0, 12.0)
+WINDOW_ORDERS = (1.0, 1.0 - 5e-7, 1.0 + 5e-7)   # inside ALPHA_ONE_WINDOW
 
 
 def measured_states(dims, seed):
@@ -804,7 +842,7 @@ class TestMeasuredMutualInfo:
         tau = random_density(2, 2, rng).mat
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for alpha in CQ_ORDERS:
+            for alpha in CQ_ORDERS + WINDOW_ORDERS:
                 down = measured_mutual_info(rho, basis, alpha)
                 assert down.value == pytest.approx(0.0, abs=1e-10)
                 assert np.allclose(partial_trace(down.optimum.mat, (2, 2), [0]), zero, atol=1e-14)
@@ -818,12 +856,39 @@ class TestMeasuredMutualInfo:
             psi = np.eye(d).reshape(-1) / math.sqrt(d)
             rho = DensityOperator(np.outer(psi, psi.conj()), SystemLayout((d, d)))
             basis = random_onb(d, trial_rng(101, d))
-            for alpha in CQ_ORDERS:
+            for alpha in CQ_ORDERS + WINDOW_ORDERS:
                 down = measured_mutual_info(rho, basis, alpha)
                 assert down.value == pytest.approx(math.log2(d), abs=1e-10), (d, alpha)
                 # against the maximally mixed rho_B the closed form is the same
                 res = measured_mutual_info(rho, basis, alpha, np.eye(d) / d)
                 assert res.value == pytest.approx(math.log2(d), abs=1e-11), (d, alpha)
+
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (3, 3), (8, 8)])
+    def test_order_one_window_meets_the_dense_route(self, dims):
+        # inside the window the sectors' spectra give the von Neumann closed form
+        for rho, basis, tau in measured_states(dims, 104):
+            measured = measure(rho, basis, 0)
+            for alpha in WINDOW_ORDERS:
+                down, dense = measured_mutual_info(rho, basis, alpha), mutual_info_down(measured, alpha)
+                assert (down.iterations, down.residual, down.stop) == (0, 0.0, "gradient")
+                assert down.value == pytest.approx(dense.value, abs=1e-12), alpha
+                assert np.allclose(down.optimum.mat, dense.optimum.mat, atol=1e-14)
+                res = measured_mutual_info(rho, basis, alpha, tau)
+                dense = gen_mutual_info(measured, tau, alpha, fixed=1)
+                assert (res.iterations, res.residual, res.stop) == (0, 0.0, "gradient")
+                assert res.value == pytest.approx(dense.value, abs=1e-12), alpha
+                assert np.allclose(res.optimum.mat, dense.optimum.mat, atol=1e-14)
+
+    def test_order_one_window_weight_missing_the_support_gives_inf(self):
+        # tau_B = |0><0| leaves supp rho_B, or misses it, so I(X:B) against it is +inf
+        psi = np.eye(2).reshape(-1) / math.sqrt(2.0)
+        entangled = DensityOperator(np.outer(psi, psi.conj()), SystemLayout((2, 2)))
+        zero, one = np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)
+        outside = DensityOperator(np.kron(np.eye(2) / 2, one), SystemLayout((2, 2)))
+        basis = random_onb(2, trial_rng(105, 0))
+        for rho in (entangled, outside):
+            for alpha in WINDOW_ORDERS:
+                assert measured_mutual_info(rho, basis, alpha, zero).value == math.inf, alpha
 
     @pytest.mark.parametrize("dims", [(2, 2), (3, 2)])
     def test_crossing_the_alpha_one_window_has_no_jump(self, dims):
@@ -851,6 +916,54 @@ class TestMeasuredMutualInfo:
                 np.sum(np.sum(p ** alpha * t ** (1.0 - alpha), axis=1) ** (1.0 / alpha)))
             res = measured_mutual_info(rho, MeasurementBasis(vx), alpha, tau)
             assert res.value == pytest.approx(closed, abs=1e-12), (dx, db)
+
+
+def hall_trial_state(da, db, rng):
+    """A cq state with its register Y second and A first, drawn as the
+    `hall-classical` suite draws it."""
+    p = rng.dirichlet(np.ones(db))
+    rho_ya = cq_state(p, [random_density(da, da, rng).mat for _ in range(db)], dims=(db, da))
+    return DensityOperator(swap_bipartite(rho_ya.mat, (db, da)), SystemLayout((da, db)))
+
+
+class TestHallClassical:
+    """Hall's von Neumann exclusion I(X:Y) + I(Z:Y) <= log2(d^2 c) on cq states."""
+
+    @pytest.mark.parametrize("dims", [(2, 2), (8, 8)])
+    def test_matches_the_dense_von_neumann_formula(self, dims, monkeypatch):
+        def vn_mutual(state):
+            return (renyi_entropy(state.marginal([0]), 1.0) + renyi_entropy(state.marginal([1]), 1.0)
+                    - renyi_entropy(state, 1.0))
+
+        pairs = []
+        for i in range(200):
+            rng = trial_rng(106, i)
+            pair = uncertainty.random_pair(dims[0], rng)
+            rho = hall_trial_state(*dims, rng)
+            pairs.append((rho, pair, vn_mutual(measure(rho, pair.basis_x, 0))
+                          + vn_mutual(measure(rho, pair.basis_z, 0))))
+
+        def unmeasured(*args):
+            raise AssertionError("the check measured the state")
+
+        monkeypatch.setattr(entropies, "measure", unmeasured)
+        for rho, pair, dense in pairs:
+            report = uncertainty.check_hall_classical(rho, pair)
+            assert report.lhs == pytest.approx(dense, abs=1e-12)
+            assert report.verdict == PASS
+
+    def test_the_check_can_fail(self, monkeypatch):
+        # Y copies X of a mutually unbiased pair: I(X:Y) = log2 d, I(Z:Y) = 0,
+        # and the bound log2(d^2 / d) is met with equality
+        d = 3
+        pair = uncertainty.mub_pair(d)
+        copy = sum(np.kron(np.outer(e, e), np.outer(e, e)) for e in np.eye(d)) / d
+        rho = DensityOperator(copy.astype(complex), SystemLayout((d, d)))
+        report = uncertainty.check_hall_classical(rho, pair)
+        assert report.lhs == pytest.approx(math.log2(d), abs=1e-12) and report.verdict == PASS
+        lowered = uncertainty.hall_bound(pair) - 1e-3
+        monkeypatch.setattr(uncertainty, "hall_bound", lambda _: lowered)
+        assert uncertainty.check_hall_classical(rho, pair).verdict == FAIL
 
 
 ONE_WINDOW_QUANTITIES = {

@@ -10,13 +10,16 @@ from renyi_lab.states import (
     MeasurementBasis,
     Pmf,
     cq_state,
+    density_from_factor,
     measure,
     measurement_pmf,
     random_density,
+    random_density_factor,
     random_onb,
     random_pure,
     trial_rng,
 )
+from renyi_lab.uncertainty import suite_trial
 
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 
@@ -55,6 +58,50 @@ def test_random_density_matches_traced_outer_product(dim, rank):
         v = random_pure(dim * rank, copy.deepcopy(rng))
         want = DensityOperator(partial_trace(np.outer(v, v.conj()), (dim, rank), keep=[0]), _l(dim))
         assert np.array_equal(random_density(dim, rank, rng).mat, want.mat)
+
+
+@pytest.mark.parametrize("dim, rank", [(2, 1), (2, 2), (3, 5), (8, 1), (8, 8), (16, 3),
+                                       (64, 1), (64, 8), (64, 64)])
+def test_random_density_is_the_build_of_its_draw(dim, rank):
+    # one sampler: the draw consumes the stream exactly as random_density does
+    for seed in range(3):
+        rng, again = trial_rng(17, 100 * seed + dim + rank), trial_rng(17, 100 * seed + dim + rank)
+        dims = (8, 8) if dim == 64 else None
+        want = random_density(dim, rank, rng, dims=dims)
+        got = density_from_factor(random_density_factor(dim, rank, again), dims=dims)
+        assert np.array_equal(want.mat, got.mat) and want.layout == got.layout
+        assert rng.random() == again.random()
+
+
+# the next draw of a closed-suite trial's stream, recorded before these suites
+# left their unread rho_AB and tau_B unbuilt: (tag, dims, seed) -> rng.random()
+CLOSED_TRIAL_NEXT_DRAW = {
+    ("rmu", (2, 2), 5): 0.7192448779755543,
+    ("rmu", (2, 2), 6): 0.5390656775980839,
+    ("rmu", (3, 2), 5): 0.1628415964972567,
+    ("rmu", (3, 2), 6): 0.660369836444989,
+    ("rmu", (8, 8), 5): 0.729932675009809,
+    ("rmu", (8, 8), 6): 0.12558444702521532,
+    ("const-comp", (2, 2), 5): 0.8420317762115318,
+    ("const-comp", (2, 2), 6): 0.6367717476232969,
+    ("const-comp", (3, 2), 5): 0.5646423034374116,
+    ("const-comp", (3, 2), 6): 0.7187864603022917,
+    ("const-comp", (8, 8), 5): 0.4099777228573386,
+    ("const-comp", (8, 8), 6): 0.4440962511784414,
+    ("hall-classical", (2, 2), 5): 0.7114593745340658,
+    ("hall-classical", (2, 2), 6): 0.4786147355714615,
+    ("hall-classical", (3, 2), 5): 0.6654124114412981,
+    ("hall-classical", (3, 2), 6): 0.8348155619368899,
+    ("hall-classical", (8, 8), 5): 0.3315453978691645,
+    ("hall-classical", (8, 8), 6): 0.9794532237860709,
+}
+
+
+@pytest.mark.parametrize("tag, dims, seed", list(CLOSED_TRIAL_NEXT_DRAW))
+def test_closed_suite_trials_consume_their_stream_as_before(tag, dims, seed):
+    rng = trial_rng(seed, 1)
+    suite_trial(tag, rng, dims, 1e-9, seed)
+    assert rng.random() == CLOSED_TRIAL_NEXT_DRAW[(tag, dims, seed)]
 
 
 def test_random_density_memory_is_linear_in_dim_times_rank():
