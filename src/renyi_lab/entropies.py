@@ -3,10 +3,11 @@
 All logarithms are base 2 (values in bits) and 0*log(0) = 0.  Every spectrum
 comes from the PSD spectral kernel of `linalg`, on single matrices and on the
 optimiser's stacks alike: per matrix, negative eigenvalues inside the clamp
-band count as 0 and lower ones raise `NotPositiveSemidefinite` (rho is checked
-where it enters, so its sandwich w rho w^dagger gets the product's rounding
-band), and eigenvalues below the support cutoff are dropped for every exponent
-and from every logarithm (pseudoinverse convention).  One formula,
+band count as 0 and lower ones raise `NotPositiveSemidefinite` (a state is
+checked once, where it enters as an array; a `DensityOperator` was checked when
+built), and eigenvalues below the support cutoff are dropped for every exponent
+and from every logarithm (pseudoinverse convention).  A weight such as id (x)
+tau or sigma_A (x) tau_B is decomposed only through its factors.  One formula,
 `_renyi_log_trace`, gives (1/(alpha-1)) log2 tr X^alpha for divergences,
 entropies and the optimisers' values; `_tr_log2` gives their alpha -> 1
 limits.
@@ -46,8 +47,8 @@ from .linalg import (
     check_hermitian,
     congruence_eigvalsh,
     dagger,
-    embed_block,
     frac_power,
+    kron_eigh,
     partial_trace,
     psd_eigh,
     psd_eigh_blocks,
@@ -71,6 +72,19 @@ def _mat(x) -> np.ndarray:
     if isinstance(x, DensityOperator):
         return x.mat
     return check_hermitian(x)
+
+
+def _state(rho) -> np.ndarray:
+    """The matrix of a state, a raw array checked PSD where it enters."""
+    mat = _mat(rho)
+    if not isinstance(rho, DensityOperator):
+        psd_eigvalsh(mat)
+    return mat
+
+
+def _weight(sigma):
+    """The `psd_eigh` triple of a weight given as a DensityOperator or an array."""
+    return psd_eigh(_hermitian(sigma.mat if isinstance(sigma, DensityOperator) else sigma))
 
 
 # ---------------------------------------------------------------------------
@@ -129,11 +143,14 @@ def classical_renyi_divergence(p, q, alpha: float) -> float:
 # quantum divergence and entropy
 # ---------------------------------------------------------------------------
 
-def _support_flags(rho: np.ndarray, proj: np.ndarray):
-    """(overlapping, dominated) support relations of rho w.r.t. the projector `proj`."""
+def _misses_weight(rho: np.ndarray, weight, alpha: float) -> bool:
+    """Whether D_alpha(rho || tau) is +inf by supports alone, tau given by its
+    `psd_eigh` triple: rho misses supp tau, or leaves it from alpha = 1 - 1e-6 up."""
+    proj = spectral_power(*weight, 0.0)
     inside = float(np.real(np.trace(proj @ rho @ proj)))
     total = float(np.real(np.trace(rho)))
-    return inside > SUPPORT_TOL * max(total, 1.0), total - inside <= SUPPORT_TOL * max(total, 1.0)
+    tol = SUPPORT_TOL * max(total, 1.0)
+    return inside <= tol or alpha >= 1.0 - ALPHA_ONE_WINDOW and total - inside > tol
 
 
 def _renyi_log_trace(lam: np.ndarray, live: np.ndarray, alpha: float) -> np.ndarray:
@@ -147,10 +164,10 @@ def _renyi_log_trace(lam: np.ndarray, live: np.ndarray, alpha: float) -> np.ndar
     return logq / (alpha - 1.0)
 
 
-def _tr_log2(rho: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-    """tr rho log2 sigma per matrix of a PSD stack, the log taken on each support
-    (so an optimiser's candidates must keep their eigenvalues above the cutoff)."""
-    w, v, live = psd_eigh(sigma)
+def _tr_log2(rho: np.ndarray, sigma) -> np.ndarray:
+    """tr rho log2 sigma from the `psd_eigh` triple of sigma, a matrix or a
+    stack, the log taken on each support."""
+    w, v, live = sigma
     logs = (v * np.log2(np.where(live, w, 1.0))[..., None, :]) @ v.conj().swapaxes(-1, -2)
     return np.einsum("ij,...ji->...", rho, logs).real
 
@@ -160,17 +177,14 @@ def _sandwich_exponent(alpha: float) -> float:
     return -0.5 if math.isinf(alpha) else (1.0 - alpha) / (2.0 * alpha)
 
 
-def _divergence_any_order(rho: np.ndarray, sigma: np.ndarray, alpha: float) -> float:
-    """Sandwiched divergence for alpha in (0, inf]; no DPI-range gate."""
-    psd_eigvalsh(rho)   # the sandwich of a checked rho needs only the rounding band
-    weight = psd_eigh(_hermitian(sigma))   # its support projector and its power c
-    overlapping, dominated = _support_flags(rho, spectral_power(*weight, 0.0))
-    if not overlapping:
-        return math.inf
-    if alpha >= 1.0 - ALPHA_ONE_WINDOW and not dominated:
+def _divergence_any_order(rho: np.ndarray, weight, alpha: float) -> float:
+    """Sandwiched divergence for alpha in (0, inf]; no DPI-range gate, rho checked
+    where it entered.  The weight's `psd_eigh` triple (a product's from
+    `kron_eigh`) gives its support, its power c and its logarithm."""
+    if _misses_weight(rho, weight, alpha):
         return math.inf
     if abs(alpha - 1.0) <= ALPHA_ONE_WINDOW:
-        return float(_tr_log2(rho, rho) - _tr_log2(rho, sigma))
+        return float(_tr_log2(rho, psd_eigh(rho)) - _tr_log2(rho, weight))
     w = spectral_power(*weight, _sandwich_exponent(alpha))
     return float(_renyi_log_trace(*congruence_eigvalsh(w, rho), alpha))
 
@@ -185,7 +199,7 @@ def sandwiched_divergence(rho, sigma, alpha: float) -> float:
     """
     if not (alpha >= 0.5):
         raise InvalidOrder(f"divergence order {alpha} below 1/2")
-    return _divergence_any_order(_mat(rho), _mat(sigma), alpha)
+    return _divergence_any_order(_state(rho), _weight(sigma), alpha)
 
 
 def renyi_entropy(rho, alpha: float) -> float:
@@ -194,7 +208,7 @@ def renyi_entropy(rho, alpha: float) -> float:
         raise InvalidOrder("entropy order must be nonnegative")
     rho = _mat(rho)
     if abs(alpha - 1.0) <= ALPHA_ONE_WINDOW:
-        return -float(_tr_log2(rho, rho))
+        return -float(_tr_log2(rho, psd_eigh(rho)))
     return -float(_renyi_log_trace(*psd_eigvalsh(rho), alpha))
 
 
@@ -254,16 +268,16 @@ class OptimizerResult:
 
 def gen_cond_entropy(rho, tau, alpha: float, dims, weight_pos: int = 1) -> float:
     """H_alpha(rho_AB || tau) = -D_alpha(rho_AB || id (x) tau) with tau at weight_pos."""
-    return -_divergence_any_order(_mat(rho), embed_block(dims, _mat(tau), [weight_pos]), alpha)
+    front, _, back = _block_sizes(as_layout(dims), [weight_pos])
+    return -_divergence_any_order(_state(rho), kron_eigh([front, _weight(tau), back]), alpha)
 
 
 def cond_entropy_down(rho, alpha: float, dims=None) -> float:
     """Conditional entropy against the actual marginal (no optimisation)."""
     layout = _layout_of(rho, dims)
-    rho = _mat(rho)
-    rest = list(range(1, len(layout.dims)))
-    tau = partial_trace(rho, layout, rest)
-    return -_divergence_any_order(rho, embed_block(layout, tau, rest), alpha)
+    rho = _state(rho)
+    tau = partial_trace(rho, layout, range(1, len(layout.dims)))
+    return -_divergence_any_order(rho, kron_eigh([layout.dims[0], _weight(tau)]), alpha)
 
 
 def _layout_of(rho, dims) -> SystemLayout:
@@ -282,15 +296,12 @@ def _block_sizes(layout: SystemLayout, positions) -> tuple[int, int, int]:
     return math.prod(dims[:lo]), math.prod(dims[lo:hi + 1]), math.prod(dims[hi + 1:])
 
 
-def _weight_times(layout: SystemLayout, positions, weight, sigma: np.ndarray) -> np.ndarray:
-    """tau (x) sigma in layout order: sigma on the block `positions`, tau (the
-    `psd_eigh` triple `weight`, None for the identity) on the other subsystems."""
-    if weight is None:
-        return embed_block(layout, sigma, positions)
-    front, d, back = _block_sizes(layout, positions)
-    tau = spectral_power(*weight, 1.0).reshape(front, back, front, back)
-    n = front * d * back
-    return np.einsum("fbgc,pq->fpbgqc", tau, sigma).reshape(n, n)
+def _weight_times(layout: SystemLayout, positions, weight, sigmas):
+    """The `psd_eigh` triple of tau (x) sigma_1 (x) ... in layout order from its
+    factors: the sigma_k on the block `positions`, tau (the triple `weight`) on
+    the subsystems before or after it."""
+    factors = [_weight(s) for s in sigmas]
+    return kron_eigh([weight, *factors] if _block_sizes(layout, positions)[2] == 1 else [*factors, weight])
 
 
 def _sector_values(lam: np.ndarray, live: np.ndarray, alpha: float):
@@ -347,9 +358,6 @@ class _FixedPoint:
         eigs = [psd_eigh(partial_trace(marginal, layout, p)) for p in blocks]
         bases = [vecs[:, live] for _, vecs, live in eigs]
         front, d, back = _block_sizes(layout, blocks[-1])
-        if weight is None:      # the identity on the rest, which two blocks leave empty
-            n = front * back if len(blocks) == 1 else 1
-            weight = (np.ones(n), np.eye(n), np.ones(n, dtype=bool))
         outer = weight[1] if len(blocks) == 1 else bases[0]   # block A where tau's eigenbasis goes
         b = spectral_power(*psd_eigh_blocks(rho), 0.5).reshape(-1, front, d, back)
         c = np.einsum("ifpb,pj,fbk->ikj", b, bases[-1], outer.reshape(front, back, -1))
@@ -674,13 +682,11 @@ def _solve_min_entropy(rho: np.ndarray, layout: SystemLayout, opt_positions,
     rest = front * back
     r = rho.reshape(front, d, back, front, d, back).transpose(0, 2, 1, 3, 5, 4)
     r = r.reshape(rest * d, rest * d)                         # ordered (rest, block)
-    k = rest
-    if weight is not None:
-        lam, v, live = weight
-        k = int(live.sum())
-        w = ((v[:, live] / np.sqrt(lam[live]))[:, None, :, None]
-             * np.eye(d)[None, :, None, :]).reshape(rest * d, k * d)
-        r = dagger(w) @ r @ w                                 # rho' on supp tau
+    lam, v, live = weight
+    k = int(live.sum())
+    w = ((v[:, live] / np.sqrt(lam[live]))[:, None, :, None]
+         * np.eye(d)[None, :, None, :]).reshape(rest * d, k * d)
+    r = dagger(w) @ r @ w                                     # rho' on supp tau
     _, u_r, live_r = psd_eigh(np.einsum("rpsp->rs", r.reshape(k, d, k, d)))
     _, u_p, live_p = psd_eigh(np.einsum("rpra->pa", r.reshape(k, d, k, d)))
     u_r, u_p = u_r[:, live_r], u_p[:, live_p]
@@ -689,17 +695,17 @@ def _solve_min_entropy(rho: np.ndarray, layout: SystemLayout, opt_positions,
     y, lo, hi, it, stop = _min_entropy_sdp(dagger(comp) @ r @ comp, m, n)
     sigma = u_p @ y @ dagger(u_p)
     sigma = (sigma + dagger(sigma)) / (2.0 * np.trace(y).real)
-    weighted = _weight_times(layout, opt_positions, weight, sigma)
-    value = _divergence_any_order(rho, weighted, math.inf)
+    value = _divergence_any_order(rho, _weight_times(layout, opt_positions, weight, [sigma]), math.inf)
     return OptimizerResult([sigma], value, it, hi - lo, stop)
 
 
 def _optimize_weight(rho: np.ndarray, alpha: float, layout: SystemLayout, blocks,
-                     weight=None) -> OptimizerResult:
+                     weight) -> OptimizerResult:
     """Minimise D_alpha(rho || tau (x) sigma_1 (x) ...) over density matrices
     sigma_k on the contiguous `blocks` (lists of positions): one block, with
-    `weight` the `psd_eigh` triple of tau on the other subsystems (None for
-    the identity), or the blocks ([0], [1]) of a bipartite rho with no weight.
+    `weight` the `psd_eigh` triple of tau on the other subsystems (`kron_eigh`
+    of their dimensions for the identity), or the blocks ([0], [1]) of a
+    bipartite rho with the empty identity `kron_eigh([])`.
     At a finite order rho may also be the (k, n, n) stack of the sectors of a
     cq state, whose register weight takes its closed form (`_FixedPoint`).
 
@@ -714,8 +720,7 @@ def _optimize_weight(rho: np.ndarray, alpha: float, layout: SystemLayout, blocks
         sectors = rho.reshape(-1, *rho.shape[-2:])
         return _solve_fixed_point(*_FixedPoint.build(sectors, alpha, layout, blocks, weight))
     marginals = [partial_trace(rho, layout, p) for p in blocks]
-    weighted = _weight_times(layout, sum(blocks, []), weight, functools.reduce(np.kron, marginals))
-    value = _divergence_any_order(rho, weighted, alpha)
+    value = _divergence_any_order(rho, _weight_times(layout, sum(blocks, []), weight, marginals), alpha)
     return OptimizerResult(marginals, value, 0, 0.0, STOPS[0])
 
 
@@ -729,18 +734,10 @@ def cond_entropy_up(rho, alpha: float, dims=None) -> OptimizerResult:
     if not (alpha >= 0.5):
         raise InvalidOrder(f"order {alpha} below 1/2")
     layout = _layout_of(rho, dims)
-    rho = _mat(rho)
+    rho = _state(rho)
     rest = list(range(1, len(layout.dims)))
-    res = _optimize_weight(rho, alpha, layout, [rest])
+    res = _optimize_weight(rho, alpha, layout, [rest], kron_eigh([layout.dims[0]]))
     return replace(res, value=-res.value)
-
-
-def _misses_weight(part: np.ndarray, weight, alpha: float) -> bool:
-    """Whether I_alpha against the weight tau (its `psd_eigh` triple) is +inf:
-    `part`, the marginal of rho that tau weighs, misses supp tau, or leaves it
-    from alpha = 1 - 1e-6 up."""
-    overlapping, dominated = _support_flags(part, spectral_power(*weight, 0.0))
-    return not overlapping or alpha >= 1.0 - ALPHA_ONE_WINDOW and not dominated
 
 
 def gen_mutual_info(rho, tau, alpha: float, dims=None, fixed: int = 0) -> OptimizerResult:
@@ -754,8 +751,7 @@ def gen_mutual_info(rho, tau, alpha: float, dims=None, fixed: int = 0) -> Optimi
     layout = _layout_of(rho, dims)
     if len(layout.dims) != 2:
         raise ValueError("generalised mutual information is bipartite")
-    rho, tau = _mat(rho), _mat(tau)
-    weight = psd_eigh(tau)
+    rho, weight = _state(rho), _weight(tau)
     if _misses_weight(partial_trace(rho, layout, [fixed]), weight, alpha):
         return OptimizerResult([partial_trace(rho, layout, [1 - fixed])], math.inf, 0, 0.0, STOPS[0])
     return _optimize_weight(rho, alpha, layout, [[1 - fixed]], weight)
@@ -779,9 +775,9 @@ def mutual_info_down(rho, alpha: float, dims=None) -> OptimizerResult:
     layout = _layout_of(rho, dims)
     if len(layout.dims) != 2:
         raise ValueError("mutual information is bipartite")
-    rho = _mat(rho)
+    rho = _state(rho)
     if not math.isinf(alpha):
-        return _optimize_weight(rho, alpha, layout, ([0], [1]))
+        return _optimize_weight(rho, alpha, layout, ([0], [1]), kron_eigh([]))
     sig_a = partial_trace(rho, layout, [0])
     value, iterations, stop = math.inf, 0, STOPS[0]
     for _ in range(MI_DOWN_ROUNDS):
@@ -824,7 +820,8 @@ def _register_window(sectors: np.ndarray, v: np.ndarray, tau) -> OptimizerResult
     lam, _, live = psd_eigh_blocks(sectors)
     p = np.einsum("xaa->x", sectors).real
     joint = np.sum(np.where(live, lam * np.log2(np.where(live, lam, 1.0)), 0.0))
-    value = joint + classical_renyi_entropy(p, 1.0) - _tr_log2(marginal, marginal if tau is None else _mat(tau))
+    weight = psd_eigh(marginal) if tau is None else _weight(tau)
+    value = joint + classical_renyi_entropy(p, 1.0) - _tr_log2(marginal, weight)
     factors = [(v * p) @ dagger(v)] + ([marginal] if tau is None else [])
     return OptimizerResult(factors, float(value), 0, 0.0, STOPS[0])
 
@@ -845,14 +842,14 @@ def measured_mutual_info(rho: DensityOperator, basis, alpha: float, tau=None) ->
     da, db = rho.layout.dims
     v = basis.vectors
     sectors = np.einsum("ix,iajb,jx->xab", v.conj(), rho.mat.reshape(da, db, da, db), v)
-    weight = None if tau is None else psd_eigh(_mat(tau))
+    weight = None if tau is None else _weight(tau)
     if math.isinf(alpha) or tau is not None and _misses_weight(sectors.sum(axis=0), weight, alpha):
         measured = measure(rho, basis, 0)
         return mutual_info_down(measured, alpha) if tau is None else gen_mutual_info(measured, tau, alpha, fixed=1)
     if abs(alpha - 1.0) <= ALPHA_ONE_WINDOW:
         return _register_window(sectors, v, tau)
     if tau is None:
-        res = _optimize_weight(sectors, alpha, SystemLayout((db,)), [[0]])
+        res = _optimize_weight(sectors, alpha, SystemLayout((db,)), [[0]], kron_eigh([]))
         value, q = _register_weights(sectors, psd_eigh(res.optimum.mat), alpha)
         return replace(res, value=value, factors=[(v * q) @ dagger(v), res.optimum.mat])
     value, q = _register_weights(sectors, weight, alpha)

@@ -22,16 +22,16 @@ from .entropies import (
     _divergence_any_order,
     _tr_log2,
 )
-from .linalg import as_layout, frac_power, partial_trace, swap_bipartite
+from .linalg import as_layout, frac_power, kron_eigh, partial_trace, psd_eigh, swap_bipartite
 from .orders import FORWARD, REVERSE, hconj, noncond_orders, sample_triple
 from .report import InequalityReport, finish, summarize
-from .states import random_density, random_pure, trial_rng
+from .states import DensityOperator, random_density, random_pure, trial_rng
 
 
 def _entropy_weight_term(gamma: float, rho_marg: np.ndarray, sigma: np.ndarray) -> float:
     """log (tr rho sigma^(1/gamma'))^(gamma'), the non-optimised entropy term."""
     if abs(gamma - 1.0) <= ALPHA_ONE_WINDOW:
-        return float(_tr_log2(rho_marg, sigma))
+        return float(_tr_log2(rho_marg, psd_eigh(sigma)))
     gp = hconj(gamma)
     return gp * float(np.log2(np.real(np.trace(rho_marg @ frac_power(sigma, 1.0 / gp)))))
 
@@ -46,13 +46,12 @@ def _rank_deficient_pair(rng, da: int, db: int):
     u = random_pure(db, rng)
     tau = float(rng.uniform(0.3, 1.5)) * np.outer(u, u.conj())
     rho_a = random_density(da, da, rng).mat
-    rho = np.kron(rho_a, np.outer(u, u.conj()))
-    return rho, tau
+    return DensityOperator(np.kron(rho_a, np.outer(u, u.conj())), as_layout(da * db)), tau
 
 
 def _suite_trial(tag: str, rng, dims, tolerance: float, seed: int) -> InequalityReport:
-    """One trial: draw a state and its weight, compute the forward sides, and
-    orient them by the trial's direction."""
+    """One trial: draw a state (checked once, when drawn) and its weight, compute
+    the forward sides, and orient them by the trial's direction."""
     layout = as_layout(dims)
     da, db = dims[0], dims[1]
     rank_deficient = rng.uniform() < 0.2   # drawn by every tag, so all draw in one order
@@ -70,32 +69,32 @@ def _suite_trial(tag: str, rng, dims, tolerance: float, seed: int) -> Inequality
         if rank_deficient:
             rho, tau_b = _rank_deficient_pair(rng, da, db)
         else:
-            rho = random_density(da * db, int(rng.integers(1, da * db + 1)), rng).mat
+            rho = random_density(da * db, int(rng.integers(1, da * db + 1)), rng)
             tau_b = random_density(db, db, rng).mat
         sig = random_density(da, da, rng).mat + 0.05 * np.eye(da)
         sig_a = sig / np.trace(sig).real
         small = -gen_cond_entropy(rho, tau_b, a, layout, weight_pos=1)
-        big = (_divergence_any_order(rho, np.kron(sig_a, tau_b), b)
-               + _entropy_weight_term(g, partial_trace(rho, layout, [0]), sig_a))
+        big = (_divergence_any_order(rho.mat, kron_eigh([psd_eigh(sig_a), psd_eigh(tau_b)]), b)
+               + _entropy_weight_term(g, partial_trace(rho.mat, layout, [0]), sig_a))
 
     elif tag in ("decomp", "decomp-dup"):
         # H_g(rho_B) - H_a(rho||tau_A) vs I_b(rho||tau_A)
         if rank_deficient:
             rho_swapped, tau_a = _rank_deficient_pair(rng, db, da)
-            rho = swap_bipartite(rho_swapped, (db, da))
+            rho = DensityOperator(swap_bipartite(rho_swapped.mat, (db, da)), layout)
         else:
-            rho = random_density(da * db, int(rng.integers(1, da * db + 1)), rng).mat
+            rho = random_density(da * db, int(rng.integers(1, da * db + 1)), rng)
             tau_a = random_density(da, da, rng).mat
         solves = [gen_mutual_info(rho, tau_a, b, layout, fixed=0)]
-        small = renyi_entropy(partial_trace(rho, layout, [1]), g) \
+        small = renyi_entropy(partial_trace(rho.mat, layout, [1]), g) \
             - gen_cond_entropy(rho, tau_a, a, layout, weight_pos=0)
         big = solves[0].value
 
     elif tag in ("bchain", "bchain-alt"):
         # H_up_b(A|B) + H_g(rho_B) vs H_a(rho_AB)
-        rho = random_density(da * db, int(rng.integers(1, da * db + 1)), rng).mat
+        rho = random_density(da * db, int(rng.integers(1, da * db + 1)), rng)
         solves = [cond_entropy_up(rho, b, layout)]
-        small = solves[0].value + renyi_entropy(partial_trace(rho, layout, [1]), g)
+        small = solves[0].value + renyi_entropy(partial_trace(rho.mat, layout, [1]), g)
         big = renyi_entropy(rho, a)
 
     elif tag in ("chain", "chain-dup"):
@@ -105,19 +104,19 @@ def _suite_trial(tag: str, rng, dims, tolerance: float, seed: int) -> Inequality
             rho, tau_c = _rank_deficient_pair(rng, da * db, dc)
         else:
             full = da * db * dc
-            rho = random_density(full, int(rng.integers(1, full + 1)), rng).mat
+            rho = random_density(full, int(rng.integers(1, full + 1)), rng)
             tau_c = random_density(dc, dc, rng).mat
         solves = [cond_entropy_up(rho, b, layout)]
-        rho_bc = partial_trace(rho, layout, [1, 2])
+        rho_bc = partial_trace(rho.mat, layout, [1, 2])
         small = solves[0].value + gen_cond_entropy(rho_bc, tau_c, g, layout.dims[1:], weight_pos=1)
         big = gen_cond_entropy(rho, tau_c, a, layout, weight_pos=2)
 
     else:
         # noncond: H_a(rho_A) + H_g(rho_B) - H_d(rho_AB) vs I_down_b(A:B)
-        rho = random_density(da * db, int(rng.integers(2, da * db + 1)), rng).mat
+        rho = random_density(da * db, int(rng.integers(2, da * db + 1)), rng)
         solves = [mutual_info_down(rho, b, layout)]
-        small = (renyi_entropy(partial_trace(rho, layout, [0]), a)
-                 + renyi_entropy(partial_trace(rho, layout, [1]), g)
+        small = (renyi_entropy(partial_trace(rho.mat, layout, [0]), a)
+                 + renyi_entropy(partial_trace(rho.mat, layout, [1]), g)
                  - renyi_entropy(rho, d))
         big = solves[0].value
 

@@ -1,9 +1,9 @@
 """Dense complex linear-operator kernel.
 
-The PSD spectral kernel (one clamp and support-cutoff policy for a matrix or a
-(..., d, d) stack, and the matrix powers built on it), Schatten (quasi-)norms,
-embedding and partial traces over subsystem layouts, and purification.
-Everything is plain numpy on small dense matrices (dims <= 64).
+The PSD spectral kernel (one clamp and support-cutoff policy for a matrix, a
+(..., d, d) stack or a Kronecker product from its factors, and the matrix powers
+built on it), Schatten (quasi-)norms, embedding and partial traces over
+subsystem layouts, and purification; plain numpy on small matrices (dims <= 64).
 """
 
 from __future__ import annotations
@@ -121,6 +121,20 @@ def psd_eigh_blocks(h: np.ndarray):
     top = lam[:, -1].max()
     lam, _ = _psd_policy(lam, top)
     return lam, v, lam > EIG_CUTOFF * top
+
+
+def kron_eigh(factors):
+    """`psd_eigh` of the Kronecker product of `factors`, `psd_eigh` triples or d for
+    the d x d identity, from theirs alone: the eigenvalue products ascending, one
+    cutoff set by the top one, and the eigenvector products in layout order."""
+    lam, v = np.ones(1), np.ones((1, 1))
+    for f in factors:
+        f_lam, f_v = (np.ones(f), np.eye(f)) if isinstance(f, int) else f[:2]
+        lam = np.multiply.outer(lam, f_lam).ravel()
+        v = (v[:, None, :, None] * f_v[None, :, None, :]).reshape(len(lam), len(lam))
+    order = np.argsort(lam, kind="stable")
+    lam, v = lam[order], v[:, order]
+    return lam, v, lam > EIG_CUTOFF * lam[-1]
 
 
 def congruence_eigvalsh(w: np.ndarray, rho: np.ndarray):

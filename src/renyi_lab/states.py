@@ -147,6 +147,15 @@ def cq_state(p, blocks, dims=None) -> DensityOperator:
     return DensityOperator(rho, layout)
 
 
+def random_cq_state(dim: int, registers: int, rng: np.random.Generator) -> DensityOperator:
+    """sum_y p(y) rho_y (x) |y><y| on A (x) Y, the register second, checked once:
+    p Dirichlet(1, ..., 1), then each rho_y = `random_density(dim, dim, rng)`."""
+    p = rng.dirichlet(np.ones(registers))
+    blocks = [random_density(dim, dim, rng).mat for _ in range(registers)]
+    rho = np.einsum("y,yab,yz->aybz", p, blocks, np.eye(registers)).reshape(dim * registers, -1)
+    return DensityOperator(rho, SystemLayout((dim, registers)))
+
+
 def _pinchers(basis: MeasurementBasis, layout: SystemLayout, subsystem: int):
     d = layout.dims[subsystem]
     if basis.dim != d:

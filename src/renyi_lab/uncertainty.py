@@ -31,17 +31,17 @@ from .entropies import (
     gen_cond_entropy,
     measured_mutual_info,
 )
-from .linalg import as_layout, dagger, swap_bipartite
+from .linalg import as_layout, dagger
 from .orders import hatconj, hconj, sample_triple, sdg_condition, surface_residual, FORWARD, REVERSE
 from .report import InequalityReport, finish
 from .states import (
     DensityOperator,
     MeasurementBasis,
-    cq_state,
     density_from_factor,
     measure,
     measurement_pmf,
     random_density,
+    random_cq_state,
     random_density_factor,
     random_onb,
 )
@@ -363,11 +363,7 @@ def suite_trial(tag: str, rng: np.random.Generator, dims, tolerance: float,
         alpha, delta = _sample_const_comp_orders(rng)
         return check_const_comp(rho_a, pair, alpha, delta, tolerance, seed)
     if tag == "hall-classical":
-        p = rng.dirichlet(np.ones(db))
-        blocks = [random_density(da, da, rng).mat for _ in range(db)]
-        rho_ya = cq_state(p, blocks, dims=(db, da))
-        rho_ay = DensityOperator(swap_bipartite(rho_ya.mat, (db, da)), as_layout((da, db)))
-        return check_hall_classical(rho_ay, pair, tolerance, seed)
+        return check_hall_classical(random_cq_state(da, db, rng), pair, tolerance, seed)
 
     rho = density_from_factor(rho_factor, dims=(da, db))
     tau_b = density_from_factor(tau_factor).mat

@@ -35,11 +35,11 @@ from renyi_lab.linalg import (
     dagger,
     embed_block,
     frac_power,
+    kron_eigh,
     partial_trace,
-    psd_eigvalsh,
+    psd_eigh,
     schatten_norm,
     support_projector,
-    swap_bipartite,
 )
 from renyi_lab.orders import hatconj, hconj
 from renyi_lab.report import FAIL, PASS
@@ -48,6 +48,7 @@ from renyi_lab.states import (
     MeasurementBasis,
     cq_state,
     measure,
+    random_cq_state,
     random_density,
     random_onb,
     random_pure,
@@ -145,6 +146,29 @@ class TestSandwichedDivergence:
         with pytest.raises(NotPositiveSemidefinite):
             cond_entropy_up(np.diag([0.5, 0.5 + 1e-7, 0.0, -1e-7]).astype(complex), 2.0, (2, 2))
 
+    @pytest.mark.parametrize("entry, weighted", [
+        (lambda rho, tau: sandwiched_divergence(rho, np.kron(tau, tau), 2.0), True),
+        (lambda rho, tau: gen_cond_entropy(rho, tau, 2.0, (2, 2)), True),
+        (lambda rho, tau: cond_entropy_down(rho, 2.0, (2, 2)), False),
+        (lambda rho, tau: cond_entropy_up(rho, 2.0, (2, 2)), False),
+        (lambda rho, tau: cond_entropy_up(rho, math.inf, (2, 2)), False),
+        (lambda rho, tau: cond_entropy_up(rho, 1.0 + 5e-7, (2, 2)), False),
+        (lambda rho, tau: gen_mutual_info(rho, tau, 2.0, (2, 2)), True),
+    ], ids=["D", "H", "Hdn", "Hup-2", "Hup-inf", "Hup-window", "I"])
+    def test_a_state_is_checked_where_it_enters(self, entry, weighted, monkeypatch):
+        # a raw array is checked once, at the public entry, and a skew weight is
+        # refused; a DensityOperator was checked when built and is not checked again
+        tau = np.eye(2, dtype=complex) / 2.0
+        with pytest.raises(NotPositiveSemidefinite):
+            entry(np.diag([0.5, 0.5 + 1e-7, 0.0, -1e-7]).astype(complex), tau)
+        if weighted:
+            skew = tau.copy()
+            skew[0, 1] = 0.1
+            with pytest.raises(NotHermitian):
+                entry(np.eye(4, dtype=complex) / 4.0, skew)
+        monkeypatch.setattr(entropies, "psd_eigvalsh", None)
+        entry(random_density(4, 3, trial_rng(30, 5), dims=(2, 2)), tau)
+
     def test_norm_form_identity(self):
         # divergence as the alpha-norm of the weighted state, to its conjugate power
         rng = trial_rng(30, 3)
@@ -155,7 +179,7 @@ class TestSandwichedDivergence:
             val = hconj(a) * np.log2(schatten_norm(w @ rho @ w, a))
             assert sandwiched_divergence(rho, sig, a) == pytest.approx(val, abs=1e-10) or a < 1
             if a < 1:
-                assert _divergence_any_order(rho, sig, a) == pytest.approx(val, abs=1e-10)
+                assert _divergence_any_order(rho, psd_eigh(sig), a) == pytest.approx(val, abs=1e-10)
 
     def test_orthogonal_supports_diverge(self):
         rho = np.diag([1.0, 0.0]).astype(complex)
@@ -219,17 +243,18 @@ class TestSandwichedDivergence:
 
     @pytest.mark.parametrize("d", [2, 3, 4, 8])
     def test_one_decomposition_of_sigma_is_bit_identical(self, d):
-        # sigma's support projector and its power c come from one decomposition;
-        # the separate support_projector and frac_power calls gave the same bits
+        # sigma's support projector, its power c and its logarithm come from one
+        # decomposition, which kron_eigh of one factor passes on as it is; the
+        # separate support_projector, frac_power and psd_eigh calls give the same bits
         def separate(rho, sigma, alpha):
-            psd_eigvalsh(rho)
-            overlapping, dominated = entropies._support_flags(rho, support_projector(sigma))
-            if not overlapping:
-                return math.inf
-            if alpha >= 1.0 - entropies.ALPHA_ONE_WINDOW and not dominated:
+            proj = support_projector(sigma)
+            inside, total = np.trace(proj @ rho @ proj).real, np.trace(rho).real
+            tol = entropies.SUPPORT_TOL * max(total, 1.0)
+            if inside <= tol or alpha >= 1.0 - entropies.ALPHA_ONE_WINDOW and total - inside > tol:
                 return math.inf
             if abs(alpha - 1.0) <= entropies.ALPHA_ONE_WINDOW:
-                return float(entropies._tr_log2(rho, rho) - entropies._tr_log2(rho, sigma))
+                herm = psd_eigh((sigma + dagger(sigma)) / 2.0)
+                return float(entropies._tr_log2(rho, psd_eigh(rho)) - entropies._tr_log2(rho, herm))
             w = frac_power(sigma, entropies._sandwich_exponent(alpha))
             return float(entropies._renyi_log_trace(*congruence_eigvalsh(w, rho), alpha))
 
@@ -240,13 +265,10 @@ class TestSandwichedDivergence:
             g = u @ (rng.standard_normal((rank, rank)) + 1j * rng.standard_normal((rank, rank)))
             inside = g @ dagger(g) / np.trace(g @ dagger(g)).real   # on supp sigma
             for rho in (random_density(d, int(rng.integers(1, d + 1)), rng).mat, inside):
+                weight = kron_eigh([1, psd_eigh((sigma + dagger(sigma)) / 2.0), 1])
                 for alpha in (0.3, 0.5, 0.75, 1.0 - 5e-7, 1.0, 1.5, 4.0, math.inf):
-                    assert _divergence_any_order(rho, sigma, alpha) == separate(rho, sigma, alpha), \
+                    assert _divergence_any_order(rho, weight, alpha) == separate(rho, sigma, alpha), \
                         (rank, alpha)
-        skew = np.eye(d, dtype=complex) / d
-        skew[0, -1] = 0.1
-        with pytest.raises(NotHermitian):
-            _divergence_any_order(np.eye(d, dtype=complex) / d, skew, 2.0)
 
 
 class TestRenyiEntropy:
@@ -515,7 +537,7 @@ class TestQuantityNormIdentities:
                 val = 2.0 * ap * np.log2(
                     schatten_norm(y @ embed_block((2, 2), frac_power(tau_b, 1.0 / (2.0 * a)), [1]), 2 * a))
                 tilt = 1.0 - (0.0 if math.isinf(lp) else ap / lp)
-                w = np.kron(frac_power(sig_a, tilt), tau_b)
+                w = kron_eigh([psd_eigh(frac_power(sig_a, tilt)), psd_eigh(tau_b)])
                 assert val == pytest.approx(_divergence_any_order(rho, w, a), abs=1e-8)
 
     def test_norm_as_weighted_trace_supremum(self):
@@ -918,14 +940,6 @@ class TestMeasuredMutualInfo:
             assert res.value == pytest.approx(closed, abs=1e-12), (dx, db)
 
 
-def hall_trial_state(da, db, rng):
-    """A cq state with its register Y second and A first, drawn as the
-    `hall-classical` suite draws it."""
-    p = rng.dirichlet(np.ones(db))
-    rho_ya = cq_state(p, [random_density(da, da, rng).mat for _ in range(db)], dims=(db, da))
-    return DensityOperator(swap_bipartite(rho_ya.mat, (db, da)), SystemLayout((da, db)))
-
-
 class TestHallClassical:
     """Hall's von Neumann exclusion I(X:Y) + I(Z:Y) <= log2(d^2 c) on cq states."""
 
@@ -939,7 +953,7 @@ class TestHallClassical:
         for i in range(200):
             rng = trial_rng(106, i)
             pair = uncertainty.random_pair(dims[0], rng)
-            rho = hall_trial_state(*dims, rng)
+            rho = random_cq_state(*dims, rng)   # the hall-classical suite's draw
             pairs.append((rho, pair, vn_mutual(measure(rho, pair.basis_x, 0))
                           + vn_mutual(measure(rho, pair.basis_z, 0))))
 

@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
+import pytest
 
 from renyi_lab.entropies import ALPHA_ONE_WINDOW
-from renyi_lab.inequalities import _entropy_weight_term
+from renyi_lab.inequalities import _entropy_weight_term, run_suite
 from renyi_lab.states import random_density, trial_rng
 
 
@@ -20,3 +23,21 @@ def test_weight_term_takes_the_order_one_route_across_the_alpha_one_window():
         for gamma in (1.0 - 2e-6, 1.0 + 2e-6):
             assert np.isclose(_entropy_weight_term(gamma, rho, sigma), at_one, atol=1e-4)
 
+
+
+@pytest.mark.parametrize("tag, allowed", [("general", {1, 2, 3}), ("hall-classical", {1})])
+def test_wide_trials_decompose_few_64_by_64_matrices(tag, allowed, monkeypatch):
+    # weights are decomposed through their 8 x 8 factors and a state is checked
+    # once: general keeps the draw of rho and one sandwich (or, near alpha = 1,
+    # rho's logarithm) per divergence, hall-classical the check of its cq state
+    sizes = []
+    for name in ("eigh", "eigvalsh", "eig", "eigvals", "svd"):
+        def counted(a, *args, _decompose=getattr(np.linalg, name), **kwargs):
+            sizes.extend([np.shape(a)[-1]] * math.prod(np.shape(a)[:-2]))
+            return _decompose(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    for seed in range(20):
+        sizes.clear()
+        reports, _ = run_suite(tag, 1, (8, 8), seed)
+        assert reports[0].verdict != "error", reports[0].note
+        assert sizes.count(64) in allowed, (seed, sizes.count(64))
