@@ -164,9 +164,10 @@ def cmd_sweep(args) -> int:
         raise ConfigError("trials must be >= 1")
     if not (math.isfinite(tol) and tol >= 0):
         raise ConfigError(f"tol must be a finite number >= 0, got {tol!r}")
-    for d in (dim_a, dim_b, dim_c):
-        if not 2 <= d <= 8:
-            raise ConfigError("subsystem dimensions must lie in [2, 8]")
+    # a subsystem of 16 admits cq states of 16 blocks of 4 and of 4 blocks of
+    # 16; the product cap keeps states no larger than (8, 8, 8)
+    if not all(2 <= d <= 16 for d in (dim_a, dim_b, dim_c)) or dim_a * dim_b * dim_c > 512:
+        raise ConfigError("subsystem dimensions must lie in [2, 16], their product at most 512")
 
     os.makedirs(out, exist_ok=True)
     any_fail = False

@@ -145,10 +145,14 @@ def classical_renyi_divergence(p, q, alpha: float) -> float:
 
 def _misses_weight(rho: np.ndarray, weight, alpha: float) -> bool:
     """Whether D_alpha(rho || tau) is +inf by supports alone, tau given by its
-    `psd_eigh` triple: rho misses supp tau, or leaves it from alpha = 1 - 1e-6 up."""
-    proj = spectral_power(*weight, 0.0)
-    inside = float(np.real(np.trace(proj @ rho @ proj)))
+    `psd_eigh` triple: rho misses supp tau, or leaves it from alpha = 1 - 1e-6 up.
+    A full-support tau keeps all of rho, with no projection."""
     total = float(np.real(np.trace(rho)))
+    if weight[2].all():
+        inside = total
+    else:
+        proj = spectral_power(*weight, 0.0)
+        inside = float(np.real(np.trace(proj @ rho @ proj)))
     tol = SUPPORT_TOL * max(total, 1.0)
     return inside <= tol or alpha >= 1.0 - ALPHA_ONE_WINDOW and total - inside > tol
 
@@ -751,7 +755,12 @@ def gen_mutual_info(rho, tau, alpha: float, dims=None, fixed: int = 0) -> Optimi
     layout = _layout_of(rho, dims)
     if len(layout.dims) != 2:
         raise ValueError("generalised mutual information is bipartite")
-    rho, weight = _state(rho), _weight(tau)
+    return _mutual_info_against(_state(rho), _weight(tau), alpha, layout, fixed)
+
+
+def _mutual_info_against(rho: np.ndarray, weight, alpha: float, layout: SystemLayout,
+                         fixed: int) -> OptimizerResult:
+    """`gen_mutual_info` of a checked bipartite rho against tau's `psd_eigh` triple."""
     if _misses_weight(partial_trace(rho, layout, [fixed]), weight, alpha):
         return OptimizerResult([partial_trace(rho, layout, [1 - fixed])], math.inf, 0, 0.0, STOPS[0])
     return _optimize_weight(rho, alpha, layout, [[1 - fixed]], weight)
@@ -781,8 +790,8 @@ def mutual_info_down(rho, alpha: float, dims=None) -> OptimizerResult:
     sig_a = partial_trace(rho, layout, [0])
     value, iterations, stop = math.inf, 0, STOPS[0]
     for _ in range(MI_DOWN_ROUNDS):
-        res_b = gen_mutual_info(rho, sig_a, alpha, layout, fixed=0)
-        res_a = gen_mutual_info(rho, res_b.optimum.mat, alpha, layout, fixed=1)
+        res_b = _mutual_info_against(rho, _weight(sig_a), alpha, layout, fixed=0)
+        res_a = _mutual_info_against(rho, _weight(res_b.optimum.mat), alpha, layout, fixed=1)
         sig_a, sig_b = res_a.optimum.mat, res_b.optimum.mat
         iterations += res_a.iterations + res_b.iterations
         stop = max(stop, res_a.stop, res_b.stop, key=STOPS.index)

@@ -66,11 +66,13 @@ def as_layout(dims) -> SystemLayout:
 
 
 def dagger(m: np.ndarray) -> np.ndarray:
-    return m.conj().T
+    """The conjugate transpose of a matrix, or of each matrix of a stack."""
+    return m.conj().swapaxes(-1, -2)
 
 
 def check_hermitian(h: np.ndarray) -> np.ndarray:
-    """h as a complex array, or NotHermitian if it is not Hermitian within tolerance."""
+    """h as a complex array, or NotHermitian if it is not Hermitian within
+    tolerance; a (k, d, d) stack is checked as its block-diagonal matrix."""
     h = np.asarray(h, dtype=complex)
     scale = 1.0 + np.abs(h).max(initial=0.0)
     if np.abs(h - dagger(h)).max(initial=0.0) > HERM_TOL * scale:

@@ -2,7 +2,8 @@
 
 All samplers take an explicit numpy Generator.  Trial-level RNGs derive from
 (master_seed, trial_index) so trials are order-independent and reproducible
-bit-for-bit.
+bit-for-bit.  A direct sum, such as a cq state of `random_cq_state`, is checked
+through its blocks, never as the assembled matrix.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from .linalg import (
     embed_block,
     partial_trace,
     psd_eigh,
+    psd_eigh_blocks,
     _hermitian,
 )
 
@@ -28,7 +30,9 @@ ONB_TOL = 1e-10
 
 @dataclass(frozen=True)
 class DensityOperator:
-    """Trace-1 PSD matrix with an attached subsystem layout."""
+    """Trace-1 PSD matrix with an attached subsystem layout, checked by one
+    `psd_eigh` and rebuilt from the clamped spectrum; a direct sum is checked
+    through its blocks instead (`_direct_sum`)."""
 
     mat: np.ndarray
     layout: SystemLayout
@@ -37,10 +41,24 @@ class DensityOperator:
         m = np.asarray(self.mat, dtype=complex)
         self.layout.check(m.shape[0])
         vals, vecs, _ = psd_eigh(_hermitian(m))  # raises if meaningfully non-PSD
-        tr = vals.sum()
-        if abs(tr - 1.0) > TRACE_TOL:
-            raise ValueError(f"trace {tr} differs from 1 beyond tolerance")
+        _check_trace(vals)
         object.__setattr__(self, "mat", (vecs * vals) @ dagger(vecs))
+
+    @classmethod
+    def _direct_sum(cls, blocks: np.ndarray) -> "DensityOperator":
+        """sum_y B_y (x) |y><y| on A (x) Y, the register second, from the
+        (registers, dim, dim) stack of its blocks B_y, checked as the assembled
+        matrix would be: its spectrum is the union of the blocks', with one
+        clamp band set by the top eigenvalue over all blocks."""
+        registers, dim, _ = blocks.shape
+        vals, vecs, _ = psd_eigh_blocks(_hermitian(blocks))
+        _check_trace(vals)
+        rebuilt = (vecs * vals[:, None, :]) @ dagger(vecs)
+        mat = np.einsum("yab,yz->aybz", rebuilt, np.eye(registers)).reshape(dim * registers, -1)
+        state = object.__new__(cls)
+        object.__setattr__(state, "mat", mat)
+        object.__setattr__(state, "layout", SystemLayout((dim, registers)))
+        return state
 
     @property
     def dim(self) -> int:
@@ -50,6 +68,12 @@ class DensityOperator:
         keep = sorted(set(keep))
         sub = partial_trace(self.mat, self.layout, keep)
         return DensityOperator(sub, SystemLayout(tuple(self.layout.dims[k] for k in keep)))
+
+
+def _check_trace(vals: np.ndarray) -> None:
+    tr = vals.sum()
+    if abs(tr - 1.0) > TRACE_TOL:
+        raise ValueError(f"trace {tr} differs from 1 beyond tolerance")
 
 
 @dataclass(frozen=True)
@@ -116,13 +140,19 @@ def density_from_factor(g: np.ndarray, dims=None) -> DensityOperator:
     rank factor (the induced measure of Zyczkowski and Sommers).  It is summed as
     rank-one terms in index order, bit-identical to tracing out the (dim*rank)^2
     outer product in O(dim*rank) memory besides the result and one term."""
-    dim, rank = g.shape
-    rho = np.zeros((dim, dim), dtype=complex)
-    for k in range(rank):
-        rho += np.outer(g[:, k], g[:, k].conj())
+    dim = g.shape[0]
     layout = as_layout(dims) if dims is not None else SystemLayout((dim,))
     layout.check(dim)
-    return DensityOperator(rho, layout)
+    return DensityOperator(_gram(g), layout)
+
+
+def _gram(g: np.ndarray) -> np.ndarray:
+    """G G^dagger of a (..., dim, rank) matrix or stack, its rank-one terms
+    summed in index order."""
+    rho = np.zeros(g.shape[:-1] + g.shape[-2:-1], dtype=complex)
+    for k in range(g.shape[-1]):
+        rho += g[..., :, k, None] * g[..., None, :, k].conj()
+    return rho
 
 
 def random_onb(dim: int, rng: np.random.Generator) -> MeasurementBasis:
@@ -148,12 +178,12 @@ def cq_state(p, blocks, dims=None) -> DensityOperator:
 
 
 def random_cq_state(dim: int, registers: int, rng: np.random.Generator) -> DensityOperator:
-    """sum_y p(y) rho_y (x) |y><y| on A (x) Y, the register second, checked once:
-    p Dirichlet(1, ..., 1), then each rho_y = `random_density(dim, dim, rng)`."""
+    """sum_y p(y) rho_y (x) |y><y| on A (x) Y, the register second, checked once
+    through its blocks p(y) rho_y: p Dirichlet(1, ..., 1), then each rho_y the
+    draw and build of `random_density(dim, dim, rng)`."""
     p = rng.dirichlet(np.ones(registers))
-    blocks = [random_density(dim, dim, rng).mat for _ in range(registers)]
-    rho = np.einsum("y,yab,yz->aybz", p, blocks, np.eye(registers)).reshape(dim * registers, -1)
-    return DensityOperator(rho, SystemLayout((dim, registers)))
+    g = np.stack([random_density_factor(dim, dim, rng) for _ in range(registers)])
+    return DensityOperator._direct_sum(p[:, None, None] * _gram(g))
 
 
 def _pinchers(basis: MeasurementBasis, layout: SystemLayout, subsystem: int):
@@ -175,7 +205,7 @@ def measure(rho: DensityOperator, basis: MeasurementBasis, subsystem: int = 0) -
 
 def measurement_pmf(rho: DensityOperator, basis: MeasurementBasis, subsystem: int = 0) -> Pmf:
     """Outcome distribution of measuring one subsystem in the given basis."""
-    marg = rho.marginal([subsystem]).mat
+    marg = partial_trace(rho.mat, rho.layout, [subsystem])   # PSD as rho is
     if basis.dim != marg.shape[0]:
         raise LayoutMismatch("basis dimension does not match subsystem")
     p = np.real(np.einsum("xi,ij,jx->x", dagger(basis.vectors), marg, basis.vectors))

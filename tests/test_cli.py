@@ -146,6 +146,17 @@ def test_pair_dimension_below_one_is_rejected(capsys, pair):
     assert "pair dimension must be >= 1" in err and repr(pair) in err
 
 
+@pytest.mark.parametrize("dims, code", [
+    (("4", "16", "2"), 0), (("16", "4", "2"), 0),
+    (("1", "2", "2"), 2), (("17", "2", "2"), 2), (("16", "16", "4"), 2),
+])
+def test_sweep_dimensions_are_bounded(tmp_path, capsys, dims, code):
+    # a subsystem up to 16, the state up to the 512 of (8, 8, 8)
+    args = ["sweep", "--suite", "hall-classical", "--trials", "1", "--out", str(tmp_path)]
+    assert main(args + ["--dim-a", dims[0], "--dim-b", dims[1], "--dim-c", dims[2]]) == code
+    assert ("must lie in [2, 16]" in capsys.readouterr().err) == (code == 2)
+
+
 def test_sweep_gives_each_suite_its_arity_of_dims(tmp_path):
     out = str(tmp_path)
     code = main(["sweep", "--suite", "chain", "--suite", "general", "--dim-c", "3",

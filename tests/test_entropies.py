@@ -39,6 +39,7 @@ from renyi_lab.linalg import (
     partial_trace,
     psd_eigh,
     schatten_norm,
+    spectral_power,
     support_projector,
 )
 from renyi_lab.orders import hatconj, hconj
@@ -168,6 +169,27 @@ class TestSandwichedDivergence:
                 entry(np.eye(4, dtype=complex) / 4.0, skew)
         monkeypatch.setattr(entropies, "psd_eigvalsh", None)
         entry(random_density(4, 3, trial_rng(30, 5), dims=(2, 2)), tau)
+
+    def test_full_support_weights_skip_the_projection(self):
+        # the support test decides as the projector formula does, for weights of
+        # full, deficient and zero rank, inside and across the order-one window
+        def projected(rho, weight, alpha):
+            proj = spectral_power(*weight, 0.0)
+            inside = float(np.real(np.trace(proj @ rho @ proj)))
+            total = float(np.real(np.trace(rho)))
+            tol = entropies.SUPPORT_TOL * max(total, 1.0)
+            return inside <= tol or alpha >= 1.0 - entropies.ALPHA_ONE_WINDOW and total - inside > tol
+
+        rng = trial_rng(31, 0)
+        weights = [psd_eigh(random_density(3, rank, rng).mat) for rank in (3, 2, 1)]
+        weights += [psd_eigh(np.zeros((3, 3), dtype=complex)), kron_eigh([3])]
+        assert [w[2].all() for w in weights] == [True, False, False, False, True]
+        rhos = [random_density(3, rank, rng).mat for rank in (3, 2, 1)]
+        rhos += [spectral_power(*w, 0.0) / w[2].sum() for w in weights[1:3]]
+        for weight in weights:
+            for rho in rhos:
+                for alpha in (0.5, 1.0 - 5e-7, 1.0, 2.0, math.inf):
+                    assert entropies._misses_weight(rho, weight, alpha) == projected(rho, weight, alpha)
 
     def test_norm_form_identity(self):
         # divergence as the alpha-norm of the weighted state, to its conjugate power
@@ -615,7 +637,7 @@ class TestOptimizer:
         assert mutual_info_down(rho, 2.0).stop == "no_step" and len(solves) == 1
         monkeypatch.undo()
         # at alpha = inf mutual_info_down keeps the worst stop of its alternating solves
-        solve = entropies.gen_mutual_info
+        solve = entropies._mutual_info_against
         calls = []
 
         def marked(*args, **kwargs):
@@ -623,7 +645,7 @@ class TestOptimizer:
             res = solve(*args, **kwargs)
             return res if len(calls) != 2 else replace(res, stop="no_step")
 
-        monkeypatch.setattr(entropies, "gen_mutual_info", marked)
+        monkeypatch.setattr(entropies, "_mutual_info_against", marked)
         assert mutual_info_down(rho, math.inf).stop == "no_step"
         assert len(calls) > 2
 
@@ -803,6 +825,19 @@ class TestJointMutualInfoDown:
         for da, db, ra, rb in ((2, 2, 1, 1), (2, 3, 1, 2), (3, 2, 2, 1), (3, 3, 2, 2), (2, 4, 2, 3)):
             rho = np.kron(random_density(da, ra, rng).mat, random_density(db, rb, rng).mat)
             assert mutual_info_down(rho, alpha, (da, db)).value == pytest.approx(0.0, abs=1e-10)
+
+    def test_alternation_at_infinity_checks_rho_once(self, monkeypatch):
+        # its 17 rounds run on the state checked at entry: a raw array is
+        # checked once, a DensityOperator not at all, and the value stays
+        rho = random_density(4, 3, trial_rng(1, 2), dims=(2, 2))
+        checked = []
+        monkeypatch.setattr(entropies, "psd_eigvalsh",
+                            lambda h, _check=entropies.psd_eigvalsh: checked.append(h) or _check(h))
+        assert mutual_info_down(rho.mat, math.inf, (2, 2)).value == 1.13314831599065
+        assert len(checked) == 1
+        checked.clear()
+        assert mutual_info_down(rho, math.inf).value == 1.13314831599065
+        assert checked == []
 
     def test_alternation_at_infinity_says_when_its_rounds_ran_out(self):
         # the last of the MI_DOWN_ROUNDS rounds still lowers I-down_inf by about 6e-5 bits

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from renyi_lab.linalg import LayoutMismatch, dagger, partial_trace
+from renyi_lab.linalg import LayoutMismatch, NotHermitian, NotPositiveSemidefinite, dagger, partial_trace
 from renyi_lab.states import (
     DensityOperator,
     MeasurementBasis,
@@ -13,6 +13,7 @@ from renyi_lab.states import (
     density_from_factor,
     measure,
     measurement_pmf,
+    random_cq_state,
     random_density,
     random_density_factor,
     random_onb,
@@ -143,6 +144,59 @@ def test_cq_state_marginal():
     marg = partial_trace(rho.mat, (3, 2), keep=[1])
     expected = sum(p[x] * blocks[x] for x in range(3))
     assert np.abs(marg - expected).max() < 1e-12
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (3, 2), (8, 8), (4, 16), (16, 4)])
+def test_random_cq_state_matches_the_dense_construction(dims, monkeypatch):
+    # the dense oracle checks each block as a DensityOperator, then the
+    # assembled matrix: one draw, two rebuilds.  Its own rebuild moves its
+    # input by up to 1.1e-15 at (2, 2) and (3, 2), and the two differ by up to
+    # 1.7e-15 in 250 draws there, so they agree to rounding, not to the bit
+    dim, registers = dims
+    checked = []
+    monkeypatch.setattr(DensityOperator, "_direct_sum",
+                        lambda b, _check=DensityOperator._direct_sum: checked.append(b) or _check(b))
+    for i in range(20):
+        rng, again = trial_rng(18, 100 * i + dim), trial_rng(18, 100 * i + dim)
+        rho = random_cq_state(dim, registers, rng)
+        p = again.dirichlet(np.ones(registers))
+        draws = copy.deepcopy(again)
+        g = [random_density_factor(dim, dim, draws) for _ in range(registers)]
+        blocks = [random_density(dim, dim, again).mat for _ in range(registers)]
+        dense = np.einsum("y,yab,yz->aybz", p, blocks, np.eye(registers)).reshape(dim * registers, -1)
+        want = DensityOperator(dense, _l(dim, registers))
+        assert rho.layout == want.layout
+        assert np.abs(rho.mat - want.mat).max() <= 4e-15, i
+        assert rng.random() == again.random()
+        # the blocks reach the check summed as density_from_factor sums them
+        raw = [sum((np.outer(f[:, k], f[:, k].conj()) for k in range(dim)),
+                   np.zeros((dim, dim), dtype=complex)) for f in g]
+        assert np.array_equal(checked.pop(), p[:, None, None] * np.array(raw))
+
+
+def _register_blocks(*diagonals):
+    return np.array([np.diag(d).astype(complex) for d in diagonals])
+
+
+def test_direct_sum_is_checked_through_its_blocks():
+    blocks = _register_blocks([0.5, 0.0], [0.3, 0.2])
+    blocks[1, 0, 1], blocks[1, 1, 0] = 0.1j, -0.1j
+    rho = DensityOperator._direct_sum(blocks)
+    assert rho.layout.dims == (2, 2)
+    # the register second: sum_y B_y (x) |y><y|
+    dense = sum(np.kron(b, np.outer(e, e)) for b, e in zip(blocks, np.eye(2)))
+    assert np.abs(rho.mat - dense).max() <= 1e-15
+    # a block eigenvalue inside the clamp band is zeroed, one below it raises
+    clamped = DensityOperator._direct_sum(_register_blocks([0.5, -1e-12], [0.25, 0.25 + 1e-12]))
+    assert clamped.mat[2, 2] == 0.0
+    with pytest.raises(NotPositiveSemidefinite):
+        DensityOperator._direct_sum(_register_blocks([0.5, 0.0], [0.5 + 1e-7, -1e-7]))
+    with pytest.raises(ValueError, match="trace"):
+        DensityOperator._direct_sum(_register_blocks([0.5, 0.0], [0.25, 0.26]))
+    skew = _register_blocks([0.5, 0.0], [0.25, 0.25])
+    skew[1, 0, 1] = 0.1
+    with pytest.raises(NotHermitian):
+        DensityOperator._direct_sum(skew)
 
 
 def test_pmf_validation():
