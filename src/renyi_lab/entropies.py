@@ -262,8 +262,8 @@ class OptimizerResult:
 
     @functools.cached_property
     def optimum(self) -> DensityOperator:
-        return DensityOperator(functools.reduce(np.kron, self.factors),
-                               SystemLayout(tuple(len(x) for x in self.factors)))
+        return DensityOperator._built(functools.reduce(np.kron, self.factors),
+                                      SystemLayout(tuple(len(x) for x in self.factors)))
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,8 @@ from .entropies import (
 from .linalg import as_layout, frac_power, kron_eigh, partial_trace, psd_eigh, swap_bipartite
 from .orders import FORWARD, REVERSE, hconj, noncond_orders, sample_triple
 from .report import InequalityReport, finish, summarize
-from .states import DensityOperator, random_density, random_pure, trial_rng
+from .states import (DensityOperator, density_from_factor, random_density, random_density_factor,
+                     random_pure, trial_rng)
 
 
 def _entropy_weight_term(gamma: float, rho_marg: np.ndarray, sigma: np.ndarray) -> float:
@@ -45,8 +46,8 @@ def _rank_deficient_pair(rng, da: int, db: int):
     dominating rho, exercising the pseudoinverse path."""
     u = random_pure(db, rng)
     tau = float(rng.uniform(0.3, 1.5)) * np.outer(u, u.conj())
-    rho_a = random_density(da, da, rng).mat
-    return DensityOperator(np.kron(rho_a, np.outer(u, u.conj())), as_layout(da * db)), tau
+    g_a = random_density_factor(da, da, rng)
+    return density_from_factor(np.kron(g_a, u[:, None]), da * db), tau   # rho_A (x) |u><u|
 
 
 def _suite_trial(tag: str, rng, dims, tolerance: float, seed: int) -> InequalityReport:
@@ -81,7 +82,7 @@ def _suite_trial(tag: str, rng, dims, tolerance: float, seed: int) -> Inequality
         # H_g(rho_B) - H_a(rho||tau_A) vs I_b(rho||tau_A)
         if rank_deficient:
             rho_swapped, tau_a = _rank_deficient_pair(rng, db, da)
-            rho = DensityOperator(swap_bipartite(rho_swapped.mat, (db, da)), layout)
+            rho = DensityOperator._built(swap_bipartite(rho_swapped.mat, (db, da)), layout)
         else:
             rho = random_density(da * db, int(rng.integers(1, da * db + 1)), rng)
             tau_a = random_density(da, da, rng).mat

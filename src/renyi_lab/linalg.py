@@ -75,8 +75,8 @@ def check_hermitian(h: np.ndarray) -> np.ndarray:
     tolerance; a (k, d, d) stack is checked as its block-diagonal matrix."""
     h = np.asarray(h, dtype=complex)
     scale = 1.0 + np.abs(h).max(initial=0.0)
-    if np.abs(h - dagger(h)).max(initial=0.0) > HERM_TOL * scale:
-        raise NotHermitian("matrix is not Hermitian within tolerance")
+    if not (np.abs(h - dagger(h)).max(initial=0.0) <= HERM_TOL * scale):   # NaN fails
+        raise NotHermitian("matrix is not finite and Hermitian within tolerance")
     return h
 
 
@@ -91,10 +91,10 @@ def _hermitian(h: np.ndarray) -> np.ndarray:
 
 def _psd_policy(lam: np.ndarray, scale: np.ndarray):
     """Zero the clamp band [-PSD_CLAMP * max(1, scale), 0) of ascending
-    (..., d) spectra, raise below it, and mark each matrix's support."""
+    (..., d) spectra, raise below it or on a NaN, and mark each matrix's support."""
     low = lam[..., 0]
-    if low.min() < 0.0:
-        if (low < -PSD_CLAMP * np.maximum(scale, 1.0)).any():
+    if not (low.min() >= 0.0):
+        if not (low >= -PSD_CLAMP * np.maximum(scale, 1.0)).all():
             raise NotPositiveSemidefinite(f"eigenvalue {low.min():.3e} below clamp tolerance")
         lam = np.maximum(lam, 0.0)
     return lam, lam > EIG_CUTOFF * lam[..., -1:]

@@ -2,8 +2,9 @@
 
 All samplers take an explicit numpy Generator.  Trial-level RNGs derive from
 (master_seed, trial_index) so trials are order-independent and reproducible
-bit-for-bit.  A direct sum, such as a cq state of `random_cq_state`, is checked
-through its blocks, never as the assembled matrix.
+bit-for-bit.  A raw matrix becomes a state by its spectrum; a matrix built PSD,
+such as a sampled Gram G G^dagger, a pinching, a partial trace or a product of
+checked states, by its trace alone.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from .linalg import (
     embed_block,
     partial_trace,
     psd_eigh,
-    psd_eigh_blocks,
     _hermitian,
 )
 
@@ -30,9 +30,9 @@ ONB_TOL = 1e-10
 
 @dataclass(frozen=True)
 class DensityOperator:
-    """Trace-1 PSD matrix with an attached subsystem layout, checked by one
-    `psd_eigh` and rebuilt from the clamped spectrum; a direct sum is checked
-    through its blocks instead (`_direct_sum`)."""
+    """Trace-1 PSD matrix with an attached subsystem layout.  A raw matrix is
+    checked by one `psd_eigh` and rebuilt from the clamped spectrum; a matrix
+    PSD by construction is checked by its trace alone (`_built`)."""
 
     mat: np.ndarray
     layout: SystemLayout
@@ -41,23 +41,21 @@ class DensityOperator:
         m = np.asarray(self.mat, dtype=complex)
         self.layout.check(m.shape[0])
         vals, vecs, _ = psd_eigh(_hermitian(m))  # raises if meaningfully non-PSD
-        _check_trace(vals)
+        _check_trace(vals.sum())
         object.__setattr__(self, "mat", (vecs * vals) @ dagger(vecs))
 
     @classmethod
-    def _direct_sum(cls, blocks: np.ndarray) -> "DensityOperator":
-        """sum_y B_y (x) |y><y| on A (x) Y, the register second, from the
-        (registers, dim, dim) stack of its blocks B_y, checked as the assembled
-        matrix would be: its spectrum is the union of the blocks', with one
-        clamp band set by the top eigenvalue over all blocks."""
-        registers, dim, _ = blocks.shape
-        vals, vecs, _ = psd_eigh_blocks(_hermitian(blocks))
-        _check_trace(vals)
-        rebuilt = (vecs * vals[:, None, :]) @ dagger(vecs)
-        mat = np.einsum("yab,yz->aybz", rebuilt, np.eye(registers)).reshape(dim * registers, -1)
+    def _built(cls, mat: np.ndarray, layout: SystemLayout) -> "DensityOperator":
+        """The state of a matrix PSD by construction: a Gram G G^dagger, or a
+        pinching, a partial trace or a product of checked states.  Its
+        Hermitian part is kept and only its trace is checked, which a
+        non-finite factor fails; nothing is decomposed."""
+        layout.check(mat.shape[0])
+        mat = (mat + dagger(mat)) / 2.0
+        _check_trace(np.trace(mat).real)
         state = object.__new__(cls)
         object.__setattr__(state, "mat", mat)
-        object.__setattr__(state, "layout", SystemLayout((dim, registers)))
+        object.__setattr__(state, "layout", layout)
         return state
 
     @property
@@ -67,12 +65,11 @@ class DensityOperator:
     def marginal(self, keep) -> "DensityOperator":
         keep = sorted(set(keep))
         sub = partial_trace(self.mat, self.layout, keep)
-        return DensityOperator(sub, SystemLayout(tuple(self.layout.dims[k] for k in keep)))
+        return DensityOperator._built(sub, SystemLayout(tuple(self.layout.dims[k] for k in keep)))
 
 
-def _check_trace(vals: np.ndarray) -> None:
-    tr = vals.sum()
-    if abs(tr - 1.0) > TRACE_TOL:
+def _check_trace(tr: float) -> None:
+    if not (abs(tr - 1.0) <= TRACE_TOL):   # NaN fails
         raise ValueError(f"trace {tr} differs from 1 beyond tolerance")
 
 
@@ -88,7 +85,7 @@ class MeasurementBasis:
         if v.shape != (d, d):
             raise LayoutMismatch("basis matrix must be square")
         gram = dagger(v) @ v
-        if np.abs(gram - np.eye(d)).max() > ONB_TOL:
+        if not (np.abs(gram - np.eye(d)).max() <= ONB_TOL):   # NaN fails
             raise ValueError("basis columns are not orthonormal within tolerance")
         object.__setattr__(self, "vectors", v)
 
@@ -106,9 +103,9 @@ class Pmf:
 
     def __post_init__(self):
         p = np.asarray(self.probabilities, dtype=float)
-        if np.any(p < -1e-12):
-            raise ValueError("negative probability")
-        if abs(p.sum() - 1.0) > 1e-12:
+        if not np.all(p >= -1e-12):   # NaN fails
+            raise ValueError("negative or non-finite probability")
+        if not (abs(p.sum() - 1.0) <= 1e-12):
             raise ValueError(f"probabilities sum to {p.sum()}, not 1")
         object.__setattr__(self, "probabilities", np.clip(p, 0.0, None))
 
@@ -137,22 +134,11 @@ def random_density_factor(dim: int, rank: int, rng: np.random.Generator) -> np.n
 
 def density_from_factor(g: np.ndarray, dims=None) -> DensityOperator:
     """The build of `random_density`: rho = G G^dagger, the partial trace over the
-    rank factor (the induced measure of Zyczkowski and Sommers).  It is summed as
-    rank-one terms in index order, bit-identical to tracing out the (dim*rank)^2
-    outer product in O(dim*rank) memory besides the result and one term."""
+    rank factor (the induced measure of Zyczkowski and Sommers), formed as one
+    product and checked by its trace."""
     dim = g.shape[0]
     layout = as_layout(dims) if dims is not None else SystemLayout((dim,))
-    layout.check(dim)
-    return DensityOperator(_gram(g), layout)
-
-
-def _gram(g: np.ndarray) -> np.ndarray:
-    """G G^dagger of a (..., dim, rank) matrix or stack, its rank-one terms
-    summed in index order."""
-    rho = np.zeros(g.shape[:-1] + g.shape[-2:-1], dtype=complex)
-    for k in range(g.shape[-1]):
-        rho += g[..., :, k, None] * g[..., None, :, k].conj()
-    return rho
+    return DensityOperator._built(g @ dagger(g), layout)
 
 
 def random_onb(dim: int, rng: np.random.Generator) -> MeasurementBasis:
@@ -178,12 +164,14 @@ def cq_state(p, blocks, dims=None) -> DensityOperator:
 
 
 def random_cq_state(dim: int, registers: int, rng: np.random.Generator) -> DensityOperator:
-    """sum_y p(y) rho_y (x) |y><y| on A (x) Y, the register second, checked once
-    through its blocks p(y) rho_y: p Dirichlet(1, ..., 1), then each rho_y the
-    draw and build of `random_density(dim, dim, rng)`."""
+    """sum_y p(y) rho_y (x) |y><y| on A (x) Y, the register second, its blocks
+    p(y) rho_y formed as one stacked product: p Dirichlet(1, ..., 1), then each
+    rho_y the draw and build of `random_density(dim, dim, rng)`."""
     p = rng.dirichlet(np.ones(registers))
     g = np.stack([random_density_factor(dim, dim, rng) for _ in range(registers)])
-    return DensityOperator._direct_sum(p[:, None, None] * _gram(g))
+    blocks = p[:, None, None] * (g @ dagger(g))
+    mat = np.einsum("yab,yz->aybz", blocks, np.eye(registers)).reshape(dim * registers, -1)
+    return DensityOperator._built(mat, SystemLayout((dim, registers)))
 
 
 def _pinchers(basis: MeasurementBasis, layout: SystemLayout, subsystem: int):
@@ -200,7 +188,7 @@ def measure(rho: DensityOperator, basis: MeasurementBasis, subsystem: int = 0) -
     out = np.zeros_like(rho.mat)
     for proj in _pinchers(basis, rho.layout, subsystem):
         out += proj @ rho.mat @ proj
-    return DensityOperator(out, rho.layout)
+    return DensityOperator._built(out, rho.layout)
 
 
 def measurement_pmf(rho: DensityOperator, basis: MeasurementBasis, subsystem: int = 0) -> Pmf:

@@ -170,6 +170,18 @@ class TestSandwichedDivergence:
         monkeypatch.setattr(entropies, "psd_eigvalsh", None)
         entry(random_density(4, 3, trial_rng(30, 5), dims=(2, 2)), tau)
 
+    def test_non_finite_states_and_weights_are_refused(self):
+        # NaN fails every comparison, so each check is written to fail on it
+        nan = np.array([[np.nan, 0], [0, 1]], dtype=complex)
+        half = np.eye(2, dtype=complex) / 2
+        for a in ORDERS:
+            with pytest.raises(NotHermitian):
+                renyi_entropy(nan, a)
+            with pytest.raises(NotHermitian):
+                sandwiched_divergence(nan, half, a)
+            with pytest.raises(NotHermitian):
+                sandwiched_divergence(half, nan, a)
+
     def test_full_support_weights_skip_the_projection(self):
         # the support test decides as the projector formula does, for weights of
         # full, deficient and zero rank, inside and across the order-one window
@@ -828,16 +840,19 @@ class TestJointMutualInfoDown:
 
     def test_alternation_at_infinity_checks_rho_once(self, monkeypatch):
         # its 17 rounds run on the state checked at entry: a raw array is
-        # checked once, a DensityOperator not at all, and the value stays
+        # checked once, a DensityOperator not at all, and the value stays: the
+        # two entries agree to the bit, and the draw built as one product
+        # moves the value of the rank-one-sum build, 1.13314831599065, by rounding
         rho = random_density(4, 3, trial_rng(1, 2), dims=(2, 2))
         checked = []
         monkeypatch.setattr(entropies, "psd_eigvalsh",
                             lambda h, _check=entropies.psd_eigvalsh: checked.append(h) or _check(h))
-        assert mutual_info_down(rho.mat, math.inf, (2, 2)).value == 1.13314831599065
+        raw = mutual_info_down(rho.mat, math.inf, (2, 2)).value
         assert len(checked) == 1
         checked.clear()
-        assert mutual_info_down(rho, math.inf).value == 1.13314831599065
+        assert mutual_info_down(rho, math.inf).value == raw
         assert checked == []
+        assert raw == pytest.approx(1.13314831599065, abs=1e-12)
 
     def test_alternation_at_infinity_says_when_its_rounds_ran_out(self):
         # the last of the MI_DOWN_ROUNDS rounds still lowers I-down_inf by about 6e-5 bits

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from renyi_lab.entropies import ALPHA_ONE_WINDOW
-from renyi_lab.inequalities import _entropy_weight_term, run_suite
-from renyi_lab.states import random_density, trial_rng
+from renyi_lab.inequalities import SUITES, _entropy_weight_term, _rank_deficient_pair, run_suite
+from renyi_lab.linalg import SystemLayout
+from renyi_lab.states import DensityOperator, random_density, random_pure, trial_rng
 
 
 def test_weight_term_takes_the_order_one_route_across_the_alpha_one_window():
@@ -25,12 +26,38 @@ def test_weight_term_takes_the_order_one_route_across_the_alpha_one_window():
 
 
 
-@pytest.mark.parametrize("tag, allowed", [("general", {1, 2, 3}), ("hall-classical", {0})])
+@pytest.mark.parametrize("da, db", [(2, 2), (2, 3), (3, 2), (8, 8)])
+def test_rank_deficient_pair_is_built_from_its_draws(da, db):
+    # u, the scale, then rho_A's factor, in that order; rho_A (x) |u><u| is
+    # built from the factor G_A (x) u, so it meets the checked product to rounding
+    for i in range(5):
+        rng, again = trial_rng(4, 100 * i + da * db), trial_rng(4, 100 * i + da * db)
+        rho, tau = _rank_deficient_pair(rng, da, db)
+        u = random_pure(db, again)
+        scale = float(again.uniform(0.3, 1.5))
+        want = DensityOperator(np.kron(random_density(da, da, again).mat, np.outer(u, u.conj())),
+                               SystemLayout((da * db,)))
+        assert rho.layout == want.layout
+        assert np.abs(rho.mat - want.mat).max() <= 4e-15
+        assert np.array_equal(tau, scale * np.outer(u, u.conj()))
+        assert rng.random() == again.random()
+
+
+def test_trials_check_no_state_by_its_spectrum(monkeypatch):
+    # every state a trial draws or derives (a sample, a pinching, a marginal,
+    # an optimum) is PSD by construction and checked by its trace alone
+    monkeypatch.setattr(DensityOperator, "__post_init__", lambda self: pytest.fail("eigh check"))
+    for tag in SUITES:
+        reports, _ = run_suite(tag, 3, (2, 2, 2), 5)
+        assert all(r.verdict != "error" for r in reports), tag
+
+
+@pytest.mark.parametrize("tag, allowed", [("general", {0, 1, 2}), ("hall-classical", {0})])
 def test_wide_trials_decompose_few_64_by_64_matrices(tag, allowed, monkeypatch):
-    # weights are decomposed through their 8 x 8 factors and a state is checked
-    # once: general keeps the draw of rho and one sandwich (or, near alpha = 1,
-    # rho's logarithm) per divergence; hall-classical checks its cq state
-    # through its 8 x 8 blocks and reads only its register sectors
+    # weights are decomposed through their 8 x 8 factors and a drawn state is
+    # built as G G^dagger, never decomposed: general keeps one sandwich (or,
+    # near alpha = 1, rho's logarithm) per divergence; hall-classical reads
+    # only its cq state's register sectors
     sizes = []
     for name in ("eigh", "eigvalsh", "eig", "eigvals", "svd"):
         def counted(a, *args, _decompose=getattr(np.linalg, name), **kwargs):

@@ -4,8 +4,10 @@ import pytest
 from renyi_lab.linalg import (
     InvalidOrder,
     LayoutMismatch,
+    NotHermitian,
     NotPositiveSemidefinite,
     SystemLayout,
+    check_hermitian,
     congruence_eigvalsh,
     dagger,
     embed_block,
@@ -14,6 +16,7 @@ from renyi_lab.linalg import (
     psd_eigvalsh,
     purify,
     schatten_norm,
+    _psd_policy,
 )
 from renyi_lab.states import random_density, random_pure, trial_rng
 
@@ -60,6 +63,20 @@ class TestFracPower:
         assert out[1, 1] == 0.0
 
     # the same rules on a (k, d, d) stack, with each matrix's own lambda_max
+
+    def test_non_finite_input_is_refused(self):
+        # NaN compares false, so a check written as `x > tol` would pass it
+        for bad in (np.nan, np.inf):
+            with pytest.raises(NotHermitian), np.errstate(invalid="ignore"):
+                check_hermitian(np.array([[bad, 0.0], [0.0, 1.0]]))
+            with pytest.raises(NotHermitian), np.errstate(invalid="ignore"):
+                check_hermitian(np.array([[[1.0, bad], [bad, 1.0]]]))
+        with pytest.raises(NotPositiveSemidefinite):
+            _psd_policy(np.array([np.nan, 1.0]), 1.0)
+        with pytest.raises(NotPositiveSemidefinite):
+            _psd_policy(np.array([[0.0, 1.0], [np.nan, 1.0]]), np.array([1.0, 1.0]))
+        with pytest.raises(NotPositiveSemidefinite):
+            _psd_policy(np.array([-1e-12, 1.0]), np.nan)
 
     def test_stack_matches_matrices(self):
         rng = trial_rng(2, 50)
