@@ -257,6 +257,7 @@ class OptimizerResult:
     # a bound, in bits, on the distance of `value` from the optimum: the fixed
     # point's Frank-Wolfe bound, the programme's certified width; for I-down the
     # larger per-block bound (not global), at alpha = inf the last round's gain
+    # (inf when the rounds ran out)
     residual: float
     stop: str         # one of STOPS
 
@@ -779,7 +780,8 @@ def mutual_info_down(rho, alpha: float, dims=None) -> OptimizerResult:
     bounds each block's distance from its optimum with the other held fixed
     (no global certificate: products are not a convex set).  At alpha = inf
     it alternates certified one-block solves until a round improves less than
-    MI_DOWN_TOL, and `stop` is "max_iter" if MI_DOWN_ROUNDS run out first.
+    MI_DOWN_TOL, and `residual` is that last gain; if MI_DOWN_ROUNDS run out
+    first, `stop` is "max_iter" and `residual` is inf: no bound.
     """
     layout = _layout_of(rho, dims)
     if len(layout.dims) != 2:
@@ -800,7 +802,7 @@ def mutual_info_down(rho, alpha: float, dims=None) -> OptimizerResult:
         if residual < MI_DOWN_TOL:
             break
     else:
-        stop = "max_iter"
+        stop, residual = "max_iter", math.inf
     return OptimizerResult([sig_a, sig_b], value, iterations, max(residual, 0.0), stop)
 
 

@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
 
 from . import report
 from .entropies import (
@@ -48,7 +47,7 @@ from .states import (
 
 DELTA_ONE_WINDOW = 1e-6
 DELTA_ZERO_WINDOW = 1e-6
-SI_GRID_STEP = 1e-3   # mixing-weight grid of q_delta_state_independent
+SI_BRACKET = 1e-12    # width of the mixing-weight bracket at which q_delta_state_independent stops
 
 
 @dataclass(frozen=True)
@@ -134,31 +133,49 @@ def _mixed_matrix(pair: MeasurementPair, wx: np.ndarray, wz: np.ndarray, p) -> n
 
 
 def q_delta_state_independent(pair: MeasurementPair, delta: float) -> float:
-    """Worst-case-over-states bound via the mixing-weight minimax form: a
-    SI_GRID_STEP grid over the weight, evaluated as one stack of matrices and
-    one eigvalsh, refined around its best point."""
+    """Worst-case-over-states bound via the mixing-weight minimax form:
+    -min over p in [0, 1] of f(p) = delta' log2 lambda(p), lambda(p) the
+    largest (delta' > 0) or smallest (delta' < 0) eigenvalue of
+    M(p) = p V_x diag(c_x^(1/delta')) V_x^dag + (1 - p) V_z diag(c_z^(1/delta')) V_z^dag;
+    at delta -> 1, f(p) = -lambda_min of the mixed log-overlap matrix.
+
+    The weights are taken relative to c^(1/delta'), c the max overlap, through
+    expm1: f(p) = log2 c + delta' log2(1 + lambda of the mixed offsets).  Near
+    delta = 1 every weight lies within about 1/delta' of c^(1/delta'), and
+    log2 lambda(p) itself would carry delta' times the rounding of lambda(p).
+
+    A bracket zoom finds the minimum: 33 weights on [lo, hi] as one stack and
+    one eigvalsh, the bracket shrunk to the two intervals around the best, ten
+    rounds down to SI_BRACKET; the bound is -min over every value evaluated.
+    This is exact because f is quasiconvex in p: M(p) is affine in p, so
+    lambda_max and -lambda_min are convex, and f increases with one of them.
+    A convex function is flat only at its minimum, so every sublevel set of f
+    is an interval, two equal values have a minimum between them, and every
+    local minimum is the global one.
+    """
     if abs(delta) <= DELTA_ZERO_WINDOW:
         return q_mu(pair)
     cx, cz = pair.overlaps.max(axis=1), pair.overlaps.max(axis=0)
     if abs(delta - 1.0) <= DELTA_ONE_WINDOW:
-        # delta -> 1 limit: the smallest eigenvalue of the mixed log-overlap matrix
         def objective(p):
             return -np.linalg.eigvalsh(_mixed_matrix(pair, -np.log2(cx), -np.log2(cz), p))[..., 0]
     else:
         dp = hconj(delta)
+        nx, nz = np.expm1(np.log(cx / pair.c) / dp), np.expm1(np.log(cz / pair.c) / dp)
 
         def objective(p):
-            lam = np.linalg.eigvalsh(_mixed_matrix(pair, cx ** (1.0 / dp), cz ** (1.0 / dp), p))
-            ext = lam[..., -1] if dp > 0 else lam[..., 0]   # lambda_max of the delta'-power
-            return dp * np.log2(ext)
+            lam = np.linalg.eigvalsh(_mixed_matrix(pair, nx, nz, p))
+            ext = lam[..., -1] if dp > 0 else lam[..., 0]
+            return math.log2(pair.c) + dp * np.log1p(ext) / math.log(2.0)
 
-    grid = np.arange(0.0, 1.0 + SI_GRID_STEP / 2, SI_GRID_STEP)
-    vals = objective(grid)
-    k = int(np.argmin(vals))
-    lo, hi = max(0.0, grid[k] - SI_GRID_STEP), min(1.0, grid[k] + SI_GRID_STEP)
-    res = scipy.optimize.minimize_scalar(lambda p: float(objective(p)), bounds=(lo, hi),
-                                         method="bounded", options={"xatol": 1e-10})
-    return -min(float(res.fun), float(vals[k]))
+    lo, hi, best = 0.0, 1.0, math.inf
+    while hi - lo > SI_BRACKET:
+        grid = np.linspace(lo, hi, 33)
+        vals = objective(grid)
+        k = int(np.argmin(vals))
+        best = min(best, float(vals[k]))
+        lo, hi = grid[max(k - 1, 0)], grid[min(k + 1, 32)]
+    return -best
 
 
 def hall_bound(pair: MeasurementPair) -> float:

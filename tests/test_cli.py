@@ -351,3 +351,32 @@ def test_chain_dup_is_chain():
     plain, dup = (run_suite(tag, 6, (2, 2, 2), 0)[0] for tag in ("chain", "chain-dup"))
     for x, y in zip(plain, dup):
         assert _fields(x) == _fields(y)
+
+
+# ---------------------------------------------------------------------------
+# the package runs on numpy alone; scipy is a test oracle only
+# ---------------------------------------------------------------------------
+
+def _fresh_python(code: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120)
+
+
+def test_importing_the_package_loads_no_scipy():
+    proc = _fresh_python("import sys, renyi_lab, renyi_lab.cli\n"
+                         "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+    assert (proc.returncode, proc.stdout.strip()) == (0, "[]"), proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["bounds", "--pair", "random:4", "--deltas=-1.5,0.3,1,3"],
+    ["sweep", "--suite", "sigbur", "--suite", "sdgbur", "--trials", "2"],
+])
+def test_commands_run_with_scipy_blocked(tmp_path, argv):
+    if argv[0] == "sweep":
+        argv = argv + ["--out", str(tmp_path)]
+    # a None entry makes every import of scipy raise ImportError
+    proc = _fresh_python("import sys\nsys.modules['scipy'] = None\n"
+                         f"from renyi_lab import cli\nsys.exit(cli.main({argv!r}))")
+    assert proc.returncode == 0, proc.stderr

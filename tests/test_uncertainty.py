@@ -3,8 +3,9 @@
 For a mutually unbiased pair every overlap is 1/d, so every bound constant
 is log2 d, in either orientation and for every state and delta; and the
 Maassen-Uffink relation is tight on an eigenstate of either basis (Coles et
-al., arXiv:1511.04857).  The state-independent delta bound is pinned to a
-per-point evaluation of its grid and bounded by the state-dependent one.
+al., arXiv:1511.04857).  The state-independent delta bound is checked
+against a per-point grid-and-Brent oracle, against a dense grid of its
+objective, and against the state-dependent bound.
 """
 
 import math
@@ -20,7 +21,6 @@ from renyi_lab.states import DensityOperator, random_density, trial_rng
 from renyi_lab.uncertainty import (
     DELTA_ONE_WINDOW,
     DELTA_ZERO_WINDOW,
-    SI_GRID_STEP,
     check_rmu,
     hall_bound,
     mub_pair,
@@ -74,51 +74,63 @@ def test_maassen_uffink_is_tight_on_a_basis_eigenstate(d):
 
 
 # ---------------------------------------------------------------------------
-# the state-independent delta bound: stacked grid against the per-point loop
+# the state-independent delta bound against a per-point grid-and-Brent oracle
+# and a dense grid of its objective
 # ---------------------------------------------------------------------------
 
 SI_DELTAS = (-1.5, 0.3, 0.7, 1.0, 1.0 + 5e-7, 1.6, 3.0)
+ORACLE_GRID_STEP = 1e-3
+
+
+def _si_objective(pair, delta):
+    """f(p) of the minimax form, taken as written: delta' log2 of an eigenvalue
+    of the mixed matrix itself; p is a number or an array of weights."""
+    vx, vz = pair.basis_x.vectors, pair.basis_z.vectors
+    if abs(delta - 1.0) <= DELTA_ONE_WINDOW:
+        wx = -np.log2(pair.overlaps.max(axis=1))
+        wz = -np.log2(pair.overlaps.max(axis=0))
+    else:
+        dp = hconj(delta)
+        wx = pair.overlaps.max(axis=1) ** (1.0 / dp)
+        wz = pair.overlaps.max(axis=0) ** (1.0 / dp)
+
+    def objective(p):
+        p = np.asarray(p)[..., None, None]
+        lam = np.linalg.eigvalsh(p * (vx * wx) @ dagger(vx) + (1.0 - p) * (vz * wz) @ dagger(vz))
+        if abs(delta - 1.0) <= DELTA_ONE_WINDOW:
+            return -lam[..., 0]
+        return dp * np.log2(lam[..., -1] if dp > 0 else lam[..., 0])
+
+    return objective
 
 
 def _q_delta_si_per_point(pair, delta):
-    """The bound with one 2-D matrix and one eigvalsh per grid point."""
+    """The bound with one 2-D matrix and one eigvalsh per point of a
+    1e-3 grid, refined around its best point by Brent's method."""
     if abs(delta) <= DELTA_ZERO_WINDOW:
         return q_mu(pair)
-    vx, vz = pair.basis_x.vectors, pair.basis_z.vectors
-    if abs(delta - 1.0) <= DELTA_ONE_WINDOW:
-        lx = -np.log2(pair.overlaps.max(axis=1))
-        lz = -np.log2(pair.overlaps.max(axis=0))
-
-        def objective(p):
-            m = p * (vx * lx) @ dagger(vx) + (1.0 - p) * (vz * lz) @ dagger(vz)
-            return -float(np.linalg.eigvalsh(m)[0])
-    else:
-        dp = hconj(delta)
-        cx = pair.overlaps.max(axis=1) ** (1.0 / dp)
-        cz = pair.overlaps.max(axis=0) ** (1.0 / dp)
-
-        def objective(p):
-            m = p * (vx * cx) @ dagger(vx) + (1.0 - p) * (vz * cz) @ dagger(vz)
-            lam = np.linalg.eigvalsh(m)
-            return dp * float(np.log2(lam[-1] if dp > 0 else lam[0]))
-
-    grid = np.arange(0.0, 1.0 + SI_GRID_STEP / 2, SI_GRID_STEP)
-    vals = [objective(p) for p in grid]
+    objective = _si_objective(pair, delta)
+    grid = np.arange(0.0, 1.0 + ORACLE_GRID_STEP / 2, ORACLE_GRID_STEP)
+    vals = [float(objective(p)) for p in grid]
     k = int(np.argmin(vals))
-    lo, hi = max(0.0, grid[k] - SI_GRID_STEP), min(1.0, grid[k] + SI_GRID_STEP)
-    res = scipy.optimize.minimize_scalar(objective, bounds=(lo, hi), method="bounded",
-                                         options={"xatol": 1e-10})
+    lo, hi = max(0.0, grid[k] - ORACLE_GRID_STEP), min(1.0, grid[k] + ORACLE_GRID_STEP)
+    res = scipy.optimize.minimize_scalar(lambda p: float(objective(p)), bounds=(lo, hi),
+                                         method="bounded", options={"xatol": 1e-10})
     return -min(float(res.fun), float(vals[k]))
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
-def test_stacked_si_bound_equals_the_per_point_loop(d):
+def test_si_bound_meets_the_per_point_oracle_and_a_dense_grid(d):
+    # within 1e-12 bits, not ==: the zoom and the oracle evaluate different weights
+    dense = np.linspace(0.0, 1.0, 10_001)
     for i in range(17):   # 51 pairs over the three dimensions
         pair = random_pair(d, trial_rng(70 + d, i))
         for delta in SI_DELTAS:
-            stacked = q_delta_state_independent(pair, delta)
-            assert isinstance(stacked, float)
-            assert stacked == _q_delta_si_per_point(pair, delta), (i, delta)
+            bound = q_delta_state_independent(pair, delta)
+            assert isinstance(bound, float)
+            assert abs(bound - _q_delta_si_per_point(pair, delta)) <= 1e-12, (i, delta)
+            # no point of the dense grid beats the minimum found
+            assert np.all(bound >= -_si_objective(pair, delta)(dense) - 1e-14), (i, delta)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
