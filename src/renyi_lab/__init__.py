@@ -18,7 +18,6 @@ from .states import (
     DensityOperator,
     MeasurementBasis,
     Pmf,
-    cq_state,
     measure,
     measurement_pmf,
     random_density,
@@ -45,7 +44,6 @@ from .orders import (
     Degenerate,
     RenyiTriple,
     classify_case,
-    conjugates,
     hatconj,
     hconj,
     make_triple,

@@ -1,13 +1,15 @@
 """Randomized verification harness for the divergence chain/decomposition
-inequalities.
+inequalities, and the registry of every suite.
 
 Every suite compares two Renyi expressions as `small <= big` (gap = big - small
->= 0 passes).  A trial computes its forward sides and swaps them when its
-direction is reverse: 1/beta + 1/gamma > 2 for a triple, and delta above the
-other orders for noncond.
+>= 0 passes).  A trial is draw -> sides -> finish (see `report`).  The sides of
+each relation shape swap the forward sides when the direction is reverse:
+1/beta + 1/gamma > 2 for a triple, and delta above the other orders for noncond.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -24,7 +26,7 @@ from .entropies import (
 )
 from .linalg import as_layout, frac_power, kron_eigh, partial_trace, psd_eigh, swap_bipartite
 from .orders import FORWARD, REVERSE, hconj, noncond_orders, sample_triple
-from .report import InequalityReport, finish, summarize
+from .report import Instance, finish, summarize
 from .states import (DensityOperator, density_from_factor, random_density, random_density_factor,
                      random_pure, trial_rng)
 
@@ -50,10 +52,9 @@ def _rank_deficient_pair(rng, da: int, db: int):
     return density_from_factor(np.kron(g_a, u[:, None]), da * db), tau   # rho_A (x) |u><u|
 
 
-def _suite_trial(tag: str, rng, dims, tolerance: float, seed: int) -> InequalityReport:
-    """One trial: draw a state (checked once, when drawn) and its weight, compute
-    the forward sides, and orient them by the trial's direction."""
-    layout = as_layout(dims)
+def _draw(tag: str, rng, dims) -> Instance:
+    """A divergence suite's instance: the orders, then the state and its fixed
+    weights, each state checked once, when drawn."""
     da, db = dims[0], dims[1]
     rank_deficient = rng.uniform() < 0.2   # drawn by every tag, so all draw in one order
     if tag == "noncond":
@@ -63,97 +64,105 @@ def _suite_trial(tag: str, rng, dims, tolerance: float, seed: int) -> Inequality
     else:
         triple = sample_triple(rng, tag)
         (a, b, g), d, direction = triple.as_tuple(), None, triple.direction
-    solves = []
-
-    if tag == "general":
-        # -H_a(rho||tau_B) vs D_b(rho||sigma_A x tau_B) + weight term (no optimiser)
-        if rank_deficient:
-            rho, tau_b = _rank_deficient_pair(rng, da, db)
-        else:
-            rho = random_density(da * db, int(rng.integers(1, da * db + 1)), rng)
-            tau_b = random_density(db, db, rng).mat
-        sig = random_density(da, da, rng).mat + 0.05 * np.eye(da)
-        sig_a = sig / np.trace(sig).real
-        small = -gen_cond_entropy(rho, tau_b, a, layout, weight_pos=1)
-        big = (_divergence_any_order(rho.mat, kron_eigh([psd_eigh(sig_a), psd_eigh(tau_b)]), b)
-               + _entropy_weight_term(g, partial_trace(rho.mat, layout, [0]), sig_a))
-
-    elif tag in ("decomp", "decomp-dup"):
-        # H_g(rho_B) - H_a(rho||tau_A) vs I_b(rho||tau_A)
-        if rank_deficient:
-            rho_swapped, tau_a = _rank_deficient_pair(rng, db, da)
-            rho = DensityOperator._built(swap_bipartite(rho_swapped.mat, (db, da)), layout)
-        else:
-            rho = random_density(da * db, int(rng.integers(1, da * db + 1)), rng)
-            tau_a = random_density(da, da, rng).mat
-        solves = [gen_mutual_info(rho, tau_a, b, layout, fixed=0)]
-        small = renyi_entropy(partial_trace(rho.mat, layout, [1]), g) \
-            - gen_cond_entropy(rho, tau_a, a, layout, weight_pos=0)
-        big = solves[0].value
-
-    elif tag in ("bchain", "bchain-alt"):
-        # H_up_b(A|B) + H_g(rho_B) vs H_a(rho_AB)
-        rho = random_density(da * db, int(rng.integers(1, da * db + 1)), rng)
-        solves = [cond_entropy_up(rho, b, layout)]
-        small = solves[0].value + renyi_entropy(partial_trace(rho.mat, layout, [1]), g)
-        big = renyi_entropy(rho, a)
-
-    elif tag in ("chain", "chain-dup"):
-        # H_up_b(A|BC) + H_g(rho_BC||tau_C) vs H_a(rho_ABC||tau_C)
-        dc = dims[2]
-        if rank_deficient:
-            rho, tau_c = _rank_deficient_pair(rng, da * db, dc)
-        else:
-            full = da * db * dc
-            rho = random_density(full, int(rng.integers(1, full + 1)), rng)
-            tau_c = random_density(dc, dc, rng).mat
-        solves = [cond_entropy_up(rho, b, layout)]
-        rho_bc = partial_trace(rho.mat, layout, [1, 2])
-        small = solves[0].value + gen_cond_entropy(rho_bc, tau_c, g, layout.dims[1:], weight_pos=1)
-        big = gen_cond_entropy(rho, tau_c, a, layout, weight_pos=2)
-
+    if tag in ("bchain", "bchain-alt", "noncond"):   # no fixed weight
+        rank = int(rng.integers(2 if tag == "noncond" else 1, da * db + 1))
+        return Instance(tag, dims, a, b, g, d, direction, random_density(da * db, rank, rng))
+    # the weight acts on B for general, on A for decomp and on C for chain
+    dw, full = dims[{"general": 1, "decomp": 0, "decomp-dup": 0}.get(tag, 2)], math.prod(dims)
+    if rank_deficient:
+        rho, tau = _rank_deficient_pair(rng, full // dw, dw)
+        if tag.startswith("decomp"):   # drawn as rho_B (x) |u><u|: put A first
+            rho = DensityOperator._built(swap_bipartite(rho.mat, (db, da)), as_layout(dims))
     else:
-        # noncond: H_a(rho_A) + H_g(rho_B) - H_d(rho_AB) vs I_down_b(A:B)
-        rho = random_density(da * db, int(rng.integers(2, da * db + 1)), rng)
-        solves = [mutual_info_down(rho, b, layout)]
-        small = (renyi_entropy(partial_trace(rho.mat, layout, [0]), a)
-                 + renyi_entropy(partial_trace(rho.mat, layout, [1]), g)
-                 - renyi_entropy(rho, d))
-        big = solves[0].value
-
-    if direction == REVERSE:
-        small, big = big, small
-    return finish(tag, seed, dims, a, b, g, d, direction, small, big, tolerance, solves=solves)
+        rho = random_density(full, int(rng.integers(1, full + 1)), rng)
+        tau = random_density(dw, dw, rng).mat
+    if tag != "general":
+        return Instance(tag, dims, a, b, g, d, direction, rho, (tau,))
+    sig = random_density(da, da, rng).mat + 0.05 * np.eye(da)
+    return Instance(tag, dims, a, b, g, d, direction, rho, (tau, sig / np.trace(sig).real))
 
 
-# tag -> (trial, arity), in the order the CLI lists and sweeps them; a trial
-# draws one instance from its rng on exactly `arity` subsystem dimensions
+def _oriented(inst: Instance, small: float, big: float, solves=()):
+    """(small, big, solves) of the forward sides, swapped when the trial is reversed."""
+    return (big, small, solves) if inst.direction == REVERSE else (small, big, solves)
+
+
+def _general_sides(inst: Instance):
+    """-H_a(rho||tau_B) vs D_b(rho||sigma_A x tau_B) + the weight term (no optimiser)."""
+    layout, (tau_b, sig_a) = as_layout(inst.dims), inst.weights
+    small = -gen_cond_entropy(inst.rho, tau_b, inst.alpha, layout, weight_pos=1)
+    big = (_divergence_any_order(inst.rho.mat, kron_eigh([psd_eigh(sig_a), psd_eigh(tau_b)]), inst.beta)
+           + _entropy_weight_term(inst.gamma, partial_trace(inst.rho.mat, layout, [0]), sig_a))
+    return _oriented(inst, small, big)
+
+
+def _decomp_sides(inst: Instance):
+    """H_g(rho_B) - H_a(rho||tau_A) vs I_b(rho||tau_A)."""
+    layout, (tau_a,) = as_layout(inst.dims), inst.weights
+    solve = gen_mutual_info(inst.rho, tau_a, inst.beta, layout, fixed=0)
+    small = renyi_entropy(partial_trace(inst.rho.mat, layout, [1]), inst.gamma) \
+        - gen_cond_entropy(inst.rho, tau_a, inst.alpha, layout, weight_pos=0)
+    return _oriented(inst, small, solve.value, [solve])
+
+
+def _bchain_sides(inst: Instance):
+    """H_up_b(A|B) + H_g(rho_B) vs H_a(rho_AB)."""
+    layout = as_layout(inst.dims)
+    solve = cond_entropy_up(inst.rho, inst.beta, layout)
+    small = solve.value + renyi_entropy(partial_trace(inst.rho.mat, layout, [1]), inst.gamma)
+    return _oriented(inst, small, renyi_entropy(inst.rho, inst.alpha), [solve])
+
+
+def _chain_sides(inst: Instance):
+    """H_up_b(A|BC) + H_g(rho_BC||tau_C) vs H_a(rho_ABC||tau_C)."""
+    layout, (tau_c,) = as_layout(inst.dims), inst.weights
+    solve = cond_entropy_up(inst.rho, inst.beta, layout)
+    rho_bc = partial_trace(inst.rho.mat, layout, [1, 2])
+    small = solve.value + gen_cond_entropy(rho_bc, tau_c, inst.gamma, layout.dims[1:], weight_pos=1)
+    big = gen_cond_entropy(inst.rho, tau_c, inst.alpha, layout, weight_pos=2)
+    return _oriented(inst, small, big, [solve])
+
+
+def _noncond_sides(inst: Instance):
+    """H_a(rho_A) + H_g(rho_B) - H_d(rho_AB) vs I_down_b(A:B)."""
+    layout = as_layout(inst.dims)
+    solve = mutual_info_down(inst.rho, inst.beta, layout)
+    small = (renyi_entropy(partial_trace(inst.rho.mat, layout, [0]), inst.alpha)
+             + renyi_entropy(partial_trace(inst.rho.mat, layout, [1]), inst.gamma)
+             - renyi_entropy(inst.rho, inst.delta))
+    return _oriented(inst, small, solve.value, [solve])
+
+
+# tag -> (draw, sides, arity), in the order the CLI lists and sweeps them:
+# draw(tag, rng, dims) reads the rng on exactly `arity` subsystem dimensions;
+# sides(instance) -> (small, big, solves) reads none.  One sides per relation shape
 SUITES = {
-    "general": (_suite_trial, 2),
-    "decomp": (_suite_trial, 2),
-    "bchain": (_suite_trial, 2),
-    "bchain-alt": (_suite_trial, 2),
-    "chain": (_suite_trial, 3),
-    "chain-dup": (_suite_trial, 3),
-    "decomp-dup": (_suite_trial, 2),
-    "noncond": (_suite_trial, 2),
-    "rmu": (uncertainty.suite_trial, 2),
-    "gbur": (uncertainty.suite_trial, 2),
-    "sdgbur": (uncertainty.suite_trial, 2),
-    "sigbur": (uncertainty.suite_trial, 2),
-    "marcos": (uncertainty.suite_trial, 2),
-    "result2": (uncertainty.suite_trial, 2),
-    "res2c": (uncertainty.suite_trial, 2),
-    "ier": (uncertainty.suite_trial, 2),
-    "iier-opt": (uncertainty.suite_trial, 2),
-    "const-comp": (uncertainty.suite_trial, 2),
-    "hall-classical": (uncertainty.suite_trial, 2),
+    "general": (_draw, _general_sides, 2),
+    "decomp": (_draw, _decomp_sides, 2),
+    "bchain": (_draw, _bchain_sides, 2),
+    "bchain-alt": (_draw, _bchain_sides, 2),
+    "chain": (_draw, _chain_sides, 3),
+    "chain-dup": (_draw, _chain_sides, 3),
+    "decomp-dup": (_draw, _decomp_sides, 2),
+    "noncond": (_draw, _noncond_sides, 2),
+    "rmu": (uncertainty.draw, uncertainty.rmu_sides, 2),
+    "gbur": (uncertainty.draw, uncertainty.uncertainty_sides, 2),
+    "sdgbur": (uncertainty.draw, uncertainty.uncertainty_sides, 2),
+    "sigbur": (uncertainty.draw, uncertainty.uncertainty_sides, 2),
+    "marcos": (uncertainty.draw, uncertainty.uncertainty_sides, 2),
+    "result2": (uncertainty.draw, uncertainty.exclusion_sides, 2),
+    "res2c": (uncertainty.draw, uncertainty.exclusion_sides, 2),
+    "ier": (uncertainty.draw, uncertainty.exclusion_sides, 2),
+    "iier-opt": (uncertainty.draw, uncertainty.exclusion_sides, 2),
+    "const-comp": (uncertainty.draw, uncertainty.const_comp_sides, 2),
+    "hall-classical": (uncertainty.draw, uncertainty.hall_classical_sides, 2),
 }
 
 
 def run_suite(tag: str, trials: int, dims=(2, 2, 2), master_seed: int = 0,
               tolerance: float = report.BASE_TOL):
-    """Run seeded independent trials of one inequality family.
+    """Run seeded independent trials of one inequality family: each trial
+    draws an instance from its own rng, evaluates its sides and finishes them.
 
     `dims` needs at least as many entries as the suite's arity in `SUITES`;
     the trials get exactly the first `arity`.
@@ -164,15 +173,15 @@ def run_suite(tag: str, trials: int, dims=(2, 2, 2), master_seed: int = 0,
     """
     if tag not in SUITES:
         raise ValueError(f"unknown suite tag {tag!r}")
-    trial_fn, arity = SUITES[tag]
+    draw, sides, arity = SUITES[tag]
     if len(dims) < arity:
         raise ValueError(f"suite {tag!r} needs {arity} subsystem dimensions, got {len(dims)}")
     dims = tuple(dims[:arity])
     reports = []
     for i in range(trials):
-        rng = trial_rng(master_seed, i)
         try:
-            reports.append(trial_fn(tag, rng, dims, tolerance, i))
+            inst = draw(tag, trial_rng(master_seed, i), dims)
+            reports.append(finish(inst, i, *sides(inst), tolerance))
         except (ValueError, ArithmeticError, RuntimeError) as exc:
             reports.append(report.errored(tag, i, dims, f"{type(exc).__name__}: {exc}"))
     return reports, summarize(tag, reports)

@@ -168,10 +168,6 @@ def frac_power(h: np.ndarray, a: float) -> np.ndarray:
     return spectral_power(*psd_eigh(h), a)
 
 
-def support_projector(h: np.ndarray) -> np.ndarray:
-    return frac_power(h, 0.0)
-
-
 def schatten_norm(m: np.ndarray, p: float) -> float:
     """(sum_i s_i(m)**p)**(1/p); largest singular value for p = inf.
 

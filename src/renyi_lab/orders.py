@@ -65,10 +65,6 @@ def hatconj(a: float) -> float:
     return a / (2.0 * a - 1.0)
 
 
-def conjugates(a: float) -> tuple[float, float]:
-    return hconj(a), hatconj(a)
-
-
 def surface_residual(a: float, b: float, g: float) -> float:
     """Defect of the order constraint, using limit forms at infinities."""
     infs = [math.isinf(x) for x in (a, b, g)]

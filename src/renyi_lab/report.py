@@ -1,4 +1,9 @@
-"""Trial report record shared by the inequality and uncertainty harnesses."""
+"""Trial records shared by the inequality and uncertainty harnesses.
+
+A trial is draw -> sides -> finish.  A suite's draw alone reads the trial's rng
+and returns an `Instance`; its sides evaluate `small <= big` there, with the
+solves they ran; `finish` makes the report, labelled from the instance.
+"""
 
 from __future__ import annotations
 
@@ -15,6 +20,25 @@ ERROR = "error"   # the trial raised a numerical error; counted as failed
 
 BASE_TOL = 1e-6
 WIDE_TOL = 1e-5   # for trials whose gap contains an optimiser output on the shrinking side
+
+
+@dataclass(frozen=True, eq=False)   # eq=False: == of its arrays has no truth value
+class Instance:
+    """One drawn trial: what its sides read, and the labels its report records."""
+
+    tag: str
+    dims: tuple[int, ...]
+    alpha: float
+    beta: float | None
+    gamma: float
+    delta: float | None
+    direction: str
+    rho: object                 # the state, a DensityOperator
+    weights: tuple = ()         # fixed weights in the relation's order; None where it optimises one
+    pair: object = None         # the MeasurementPair of the uncertainty and exclusion suites
+    terms: tuple = ()           # the optimised relations' (X, Z, joint) term orders
+    const: str = ""             # the optimised relations' constant, by name
+    note: str = ""
 
 
 @dataclass
@@ -39,14 +63,15 @@ class InequalityReport:
     note: str = ""
 
 
-def finish(theorem: str, trial_seed: int, dims, alpha, beta, gamma, delta, direction,
-           small: float, big: float, tolerance: float, solves=(), note: str = "") -> InequalityReport:
-    """Assemble a report; an infinite side resolves to trivially true or to a fail.
-    The report keeps the summed iterations, the largest residual and the worst
-    stop of `solves`, the trial's `entropies.OptimizerResult`s.  The tolerance
-    widens to `WIDE_TOL` exactly when the trial ran a solve and is reversed,
-    which puts the solve on the shrinking side."""
-    wide = bool(solves) and direction == REVERSE
+def finish(inst: Instance, trial_seed: int, small: float, big: float, solves,
+           tolerance: float) -> InequalityReport:
+    """The report of `inst`'s sides; an infinite side resolves to trivially true
+    or to a fail.  It keeps the summed iterations, the largest residual and the
+    worst stop of `solves`, the trial's `entropies.OptimizerResult`s.  The
+    tolerance widens to `WIDE_TOL` exactly when the trial ran a solve and is
+    reversed, which puts the solve on the shrinking side."""
+    note = inst.note
+    wide = bool(solves) and inst.direction == REVERSE
     tol = max(tolerance, WIDE_TOL) if wide else tolerance
     if wide and not note:
         note = "tolerance widened for one-sided optimiser bias"
@@ -60,8 +85,9 @@ def finish(theorem: str, trial_seed: int, dims, alpha, beta, gamma, delta, direc
     else:
         gap = big - small
         verdict = PASS if gap >= -tol else FAIL
-    return InequalityReport(theorem, trial_seed, tuple(dims), alpha, beta, gamma, delta,
-                            direction, small, big, gap, verdict, sum(r.iterations for r in solves),
+    return InequalityReport(inst.tag, trial_seed, tuple(inst.dims), inst.alpha, inst.beta,
+                            inst.gamma, inst.delta, inst.direction, small, big, gap, verdict,
+                            sum(r.iterations for r in solves),
                             max((r.residual for r in solves), default=0.0),
                             max((r.stop for r in solves), key=STOPS.index, default=""), note)
 

@@ -149,20 +149,6 @@ def random_onb(dim: int, rng: np.random.Generator) -> MeasurementBasis:
     return MeasurementBasis(q * (d / np.abs(d)))
 
 
-def cq_state(p, blocks, dims=None) -> DensityOperator:
-    """sum_x p(x) |x><x| (x) rho_x with a computational-basis register."""
-    p = np.asarray(p, dtype=float)
-    blocks = [np.asarray(b, dtype=complex) for b in blocks]
-    dx, db = len(p), blocks[0].shape[0]
-    rho = np.zeros((dx * db, dx * db), dtype=complex)
-    for x, bx in enumerate(blocks):
-        e = np.zeros((dx, dx), dtype=complex)
-        e[x, x] = 1.0
-        rho += p[x] * np.kron(e, bx)
-    layout = as_layout(dims) if dims is not None else SystemLayout((dx, db))
-    return DensityOperator(rho, layout)
-
-
 def random_cq_state(dim: int, registers: int, rng: np.random.Generator) -> DensityOperator:
     """sum_y p(y) rho_y (x) |y><y| on A (x) Y, the register second, its blocks
     p(y) rho_y formed as one stacked product: p Dirichlet(1, ..., 1), then each

@@ -6,8 +6,8 @@ constants) and the randomized checks of the associated inequalities.  Every
 bound is a plain float in bits.  An oriented bound measures `pair.basis_x`
 first; the other orientation is the same function on `pair.swapped()`.
 
-The optimised suites check one of two relations, X and Z being A of rho_AB
-measured in the pair's two bases:
+A trial is draw -> sides -> finish (see `report`).  The optimised suites check
+one of two relations, X and Z being A of rho_AB measured in the pair's two bases:
 
     uncertainty:  H^up_b(X|B) + Z term  >=  joint term + constant
     exclusion:    I^down_b(X:B) + Z term  <=  constant - joint term
@@ -23,7 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import report
 from .entropies import (
     classical_renyi_entropy,
     cond_entropy_up,
@@ -32,7 +31,7 @@ from .entropies import (
 )
 from .linalg import as_layout, dagger
 from .orders import hatconj, hconj, sample_triple, sdg_condition, surface_residual, FORWARD, REVERSE
-from .report import InequalityReport, finish
+from .report import Instance
 from .states import (
     DensityOperator,
     MeasurementBasis,
@@ -48,6 +47,7 @@ from .states import (
 DELTA_ONE_WINDOW = 1e-6
 DELTA_ZERO_WINDOW = 1e-6
 SI_BRACKET = 1e-12    # width of the mixing-weight bracket at which q_delta_state_independent stops
+SI_ROUNDING = 1e-9    # bits: q_delta_state_independent refuses a delta it may round by more
 
 
 @dataclass(frozen=True)
@@ -143,6 +143,11 @@ def q_delta_state_independent(pair: MeasurementPair, delta: float) -> float:
     expm1: f(p) = log2 c + delta' log2(1 + lambda of the mixed offsets).  Near
     delta = 1 every weight lies within about 1/delta' of c^(1/delta'), and
     log2 lambda(p) itself would carry delta' times the rounding of lambda(p).
+    At delta' < 0 the offsets reach n = (c/c_min)^(1/|delta'|) - 1 and f(p)
+    carries about |delta'| d eps n of rounding; past SI_ROUNDING the bound
+    raises FloatingPointError (random pairs, d = 3 to 8: below delta of about
+    0.03 to 0.07).  Every delta accepted on 40 random pairs at each of d = 3, 4
+    and 8 was within 1e-10 bits of a 50-digit evaluation.
 
     A bracket zoom finds the minimum: 33 weights on [lo, hi] as one stack and
     one eigvalsh, the bracket shrunk to the two intervals around the best, ten
@@ -161,7 +166,12 @@ def q_delta_state_independent(pair: MeasurementPair, delta: float) -> float:
             return -np.linalg.eigvalsh(_mixed_matrix(pair, -np.log2(cx), -np.log2(cz), p))[..., 0]
     else:
         dp = hconj(delta)
-        nx, nz = np.expm1(np.log(cx / pair.c) / dp), np.expm1(np.log(cz / pair.c) / dp)
+        lx, lz = np.log(cx / pair.c) / dp, np.log(cz / pair.c) / dp
+        spread = math.expm1(min(max(lx.max(), lz.max()), 700.0))   # the largest offset, capped
+        if dp < 0 and -dp * pair.d * np.finfo(float).eps * spread > SI_ROUNDING:
+            raise FloatingPointError(f"q_delta_state_independent at delta = {delta:g}: the weights "
+                                     f"span {spread:.1e}, beyond what float64 resolves")
+        nx, nz = np.expm1(lx), np.expm1(lz)
 
         def objective(p):
             lam = np.linalg.eigvalsh(_mixed_matrix(pair, nx, nz, p))
@@ -203,75 +213,72 @@ def h_min_cond(rho, dims) -> tuple[float, float]:
 
 
 # ---------------------------------------------------------------------------
-# inequality checks
+# sides of each relation shape at an instance (registered in `inequalities.SUITES`)
 # ---------------------------------------------------------------------------
 
-def check_rmu(rho_a, pair: MeasurementPair, alpha: float,
-              tolerance: float = report.BASE_TOL, seed: int = 0) -> InequalityReport:
-    """H_a(X) + H_a^(Z) >= q_MU for conjugate-order measured entropies."""
-    state = _as_state(rho_a, pair.d)
-    ah = hatconj(alpha)
-    px = measurement_pmf(state, pair.basis_x).probabilities
-    pz = measurement_pmf(state, pair.basis_z).probabilities
-    big = classical_renyi_entropy(px, alpha) + classical_renyi_entropy(pz, ah)
-    return finish("rmu", seed, (pair.d,), alpha, ah, math.nan, None, FORWARD,
-                  q_mu(pair), big, tolerance)
+RHO_B = "rho_B"   # a weight slot filled by the state's own marginal on B
+
+# an optimised relation's constant in bits, by name; the q_delta ones read rho_A
+CONSTANTS = {
+    "q_MU": lambda inst: q_mu(inst.pair),
+    "r_H": lambda inst: hall_bound(inst.pair),
+    "q_delta": lambda inst: q_delta(inst.rho.marginal([0]), inst.pair, inst.delta),
+    "q_delta oriented": lambda inst: q_delta_oriented(inst.rho.marginal([0]), inst.pair, inst.delta),
+    "q_delta_SI": lambda inst: q_delta_state_independent(inst.pair, inst.delta),
+    "r_CP": lambda inst: r_cp(inst.pair),
+    "r(X,Z)": lambda inst: r_xz(inst.pair),
+}
 
 
-def check_const_comp(rho_a, pair: MeasurementPair, alpha: float, delta: float,
-                     tolerance: float = report.BASE_TOL, seed: int = 0) -> InequalityReport:
+def rmu_sides(inst: Instance):
+    """q_MU <= H_a(X) + H_a^(Z), X and Z being rho_A measured in the pair's bases."""
+    px = measurement_pmf(inst.rho, inst.pair.basis_x).probabilities
+    pz = measurement_pmf(inst.rho, inst.pair.basis_z).probabilities
+    big = classical_renyi_entropy(px, inst.alpha) + classical_renyi_entropy(pz, inst.beta)
+    return q_mu(inst.pair), big, []
+
+
+def const_comp_sides(inst: Instance):
     """H_a(rho_X) - q_d(rho, X, Z) <= log sum_x max_z c_xz."""
-    state = _as_state(rho_a, pair.d)
-    px = measurement_pmf(state, pair.basis_x).probabilities
-    small = classical_renyi_entropy(px, alpha) - q_delta_oriented(state, pair, delta)
-    big = float(np.log2(np.sum(pair.overlaps.max(axis=1))))
-    return finish("const-comp", seed, (pair.d,), alpha, math.nan, math.nan, delta, REVERSE,
-                  small, big, tolerance)
+    px = measurement_pmf(inst.rho, inst.pair.basis_x).probabilities
+    small = classical_renyi_entropy(px, inst.alpha) - q_delta_oriented(inst.rho, inst.pair, inst.delta)
+    return small, float(np.log2(np.sum(inst.pair.overlaps.max(axis=1)))), []
 
 
-def check_hall_classical(rho_ay: DensityOperator, pair: MeasurementPair,
-                         tolerance: float = report.BASE_TOL, seed: int = 0) -> InequalityReport:
-    """Shannon/von Neumann baseline: I(X:Y) + I(Z:Y) <= log(d^2 c)."""
-    small = (measured_mutual_info(rho_ay, pair.basis_x, 1.0).value
-             + measured_mutual_info(rho_ay, pair.basis_z, 1.0).value)
-    return finish("hall-classical", seed, rho_ay.layout.dims, 1.0, 1.0, 1.0, None, REVERSE,
-                  small, hall_bound(pair), tolerance)
+def hall_classical_sides(inst: Instance):
+    """Shannon/von Neumann baseline: I(X:Y) + I(Z:Y) <= log(d^2 c) on a cq state."""
+    small = (measured_mutual_info(inst.rho, inst.pair.basis_x, 1.0).value
+             + measured_mutual_info(inst.rho, inst.pair.basis_z, 1.0).value)
+    return small, hall_bound(inst.pair), []
 
-
-# ---------------------------------------------------------------------------
-# terms of the optimised relations; each returns (bits, the solves it ran)
-# ---------------------------------------------------------------------------
 
 def _cond_term(state: DensityOperator, order: float, weight):
-    """H_order(A|B) against the fixed weight on B, or H^up_order(A|B) when weight is None."""
+    """(H_order(A|B) against the weight on B, or H^up when it is None; the solves run)."""
     if weight is None:
         res = cond_entropy_up(state, order)
         return res.value, [res]
     return gen_cond_entropy(state, weight, order, state.layout, weight_pos=1), []
 
 
-def _measured_cond_term(state: DensityOperator, basis: MeasurementBasis, order: float, weight):
-    """`_cond_term` of A measured in `basis`."""
-    return _cond_term(measure(state, basis, 0), order, weight)
+def uncertainty_sides(inst: Instance):
+    """H_joint(A|B) + const <= H^up_x(X|B) + H_z(Z|B), X and Z being A measured
+    in the pair's bases; the Z and joint terms against their weights."""
+    (x_order, z_order, joint_order), (z_weight, joint_weight) = inst.terms, inst.weights
+    x, x_solves = _cond_term(measure(inst.rho, inst.pair.basis_x, 0), x_order, None)
+    z, z_solves = _cond_term(measure(inst.rho, inst.pair.basis_z, 0), z_order, z_weight)
+    joint, joint_solves = _cond_term(inst.rho, joint_order, joint_weight)
+    return joint + CONSTANTS[inst.const](inst), x + z, x_solves + z_solves + joint_solves
 
 
-def _info_term(state: DensityOperator, basis: MeasurementBasis, order: float, weight):
-    """I_order(X:B) against the fixed weight on B, or I^down_order(X:B) when
-    weight is None, X being A measured in `basis`.  The measured state is
-    classical-quantum and `measured_mutual_info` solves it through its
-    classical register: I_order in closed form, I^down as a fixed point over
-    sigma_B alone; its dense routes answer at order inf and near 1."""
-    res = measured_mutual_info(state, basis, order, weight)
-    return res.value, [res]
-
-
-def _measured_side(term, state: DensityOperator, pair: MeasurementPair, x_order: float,
-                   z_order: float, z_weight):
-    """term(X|B) at x_order, optimised, plus term(Z|B) at z_order against z_weight;
-    X and Z are A measured in `pair.basis_x` and `pair.basis_z`."""
-    x, x_solves = term(state, pair.basis_x, x_order, None)
-    z, z_solves = term(state, pair.basis_z, z_order, z_weight)
-    return x + z, x_solves + z_solves
+def exclusion_sides(inst: Instance):
+    """I^down_x(X:B) + I_z(Z:B) <= const - H_joint(A|B); `measured_mutual_info`
+    solves the measured terms through their classical register."""
+    (x_order, z_order, joint_order), (z_weight, joint_weight) = inst.terms, inst.weights
+    z_weight = inst.rho.marginal([1]).mat if z_weight is RHO_B else z_weight
+    x = measured_mutual_info(inst.rho, inst.pair.basis_x, x_order, None)
+    z = measured_mutual_info(inst.rho, inst.pair.basis_z, z_order, z_weight)
+    joint, joint_solves = _cond_term(inst.rho, joint_order, joint_weight)
+    return x.value + z.value, CONSTANTS[inst.const](inst) - joint, [x, z] + joint_solves
 
 
 # ---------------------------------------------------------------------------
@@ -354,97 +361,77 @@ def _reverse_chain_triple(rng: np.random.Generator):
 
 
 # ---------------------------------------------------------------------------
-# suite trial (registered in `inequalities.SUITES`)
+# the draw of every uncertainty and exclusion suite (registered in `inequalities.SUITES`)
 # ---------------------------------------------------------------------------
 
-UNCERTAINTY_SUITES = ("gbur", "sdgbur", "sigbur", "marcos")   # the other optimised ones: exclusion
-
-
-def suite_trial(tag: str, rng: np.random.Generator, dims, tolerance: float,
-                seed: int) -> InequalityReport:
-    """One seeded trial of an uncertainty suite on (d_A, d_B).
-    An optimised suite picks its reported orders, the orientation of `pair`, the
-    terms' orders and weights (None: optimised) and the constant."""
+def draw(tag: str, rng: np.random.Generator, dims) -> Instance:
+    """One seeded instance of an uncertainty suite on (d_A, d_B).  An
+    optimised suite picks its reported orders, the orientation of `pair`, the
+    terms' orders and weights (None: optimised) and the constant's name."""
     da, db = dims
     pair = random_pair(da, rng)
     # drawn for every tag, built only where read
     rho_factor = random_density_factor(da * db, int(rng.integers(1, da * db + 1)), rng)
     tau_factor = random_density_factor(db, db, rng)
 
-    if tag == "rmu":
+    if tag in ("rmu", "const-comp"):
         rho_a = random_density(da, int(rng.integers(1, da + 1)), rng)
-        alpha = float(rng.choice([0.5, 0.8, 1.0, 2.0, 5.0, math.inf]))
-        return check_rmu(rho_a, pair, alpha, tolerance, seed)
-    if tag == "const-comp":
-        rho_a = random_density(da, int(rng.integers(1, da + 1)), rng)
+        if tag == "rmu":
+            a = float(rng.choice([0.5, 0.8, 1.0, 2.0, 5.0, math.inf]))
+            return Instance(tag, (pair.d,), a, hatconj(a), math.nan, None, FORWARD, rho_a, pair=pair)
         alpha, delta = _sample_const_comp_orders(rng)
-        return check_const_comp(rho_a, pair, alpha, delta, tolerance, seed)
+        return Instance(tag, (pair.d,), alpha, math.nan, math.nan, delta, REVERSE, rho_a, pair=pair)
     if tag == "hall-classical":
-        return check_hall_classical(random_cq_state(da, db, rng), pair, tolerance, seed)
+        rho_ay = random_cq_state(da, db, rng)
+        return Instance(tag, rho_ay.layout.dims, 1.0, 1.0, 1.0, None, REVERSE, rho_ay, pair=pair)
 
     rho = density_from_factor(rho_factor, dims=(da, db))
     tau_b = density_from_factor(tau_factor).mat
-    delta, note = None, ""
+    delta, note, terms = None, "", None   # terms default to (beta, gamma, alpha)
     z_weight = joint_weight = tau_b
     if tag in ("gbur", "result2"):
         alpha, beta, gamma = _reverse_chain_triple(rng)
-        x_order, z_order, joint_order = beta, gamma, alpha
-        const = q_mu(pair) if tag == "gbur" else hall_bound(pair)
+        const = "q_MU" if tag == "gbur" else "r_H"
     elif tag in ("sdgbur", "sigbur"):
         variant = ("xz", "zx", "both")[int(rng.integers(3))] if tag == "sdgbur" else "both"
         alpha, beta, gamma, delta = sample_sdg_orders(rng, variant == "both")
-        x_order, z_order, joint_order = beta, gamma, alpha
         if variant != "both":
-            pair = pair if variant == "xz" else pair.swapped()
-            const = q_delta_oriented(rho.marginal([0]), pair, delta)
+            pair, const = (pair if variant == "xz" else pair.swapped()), "q_delta oriented"
         else:
-            z_weight = None
-            const = q_delta(rho.marginal([0]), pair, delta) if tag == "sdgbur" \
-                else q_delta_state_independent(pair, delta)
+            z_weight, const = None, "q_delta" if tag == "sdgbur" else "q_delta_SI"
         note = f"variant {variant}" if tag == "sdgbur" else ""
     elif tag == "marcos":
         t = sample_marcos_triple(rng)
         alpha, beta, gamma = t.alpha, t.gamma, t.beta
-        x_order, z_order, joint_order = gamma, beta, alpha
-        z_weight = joint_weight = None
-        const = q_mu(pair)
+        terms = (gamma, beta, alpha)
+        z_weight, joint_weight, const = None, None, "q_MU"
     elif tag == "res2c":
         alpha = float(rng.uniform(0.55, 1.9))
         beta, gamma = 1.0 / alpha, math.nan
-        x_order, z_order, joint_order = alpha, beta, math.inf
-        z_weight, joint_weight = rho.marginal([1]).mat, None
-        const = hall_bound(pair)
+        terms = (alpha, beta, math.inf)
+        z_weight, joint_weight, const = RHO_B, None, "r_H"
     elif tag == "ier":
         symmetric, alpha, beta, gamma = sample_ier_orders(rng)
         orientation = "xz" if rng.uniform() < 0.5 else "zx"
-        x_order, z_order, joint_order = beta, gamma, alpha
         if symmetric:
             z_weight = joint_weight = None
-            const, note = r_cp(pair), "symmetric"
+            const, note = "r_CP", "symmetric"
         else:
             pair = pair if orientation == "xz" else pair.swapped()
-            const, note = r_xz(pair), f"orientation {orientation}"
+            const, note = "r(X,Z)", f"orientation {orientation}"
     else:   # iier-opt: general orders, or the twin-order special case
         optimal = bool(rng.uniform() < 0.5)
         alpha, gamma = float(rng.uniform(0.5, 1.5)), math.nan
-        joint_order = math.inf
         if optimal:
-            beta, x_order, z_order = None, 0.5, 1.5
+            beta, terms = None, (0.5, 1.5, math.inf)
             z_weight = joint_weight = None
-            const, note = r_cp(pair), "optimal orders"
+            const, note = "r_CP", "optimal orders"
         else:
             beta = 2.0 - alpha
-            x_order, z_order = alpha, beta
-            const = r_xz(pair)
-
-    uncertainty = tag in UNCERTAINTY_SUITES
-    measured, solves = _measured_side(_measured_cond_term if uncertainty else _info_term, rho, pair,
-                                      x_order, z_order, z_weight)
-    joint, joint_solves = _cond_term(rho, joint_order, joint_weight)
-    # uncertainty: measured >= joint + const; exclusion: measured <= const - joint
-    small, big = (joint + const, measured) if uncertainty else (measured, const - joint)
-    return finish(tag, seed, dims, alpha, beta, gamma, delta, REVERSE, small, big, tolerance,
-                  solves=solves + joint_solves, note=note)
+            terms = (alpha, beta, math.inf)
+            const = "r(X,Z)"
+    return Instance(tag, dims, alpha, beta, gamma, delta, REVERSE, rho, (z_weight, joint_weight),
+                    pair, terms or (beta, gamma, alpha), const, note)
 
 
 def _sample_const_comp_orders(rng: np.random.Generator):

@@ -65,8 +65,8 @@ def test_report_keeps_the_worst_stop_of_its_solves(tmp_path):
         return entropies.OptimizerResult(None, 0.0, iterations, residual, stop)
 
     def finish(solves):
-        return report.finish("ier", 0, (2, 2), 1.2, 0.8, 0.9, None, "reverse", 0.5, 1.0,
-                             report.BASE_TOL, solves=solves)
+        inst = report.Instance("ier", (2, 2), 1.2, 0.8, 0.9, None, "reverse", None)
+        return report.finish(inst, 0, 0.5, 1.0, solves, report.BASE_TOL)
 
     assert finish([]).stop == ""
     assert finish([solve("ftol")]).stop == "ftol"
@@ -93,8 +93,10 @@ def test_error_trials_are_recorded_and_counted_as_failed(monkeypatch):
 
 def test_suite_registry_is_the_cli_suite_list():
     assert tuple(SUITES) == ALL_SUITES
-    assert {tag for tag, (_, arity) in SUITES.items() if arity == 3} == {"chain", "chain-dup"}
-    assert all(arity in (2, 3) for _, arity in SUITES.values())
+    assert {tag for tag, (*_, arity) in SUITES.items() if arity == 3} == {"chain", "chain-dup"}
+    assert all(arity in (2, 3) for *_, arity in SUITES.values())
+    # one sides function per relation shape, not per tag
+    assert len({sides for _, sides, _ in SUITES.values()}) == 10
 
 
 def test_opt_iters_counts_every_solve(monkeypatch):
@@ -108,10 +110,11 @@ def test_opt_iters_counts_every_solve(monkeypatch):
         return res
 
     monkeypatch.setattr(entropies, "_optimize_weight", counted)
-    for tag, (trial, arity) in SUITES.items():
+    for tag, (draw, sides, arity) in SUITES.items():
         for i in range(3):
             iters.clear()
-            rep = trial(tag, trial_rng(2024, i), (2, 2, 2)[:arity], report.BASE_TOL, i)
+            inst = draw(tag, trial_rng(2024, i), (2, 2, 2)[:arity])
+            rep = report.finish(inst, i, *sides(inst), report.BASE_TOL)
             assert rep.opt_iters == sum(iters), (tag, i)
 
 
@@ -380,3 +383,12 @@ def test_commands_run_with_scipy_blocked(tmp_path, argv):
     proc = _fresh_python("import sys\nsys.modules['scipy'] = None\n"
                          f"from renyi_lab import cli\nsys.exit(cli.main({argv!r}))")
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_bounds_refuses_a_delta_float64_cannot_resolve(capsys):
+    # at delta = 0.001 the state-independent bound's weights span beyond float64
+    assert main(["bounds", "--pair", "random:3", "--deltas=0.001,0.01"]) == 1
+    captured = capsys.readouterr()
+    assert "computation error: q_delta_state_independent at delta = 0.001" in captured.err
+    assert "inf" not in captured.out and "nan" not in captured.out

@@ -40,14 +40,12 @@ from renyi_lab.linalg import (
     psd_eigh,
     schatten_norm,
     spectral_power,
-    support_projector,
 )
-from renyi_lab.orders import hatconj, hconj
-from renyi_lab.report import FAIL, PASS
+from renyi_lab.orders import REVERSE, hatconj, hconj
+from renyi_lab.report import BASE_TOL, FAIL, PASS, Instance, finish
 from renyi_lab.states import (
     DensityOperator,
     MeasurementBasis,
-    cq_state,
     measure,
     random_cq_state,
     random_density,
@@ -279,9 +277,9 @@ class TestSandwichedDivergence:
     def test_one_decomposition_of_sigma_is_bit_identical(self, d):
         # sigma's support projector, its power c and its logarithm come from one
         # decomposition, which kron_eigh of one factor passes on as it is; the
-        # separate support_projector, frac_power and psd_eigh calls give the same bits
+        # separate frac_power (at 0, the support projector) and psd_eigh calls give the same bits
         def separate(rho, sigma, alpha):
-            proj = support_projector(sigma)
+            proj = frac_power(sigma, 0.0)
             inside, total = np.trace(proj @ rho @ proj).real, np.trace(rho).real
             tol = entropies.SUPPORT_TOL * max(total, 1.0)
             if inside <= tol or alpha >= 1.0 - entropies.ALPHA_ONE_WINDOW and total - inside > tol:
@@ -612,7 +610,8 @@ class TestClassicalReduction:
         rng = trial_rng(37, 2)
         p = rng.dirichlet(np.ones(2))
         blocks = [np.diag(rng.dirichlet(np.ones(2))).astype(complex) for _ in range(2)]
-        rho = cq_state(p, blocks)
+        dense = np.einsum("x,xab,xy->xayb", p, np.array(blocks), np.eye(2)).reshape(4, 4)
+        rho = DensityOperator(dense, SystemLayout((2, 2)))   # sum_x p(x) |x><x| (x) rho_x
         joint = np.concatenate([p[x] * np.diag(blocks[x]).real for x in range(2)])
         sig_p = rng.dirichlet(np.ones(4))
         sig = register_state(sig_p, dims=(2, 2))
@@ -991,6 +990,12 @@ class TestMeasuredMutualInfo:
             assert res.value == pytest.approx(closed, abs=1e-12), (dx, db)
 
 
+def _hall_classical(rho, pair):
+    """The hall-classical report of rho and pair, through the suite's sides."""
+    inst = Instance("hall-classical", rho.layout.dims, 1.0, 1.0, 1.0, None, REVERSE, rho, pair=pair)
+    return finish(inst, 0, *uncertainty.hall_classical_sides(inst), BASE_TOL)
+
+
 class TestHallClassical:
     """Hall's von Neumann exclusion I(X:Y) + I(Z:Y) <= log2(d^2 c) on cq states."""
 
@@ -1013,7 +1018,7 @@ class TestHallClassical:
 
         monkeypatch.setattr(entropies, "measure", unmeasured)
         for rho, pair, dense in pairs:
-            report = uncertainty.check_hall_classical(rho, pair)
+            report = _hall_classical(rho, pair)
             assert report.lhs == pytest.approx(dense, abs=1e-12)
             assert report.verdict == PASS
 
@@ -1024,11 +1029,11 @@ class TestHallClassical:
         pair = uncertainty.mub_pair(d)
         copy = sum(np.kron(np.outer(e, e), np.outer(e, e)) for e in np.eye(d)) / d
         rho = DensityOperator(copy.astype(complex), SystemLayout((d, d)))
-        report = uncertainty.check_hall_classical(rho, pair)
+        report = _hall_classical(rho, pair)
         assert report.lhs == pytest.approx(math.log2(d), abs=1e-12) and report.verdict == PASS
         lowered = uncertainty.hall_bound(pair) - 1e-3
         monkeypatch.setattr(uncertainty, "hall_bound", lambda _: lowered)
-        assert uncertainty.check_hall_classical(rho, pair).verdict == FAIL
+        assert _hall_classical(rho, pair).verdict == FAIL
 
 
 ONE_WINDOW_QUANTITIES = {

@@ -12,7 +12,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 from renyi_lab.entropies import STOPS, gen_mutual_info, sandwiched_divergence, _divergence_any_order
-from renyi_lab.linalg import kron_eigh, partial_trace, psd_eigh, support_projector
+from renyi_lab.linalg import frac_power, kron_eigh, partial_trace, psd_eigh
 from renyi_lab.states import random_density
 
 
@@ -26,7 +26,7 @@ def state_and_weight(draw):
     rho = random_density(d, draw(st.integers(1, d)), rng, dims=dims).mat
     tau = random_density(dims[0], draw(st.integers(1, dims[0] - 1)), rng).mat
     if draw(st.booleans()):
-        p = np.kron(support_projector(tau), np.eye(dims[1]))
+        p = np.kron(frac_power(tau, 0.0), np.eye(dims[1]))
         rho = p @ rho @ p
         rho = rho / np.trace(rho).real
     return rho, tau, dims
@@ -39,7 +39,7 @@ def test_min_entropy_mutual_information_is_attained_certified_and_nonnegative(ca
     res = gen_mutual_info(rho, tau, math.inf, dims, fixed=0)
     assert res.stop in STOPS
     rho_a = partial_trace(rho, dims, [0])
-    outside = np.trace(rho_a).real - np.trace(support_projector(tau) @ rho_a).real
+    outside = np.trace(rho_a).real - np.trace(frac_power(tau, 0.0) @ rho_a).real
     if outside > 1e-9:
         assert res.value == math.inf
         return
@@ -81,7 +81,7 @@ def product_weight(draw):
     n = math.prod(dims)
     rho = random_density(n, draw(st.integers(1, n)), rng).mat
     if draw(st.booleans()):
-        p = support_projector(_dense(factors))
+        p = frac_power(_dense(factors), 0.0)
         if np.trace(p @ rho).real > 1e-6:
             rho = p @ rho @ p / np.trace(p @ rho @ p).real
     return rho, factors, dims

@@ -9,7 +9,6 @@ from renyi_lab.states import (
     DensityOperator,
     MeasurementBasis,
     Pmf,
-    cq_state,
     density_from_factor,
     measure,
     measurement_pmf,
@@ -20,7 +19,6 @@ from renyi_lab.states import (
     random_pure,
     trial_rng,
 )
-from renyi_lab.uncertainty import suite_trial
 
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 
@@ -76,37 +74,6 @@ def test_random_density_is_the_build_of_its_draw(dim, rank):
         assert rng.random() == again.random()
 
 
-# the next draw of a closed-suite trial's stream, recorded before these suites
-# left their unread rho_AB and tau_B unbuilt: (tag, dims, seed) -> rng.random()
-CLOSED_TRIAL_NEXT_DRAW = {
-    ("rmu", (2, 2), 5): 0.7192448779755543,
-    ("rmu", (2, 2), 6): 0.5390656775980839,
-    ("rmu", (3, 2), 5): 0.1628415964972567,
-    ("rmu", (3, 2), 6): 0.660369836444989,
-    ("rmu", (8, 8), 5): 0.729932675009809,
-    ("rmu", (8, 8), 6): 0.12558444702521532,
-    ("const-comp", (2, 2), 5): 0.8420317762115318,
-    ("const-comp", (2, 2), 6): 0.6367717476232969,
-    ("const-comp", (3, 2), 5): 0.5646423034374116,
-    ("const-comp", (3, 2), 6): 0.7187864603022917,
-    ("const-comp", (8, 8), 5): 0.4099777228573386,
-    ("const-comp", (8, 8), 6): 0.4440962511784414,
-    ("hall-classical", (2, 2), 5): 0.7114593745340658,
-    ("hall-classical", (2, 2), 6): 0.4786147355714615,
-    ("hall-classical", (3, 2), 5): 0.6654124114412981,
-    ("hall-classical", (3, 2), 6): 0.8348155619368899,
-    ("hall-classical", (8, 8), 5): 0.3315453978691645,
-    ("hall-classical", (8, 8), 6): 0.9794532237860709,
-}
-
-
-@pytest.mark.parametrize("tag, dims, seed", list(CLOSED_TRIAL_NEXT_DRAW))
-def test_closed_suite_trials_consume_their_stream_as_before(tag, dims, seed):
-    rng = trial_rng(seed, 1)
-    suite_trial(tag, rng, dims, 1e-9, seed)
-    assert rng.random() == CLOSED_TRIAL_NEXT_DRAW[(tag, dims, seed)]
-
-
 def test_random_density_memory_is_linear_in_dim_times_rank():
     # the (64*64)^2 outer product alone would take 268 MB
     rng = trial_rng(15, 1)
@@ -139,11 +106,12 @@ def test_random_onb_is_orthonormal():
 
 
 def test_cq_state_marginal():
-    rng = trial_rng(13, 1)
-    p = rng.dirichlet(np.ones(3))
-    blocks = [random_density(2, 2, rng).mat for _ in range(3)]
-    rho = cq_state(p, blocks)
-    marg = partial_trace(rho.mat, (3, 2), keep=[1])
+    # tracing the register out of sum_y p(y) rho_y (x) |y><y| leaves sum_y p(y) rho_y
+    rng, again = trial_rng(13, 1), trial_rng(13, 1)
+    rho = random_cq_state(2, 3, rng)
+    p = again.dirichlet(np.ones(3))
+    blocks = [random_density(2, 2, again).mat for _ in range(3)]
+    marg = partial_trace(rho.mat, (2, 3), keep=[0])
     expected = sum(p[x] * blocks[x] for x in range(3))
     assert np.abs(marg - expected).max() < 1e-12
 

@@ -16,12 +16,13 @@ import scipy.optimize
 
 from renyi_lab.cli import main
 from renyi_lab.linalg import SystemLayout, dagger
-from renyi_lab.orders import hconj
+from renyi_lab.orders import FORWARD, hatconj, hconj
+from renyi_lab.report import Instance
 from renyi_lab.states import DensityOperator, random_density, trial_rng
 from renyi_lab.uncertainty import (
     DELTA_ONE_WINDOW,
     DELTA_ZERO_WINDOW,
-    check_rmu,
+    rmu_sides,
     hall_bound,
     mub_pair,
     q_delta,
@@ -69,8 +70,9 @@ def test_maassen_uffink_is_tight_on_a_basis_eigenstate(d):
     pair = mub_pair(d)
     ket = pair.basis_x.ket(0)
     rho = DensityOperator(np.outer(ket, ket.conj()), SystemLayout((d,)))
-    rep = check_rmu(rho, pair, 1.0)
-    assert abs(rep.gap) <= 1e-12
+    small, big, _ = rmu_sides(Instance("rmu", (d,), 1.0, hatconj(1.0), math.nan, None, FORWARD, rho,
+                                       pair=pair))
+    assert abs(big - small) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -145,3 +147,64 @@ def test_si_bound_is_at_most_the_state_dependent_bound(d):
                 rho = random_density(d, rank, rng)
                 for delta, si in bounds.items():
                     assert si <= q_delta(rho, pair, delta) + 1e-12, (i, rank, delta)
+
+
+# ---------------------------------------------------------------------------
+# 0 < delta << 1: weights c^(1/delta') beyond what float64 resolves
+# ---------------------------------------------------------------------------
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("d", [3, 4])
+def test_si_bound_refuses_weights_float64_cannot_resolve(d):
+    # at delta = 0.001 the weights span up to d^999; at 0.01 about 4 in 10
+    # random pairs at d = 3 and 4 still rounded to -inf, nan or an eigvalsh failure
+    refused = 0
+    for i in range(30):
+        pair = random_pair(d, trial_rng(90 + d, i))
+        for delta in (0.001, 0.01):
+            try:
+                bound = q_delta_state_independent(pair, delta)
+            except FloatingPointError:
+                refused += 1
+                continue
+            assert math.isfinite(bound) and bound >= q_mu(pair) - 1e-12, (i, delta, bound)
+    assert refused >= 30
+
+
+def _si_bound_50_digits(pair, delta):
+    """-min over p of f(p) in 50-digit arithmetic: lambda_min of M(p) is
+    concave in p (delta' < 0), so a golden-section search finds its maximum."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(50):
+        dp, c = mp.mpf(hconj(delta)), mp.mpf(pair.c)
+        parts = []
+        for basis, cmax in ((pair.basis_x, pair.overlaps.max(axis=1)),
+                            (pair.basis_z, pair.overlaps.max(axis=0))):
+            v = mp.matrix(basis.vectors.tolist())
+            parts.append(v * mp.diag([(mp.mpf(x) / c) ** (1 / dp) for x in cmax]) * v.transpose_conj())
+
+        def lam_min(p):
+            m = p * parts[0] + (1 - p) * parts[1]
+            return min(mp.re(e) for e in mp.eighe((m + m.transpose_conj()) / 2, eigvals_only=True))
+
+        lo, hi, g = mp.mpf(0), mp.mpf(1), (mp.sqrt(5) - 1) / 2
+        for _ in range(90):
+            a, b = hi - g * (hi - lo), lo + g * (hi - lo)
+            lo, hi = (lo, b) if lam_min(a) >= lam_min(b) else (a, hi)
+        best = max(lam_min(lo), lam_min(mp.mpf(0)), lam_min(mp.mpf(1)))
+        return float(-(mp.log(c, 2) + dp * mp.log(best, 2)))
+
+
+def test_si_bound_accepted_near_the_refusal_edge_meets_50_digits():
+    # the deltas the refusal edge falls between for random pairs at d = 3
+    checked = 0
+    for i in range(4):
+        pair = random_pair(3, trial_rng(95, i))
+        for delta in (0.02, 0.03, 0.05):
+            try:
+                bound = q_delta_state_independent(pair, delta)
+            except FloatingPointError:
+                continue
+            checked += 1
+            assert abs(bound - _si_bound_50_digits(pair, delta)) <= 1e-9, (i, delta)
+    assert checked >= 6
