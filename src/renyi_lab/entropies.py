@@ -57,7 +57,7 @@ from .linalg import (
     spectral_power,
     _hermitian,
 )
-from .states import DensityOperator, Pmf, measure
+from .states import DensityOperator, Pmf, measure, _sectors
 
 SUPPORT_TOL = 1e-9
 ALPHA_ONE_WINDOW = 1e-6
@@ -839,23 +839,26 @@ def _register_window(sectors: np.ndarray, v: np.ndarray, tau) -> OptimizerResult
 
 def measured_mutual_info(rho: DensityOperator, basis, alpha: float, tau=None) -> OptimizerResult:
     """I(X:B) of X, A of a bipartite rho measured in `basis` (the state
-    `measure(rho, basis, 0)`): I-down_alpha(X:B) when tau is None, else
+    `measure(rho, basis)`): I-down_alpha(X:B) when tau is None, else
     I_alpha(X:B) against tau on B, optimised over sigma_X.
 
-    The measured state is sum_x |x><x| (x) rho~_x in the basis, with rho~_x =
-    (<x| (x) 1) rho (|x> (x) 1), and a sigma_X = diag(q) there loses nothing.
+    The measured state is sum_x |x><x| (x) rho~_x in the basis, with the sectors
+    rho~_x = (<x| (x) 1) rho (|x> (x) 1), and a sigma_X = diag(q) there loses nothing.
     The optimal q_x ~ Q_x**(1/alpha), Q_x = tr(sigma_B**c rho~_x sigma_B**c)**alpha,
     gives I_alpha in closed form (0 iterations, residual 0) and makes I-down
     a fixed point over sigma_B alone, residual sigma_B's Frank-Wolfe bound (near
-    alpha = 1: `_register_window`).  At alpha = inf and when rho misses supp tau,
+    alpha = 1: `_register_window`).  When rho_B misses supp tau the value is +inf
+    as in `gen_mutual_info`, with sigma_X = diag(p), p_x = tr rho~_x; at alpha = inf
     `mutual_info_down` and `gen_mutual_info` answer on the measured state.
     """
-    da, db = rho.layout.dims
-    v = basis.vectors
-    sectors = np.einsum("ix,iajb,jx->xab", v.conj(), rho.mat.reshape(da, db, da, db), v)
+    sectors, v = _sectors(rho, basis), basis.vectors
+    db = sectors.shape[-1]
     weight = None if tau is None else _weight(tau)
-    if math.isinf(alpha) or tau is not None and _misses_weight(sectors.sum(axis=0), weight, alpha):
-        measured = measure(rho, basis, 0)
+    if tau is not None and _misses_weight(sectors.sum(axis=0), weight, alpha):
+        p = np.einsum("xaa->x", sectors).real
+        return OptimizerResult([(v * p) @ dagger(v)], math.inf, 0, 0.0, STOPS[0])
+    if math.isinf(alpha):
+        measured = measure(rho, basis)
         return mutual_info_down(measured, alpha) if tau is None else gen_mutual_info(measured, tau, alpha, fixed=1)
     if abs(alpha - 1.0) <= ALPHA_ONE_WINDOW:
         return _register_window(sectors, v, tau)

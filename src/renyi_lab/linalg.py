@@ -2,13 +2,12 @@
 
 The PSD spectral kernel (one clamp and support-cutoff policy for a matrix, a
 (..., d, d) stack or a Kronecker product from its factors, and the matrix powers
-built on it), Schatten (quasi-)norms, embedding and partial traces over
-subsystem layouts, and purification; plain numpy on small matrices (dims <= 64).
+built on it), Schatten (quasi-)norms, partial traces over subsystem
+layouts, and purification; plain numpy on small matrices (dims <= 64).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -185,24 +184,6 @@ def schatten_norm(m: np.ndarray, p: float) -> float:
     s = s[s > EIG_CUTOFF * top]
     # factor out the peak to keep s**p finite for large p
     return float(top * np.exp(np.log(np.sum((s / top) ** p)) / p))
-
-
-def embed_block(dims, block: np.ndarray, positions) -> np.ndarray:
-    """I (x) block (x) I for an operator or (k, d, d) stack on contiguous positions."""
-    dims = as_layout(dims).dims
-    lo, hi = min(positions), max(positions)
-    if len(set(positions)) != hi - lo + 1:
-        raise ValueError("embedded subsystems must be contiguous")
-    d = math.prod(dims[lo:hi + 1])
-    if block.shape[-2:] != (d, d):
-        raise LayoutMismatch(f"block has shape {block.shape[-2:]}, expected {(d, d)}")
-    front, back = math.prod(dims[:lo]), math.prod(dims[hi + 1:])
-    if front == 1 and back == 1:
-        return block
-    out = np.einsum("ij,...ab,xy->...iaxjby",
-                    np.eye(front, dtype=complex), block, np.eye(back, dtype=complex))
-    n = front * d * back
-    return out.reshape(block.shape[:-2] + (n, n))
 
 
 def swap_bipartite(m: np.ndarray, dims) -> np.ndarray:

@@ -3,8 +3,10 @@
 All samplers take an explicit numpy Generator.  Trial-level RNGs derive from
 (master_seed, trial_index) so trials are order-independent and reproducible
 bit-for-bit.  A raw matrix becomes a state by its spectrum; a matrix built PSD,
-such as a sampled Gram G G^dagger, a pinching, a partial trace or a product of
-checked states, by its trace alone.
+such as a sampled Gram G G^dagger, a measured state, a partial trace or a
+product of checked states, by its trace alone.  Measuring A, the first
+subsystem, in a basis is read through its sectors rho~_x = (<x| (x) 1) rho
+(|x> (x) 1): the measured state and the outcome distribution are built from them.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from .linalg import (
     SystemLayout,
     as_layout,
     dagger,
-    embed_block,
     partial_trace,
     psd_eigh,
     _hermitian,
@@ -47,7 +48,7 @@ class DensityOperator:
     @classmethod
     def _built(cls, mat: np.ndarray, layout: SystemLayout) -> "DensityOperator":
         """The state of a matrix PSD by construction: a Gram G G^dagger, or a
-        pinching, a partial trace or a product of checked states.  Its
+        measured state, a partial trace or a product of checked states.  Its
         Hermitian part is kept and only its trace is checked, which a
         non-finite factor fails; nothing is decomposed."""
         layout.check(mat.shape[0])
@@ -92,9 +93,6 @@ class MeasurementBasis:
     @property
     def dim(self) -> int:
         return self.vectors.shape[0]
-
-    def ket(self, x: int) -> np.ndarray:
-        return self.vectors[:, x]
 
 
 @dataclass(frozen=True)
@@ -160,29 +158,25 @@ def random_cq_state(dim: int, registers: int, rng: np.random.Generator) -> Densi
     return DensityOperator._built(mat, SystemLayout((dim, registers)))
 
 
-def _pinchers(basis: MeasurementBasis, layout: SystemLayout, subsystem: int):
-    d = layout.dims[subsystem]
-    if basis.dim != d:
-        raise LayoutMismatch(f"basis dimension {basis.dim} != subsystem dimension {d}")
-    for x in range(d):
-        k = basis.ket(x)
-        yield embed_block(layout, np.outer(k, k.conj()), [subsystem])
+def _sectors(rho: DensityOperator, basis: MeasurementBasis) -> np.ndarray:
+    """The (d_A, d_B, d_B) stack of rho~_x = (<x| (x) 1) rho (|x> (x) 1), A the
+    first subsystem and B the rest (d_B = 1 for a one-system state)."""
+    da = rho.layout.dims[0]
+    if basis.dim != da:
+        raise LayoutMismatch(f"basis dimension {basis.dim} != subsystem dimension {da}")
+    db, v = rho.dim // da, basis.vectors
+    return np.einsum("ix,iajb,jx->xab", v.conj(), rho.mat.reshape(da, db, da, db), v)
 
 
-def measure(rho: DensityOperator, basis: MeasurementBasis, subsystem: int = 0) -> DensityOperator:
-    """Pinch one subsystem in the given basis (projective measurement channel)."""
-    out = np.zeros_like(rho.mat)
-    for proj in _pinchers(basis, rho.layout, subsystem):
-        out += proj @ rho.mat @ proj
-    return DensityOperator._built(out, rho.layout)
+def measure(rho: DensityOperator, basis: MeasurementBasis) -> DensityOperator:
+    """A measured in the given basis (projective measurement channel):
+    sum_x |x><x| (x) rho~_x, built back from the sectors."""
+    v = basis.vectors
+    mat = np.einsum("ix,xab,jx->iajb", v, _sectors(rho, basis), v.conj())
+    return DensityOperator._built(mat.reshape(rho.dim, rho.dim), rho.layout)
 
 
-def measurement_pmf(rho: DensityOperator, basis: MeasurementBasis, subsystem: int = 0) -> Pmf:
-    """Outcome distribution of measuring one subsystem in the given basis."""
-    marg = partial_trace(rho.mat, rho.layout, [subsystem])   # PSD as rho is
-    if basis.dim != marg.shape[0]:
-        raise LayoutMismatch("basis dimension does not match subsystem")
-    p = np.real(np.einsum("xi,ij,jx->x", dagger(basis.vectors), marg, basis.vectors))
-    p = np.clip(p, 0.0, None)
+def measurement_pmf(rho: DensityOperator, basis: MeasurementBasis) -> Pmf:
+    """Outcome distribution of measuring A in the given basis: p_x = tr rho~_x."""
+    p = np.clip(np.einsum("xaa->x", _sectors(rho, basis)).real, 0.0, None)
     return Pmf(p / p.sum())
-

@@ -264,8 +264,8 @@ def uncertainty_sides(inst: Instance):
     """H_joint(A|B) + const <= H^up_x(X|B) + H_z(Z|B), X and Z being A measured
     in the pair's bases; the Z and joint terms against their weights."""
     (x_order, z_order, joint_order), (z_weight, joint_weight) = inst.terms, inst.weights
-    x, x_solves = _cond_term(measure(inst.rho, inst.pair.basis_x, 0), x_order, None)
-    z, z_solves = _cond_term(measure(inst.rho, inst.pair.basis_z, 0), z_order, z_weight)
+    x, x_solves = _cond_term(measure(inst.rho, inst.pair.basis_x), x_order, None)
+    z, z_solves = _cond_term(measure(inst.rho, inst.pair.basis_z), z_order, z_weight)
     joint, joint_solves = _cond_term(inst.rho, joint_order, joint_weight)
     return joint + CONSTANTS[inst.const](inst), x + z, x_solves + z_solves + joint_solves
 
@@ -378,9 +378,9 @@ def draw(tag: str, rng: np.random.Generator, dims) -> Instance:
         rho_a = random_density(da, int(rng.integers(1, da + 1)), rng)
         if tag == "rmu":
             a = float(rng.choice([0.5, 0.8, 1.0, 2.0, 5.0, math.inf]))
-            return Instance(tag, (pair.d,), a, hatconj(a), math.nan, None, FORWARD, rho_a, pair=pair)
+            return Instance(tag, dims, a, hatconj(a), math.nan, None, FORWARD, rho_a, pair=pair)
         alpha, delta = _sample_const_comp_orders(rng)
-        return Instance(tag, (pair.d,), alpha, math.nan, math.nan, delta, REVERSE, rho_a, pair=pair)
+        return Instance(tag, dims, alpha, math.nan, math.nan, delta, REVERSE, rho_a, pair=pair)
     if tag == "hall-classical":
         rho_ay = random_cq_state(da, db, rng)
         return Instance(tag, rho_ay.layout.dims, 1.0, 1.0, 1.0, None, REVERSE, rho_ay, pair=pair)

@@ -33,7 +33,6 @@ from renyi_lab.linalg import (
     SystemLayout,
     congruence_eigvalsh,
     dagger,
-    embed_block,
     frac_power,
     kron_eigh,
     partial_trace,
@@ -260,7 +259,7 @@ class TestSandwichedDivergence:
             for a in ORDERS:
                 d0 = sandwiched_divergence(rho, sig, a)
                 d_tr = sandwiched_divergence(rho.marginal([0]), sig.marginal([0]), a)
-                d_pinch = sandwiched_divergence(measure(rho, basis, 0), measure(sig, basis, 0), a)
+                d_pinch = sandwiched_divergence(measure(rho, basis), measure(sig, basis), a)
                 assert d0 >= d_tr - 1e-9
                 assert d0 >= d_pinch - 1e-9
 
@@ -369,7 +368,7 @@ class TestConditionalEntropies:
 
             def objective(sig_stack):
                 # D_a(rho || 1 (x) sigma) per matrix of the stack, rho of full rank
-                w = embed_block((2, 2), frac_power(sig_stack, (1.0 - a) / (2.0 * a)), [1])
+                w = np.kron(np.eye(2), frac_power(sig_stack, (1.0 - a) / (2.0 * a)))
                 lam = np.linalg.eigvalsh(w @ rho @ w.conj().swapaxes(-1, -2))
                 return np.log2(np.sum(np.maximum(lam, 0.0) ** a, axis=-1)) / (a - 1.0)
 
@@ -517,7 +516,7 @@ class TestQuantityNormIdentities:
             ap = hconj(a)
 
             def value(sig_stack):
-                w = embed_block((2, 2), frac_power(sig_stack, 1.0 / (2.0 * ap)), [0])
+                w = np.kron(frac_power(sig_stack, 1.0 / (2.0 * ap)), np.eye(2))
                 return 2.0 * ap * np.log2(self._schatten(m @ w, 2))
 
             _, vg, _ = grid_qubit_minimize(value, (40, 40, 40), maximize=True)
@@ -531,7 +530,7 @@ class TestQuantityNormIdentities:
         tau = rand_pos(2, rng, 0.2)
         for a in (0.7, 1.5, 3.0):
             ap = hconj(a)
-            w = embed_block((2, 2), frac_power(tau, -1.0 / (2.0 * ap)), [1])
+            w = np.kron(np.eye(2), frac_power(tau, -1.0 / (2.0 * ap)))
             val = -2.0 * ap * np.log2(schatten_norm(m @ w, 2 * a))
             assert gen_cond_entropy(rho, tau, a, (2, 2), weight_pos=1) == pytest.approx(val, abs=1e-8)
 
@@ -543,10 +542,10 @@ class TestQuantityNormIdentities:
         for a in (0.7, 1.7):
             ap = hconj(a)
 
-            w_tau = embed_block((2, 2), frac_power(tau, -1.0 / (2.0 * ap)), [1])
+            w_tau = np.kron(np.eye(2), frac_power(tau, -1.0 / (2.0 * ap)))
 
             def value(sig_stack):
-                w = embed_block((2, 2), frac_power(sig_stack, -1.0 / (2.0 * ap)), [0]) @ w_tau
+                w = np.kron(frac_power(sig_stack, -1.0 / (2.0 * ap)), np.eye(2)) @ w_tau
                 return 2.0 * ap * np.log2(self._schatten(m @ w, 2 * a))
 
             _, vg, _ = grid_qubit_minimize(value, (40, 40, 40))
@@ -564,10 +563,10 @@ class TestQuantityNormIdentities:
             for lam in (1.0, a, 2.0):
                 ap, lp = hconj(a), hconj(lam)
                 e1 = (1.0 / a - 1.0 / lam) / 2.0
-                y = m @ embed_block((2, 2), frac_power(tau_b, -0.5), [1])
-                y = y @ embed_block((2, 2), frac_power(sig_a, e1), [0])
+                y = m @ np.kron(np.eye(2), frac_power(tau_b, -0.5))
+                y = y @ np.kron(frac_power(sig_a, e1), np.eye(2))
                 val = 2.0 * ap * np.log2(
-                    schatten_norm(y @ embed_block((2, 2), frac_power(tau_b, 1.0 / (2.0 * a)), [1]), 2 * a))
+                    schatten_norm(y @ np.kron(np.eye(2), frac_power(tau_b, 1.0 / (2.0 * a))), 2 * a))
                 tilt = 1.0 - (0.0 if math.isinf(lp) else ap / lp)
                 w = kron_eigh([psd_eigh(frac_power(sig_a, tilt)), psd_eigh(tau_b)])
                 assert val == pytest.approx(_divergence_any_order(rho, w, a), abs=1e-8)
@@ -879,7 +878,7 @@ class TestMeasuredMutualInfo:
     @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (3, 3)])
     def test_register_route_meets_the_dense_solves(self, dims):
         for rho, basis, tau in measured_states(dims, 98):
-            measured = measure(rho, basis, 0)
+            measured = measure(rho, basis)
             for alpha in CQ_ORDERS:
                 down = measured_mutual_info(rho, basis, alpha)
                 assert down.value <= mutual_info_down(measured, alpha).value + 1e-10, alpha
@@ -901,7 +900,7 @@ class TestMeasuredMutualInfo:
             sigma_b = partial_trace(down.optimum.mat, (2, 3), [1])
             again = measured_mutual_info(rho, basis, alpha, sigma_b)
             assert again.value == pytest.approx(down.value, abs=1e-11)
-            dense = gen_mutual_info(measure(rho, basis, 0), sigma_b, alpha, fixed=1)
+            dense = gen_mutual_info(measure(rho, basis), sigma_b, alpha, fixed=1)
             assert dense.value >= down.value - 1e-10
 
     def test_an_empty_sector(self):
@@ -939,7 +938,7 @@ class TestMeasuredMutualInfo:
     def test_order_one_window_meets_the_dense_route(self, dims):
         # inside the window the sectors' spectra give the von Neumann closed form
         for rho, basis, tau in measured_states(dims, 104):
-            measured = measure(rho, basis, 0)
+            measured = measure(rho, basis)
             for alpha in WINDOW_ORDERS:
                 down, dense = measured_mutual_info(rho, basis, alpha), mutual_info_down(measured, alpha)
                 assert (down.iterations, down.residual, down.stop) == (0, 0.0, "gradient")
@@ -961,6 +960,24 @@ class TestMeasuredMutualInfo:
         for rho in (entangled, outside):
             for alpha in WINDOW_ORDERS:
                 assert measured_mutual_info(rho, basis, alpha, zero).value == math.inf, alpha
+
+    def test_weight_missing_rho_b_gives_inf_from_the_sectors(self, monkeypatch):
+        # rho_B = |1><1| misses supp tau_B = |0><0| at every order, alpha = inf too:
+        # +inf with sigma_X = diag(p) in the basis, 0 iterations, and no measured state
+        zero, one = np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)
+        rho = random_density(2, 2, trial_rng(105, 1))
+        outside = DensityOperator(np.kron(rho.mat, one), SystemLayout((2, 2)))
+        basis = random_onb(2, trial_rng(105, 2))
+        sigma_x = partial_trace(measure(outside, basis).mat, (2, 2), [0])
+
+        def unmeasured(*args):
+            raise AssertionError("the +inf route measured the state")
+
+        monkeypatch.setattr(entropies, "measure", unmeasured)
+        for alpha in CQ_ORDERS + WINDOW_ORDERS + (math.inf,):
+            res = measured_mutual_info(outside, basis, alpha, zero)
+            assert (res.value, res.iterations, res.residual, res.stop) == (math.inf, 0, 0.0, "gradient")
+            assert np.abs(res.optimum.mat - sigma_x).max() < 1e-15
 
     @pytest.mark.parametrize("dims", [(2, 2), (3, 2)])
     def test_crossing_the_alpha_one_window_has_no_jump(self, dims):
@@ -1010,8 +1027,8 @@ class TestHallClassical:
             rng = trial_rng(106, i)
             pair = uncertainty.random_pair(dims[0], rng)
             rho = random_cq_state(*dims, rng)   # the hall-classical suite's draw
-            pairs.append((rho, pair, vn_mutual(measure(rho, pair.basis_x, 0))
-                          + vn_mutual(measure(rho, pair.basis_z, 0))))
+            pairs.append((rho, pair, vn_mutual(measure(rho, pair.basis_x))
+                          + vn_mutual(measure(rho, pair.basis_z))))
 
         def unmeasured(*args):
             raise AssertionError("the check measured the state")

@@ -150,6 +150,22 @@ def test_every_tag_is_pinned_at_qubit_and_qutrit_dims():
         assert {(tag, (2,) * arity), (tag, (3,) * arity)} <= pinned, tag
 
 
+@pytest.mark.parametrize("tag", ["rmu", "const-comp"])
+def test_single_system_suites_report_the_trial_dims(tag, monkeypatch):
+    # their draw reads d_B (rho's factor on d_A d_B comes first), so a report and
+    # an error row carry the same (d_A, d_B)
+    (ok,), _ = run_suite(tag, 1, (3, 2), 0)
+    draw, _, arity = SUITES[tag]
+
+    def raises(inst):
+        raise ValueError("sides raised")
+
+    monkeypatch.setitem(SUITES, tag, (draw, raises, arity))
+    (error,), _ = run_suite(tag, 1, (3, 2), 0)
+    assert error.verdict == report.ERROR
+    assert ok.dims == error.dims == (3, 2)
+
+
 def test_a_trial_is_the_finish_of_its_sides():
     # sides read no rng: evaluated twice, they give the same bits, and the
     # report is run_suite's

@@ -10,7 +10,6 @@ from renyi_lab.linalg import (
     check_hermitian,
     congruence_eigvalsh,
     dagger,
-    embed_block,
     frac_power,
     partial_trace,
     psd_eigvalsh,
@@ -187,18 +186,6 @@ class TestPartialTraceTensor:
     def test_layout_mismatch(self):
         with pytest.raises(LayoutMismatch):
             partial_trace(np.eye(4), (2, 3), keep=[0])
-        with pytest.raises(LayoutMismatch):
-            embed_block((2, 3), np.eye(2), [1])
-
-    def test_kron_mixed_product(self):
-        # (a (x) I)(I (x) b) = a (x) b, also for a stack in one slot
-        rng = trial_rng(5, 3)
-        a, b = rng.standard_normal((2, 2)), rng.standard_normal((3, 2, 2))
-        assert np.abs(embed_block((2, 2, 2), a, [0]) @ embed_block((2, 2, 2), b[0], [1])
-                      - np.kron(np.kron(a, b[0]), np.eye(2))).max() < 1e-12
-        stack = embed_block((2, 2), b, [1])
-        assert stack.shape == (3, 4, 4)
-        assert all(np.abs(stack[k] - np.kron(np.eye(2), b[k])).max() == 0.0 for k in range(3))
 
 
 class TestPurify:

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from renyi_lab.entropies import measured_mutual_info
 from renyi_lab.linalg import LayoutMismatch, NotHermitian, dagger, partial_trace
 from renyi_lab.states import (
     DensityOperator,
@@ -204,29 +205,60 @@ class TestMeasure:
     def test_bell_state_measured_on_a(self):
         bell = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
         rho = DensityOperator(np.outer(bell, bell.conj()), layout=_l(2, 2))
-        out = measure(rho, MeasurementBasis(np.eye(2, dtype=complex)), subsystem=0)
+        out = measure(rho, MeasurementBasis(np.eye(2, dtype=complex)))
         expected = np.diag([0.5, 0, 0, 0.5]).astype(complex)
         assert np.abs(out.mat - expected).max() < 1e-12
 
+    @pytest.mark.parametrize("dims", [(2, 2), (3, 3), (2, 4), (4, 2)])
+    def test_matches_the_pinching_by_kron_projectors(self, dims):
+        # sum_x (|x><x| (x) 1) rho (|x><x| (x) 1), each projector built by np.kron
+        da, db = dims
+        for rank in (1, da * db):
+            rng = trial_rng(14, 10 * da + db + rank)
+            rho = random_density(da * db, rank, rng, dims=dims)
+            basis = random_onb(da, rng)
+            projs = [np.kron(np.outer(k, k.conj()), np.eye(db)) for k in basis.vectors.T]
+            pinched = sum(p @ rho.mat @ p for p in projs)
+            out = measure(rho, basis)
+            assert out.layout == rho.layout
+            assert np.abs(out.mat - pinched).max() < 1e-14
+
     def test_idempotent_and_trace_preserving(self):
         rng = trial_rng(14, 1)
-        rho = random_density(4, 4, rng, dims=(2, 2))
+        rho = random_density(8, 8, rng, dims=(2, 4))
         basis = random_onb(2, rng)
-        once = measure(rho, basis, subsystem=1)
-        twice = measure(once, basis, subsystem=1)
-        assert np.abs(once.mat - twice.mat).max() < 1e-10
+        once = measure(rho, basis)
+        twice = measure(once, basis)
+        assert np.abs(once.mat - twice.mat).max() < 1e-14
         assert abs(np.trace(once.mat) - 1) < 1e-12
+        assert np.abs(once.marginal([1]).mat - rho.marginal([1]).mat).max() < 1e-14
 
     def test_dimension_mismatch(self):
         rho = random_density(4, 4, trial_rng(14, 2), dims=(2, 2))
+        wrong = MeasurementBasis(np.eye(3, dtype=complex))
         with pytest.raises(LayoutMismatch):
-            measure(rho, MeasurementBasis(np.eye(3, dtype=complex)), subsystem=0)
+            measure(rho, wrong)
+        with pytest.raises(LayoutMismatch):
+            measurement_pmf(rho, wrong)
+        with pytest.raises(LayoutMismatch):
+            measured_mutual_info(rho, wrong, 2.0)
 
     def test_measurement_pmf(self):
         plus = np.array([1, 1], dtype=complex) / np.sqrt(2)
         rho = DensityOperator(np.outer(plus, plus.conj()), layout=_l(2))
         p = measurement_pmf(rho, MeasurementBasis(HADAMARD))
         assert np.allclose(p.probabilities, [1.0, 0.0], atol=1e-12)
+
+    @pytest.mark.parametrize("dims", [(3,), (2, 2), (2, 4), (4, 2)])
+    def test_measurement_pmf_reads_rho_a(self, dims):
+        # p_x = <x| rho_A |x>, on one-system and bipartite states
+        for i in range(3):
+            rng = trial_rng(15, 10 * len(dims) + i)
+            rho = random_density(int(np.prod(dims)), int(rng.integers(1, 4)), rng, dims=dims)
+            basis = random_onb(dims[0], rng)
+            rho_a = partial_trace(rho.mat, dims, [0])
+            want = [np.vdot(k, rho_a @ k).real for k in basis.vectors.T]
+            assert np.abs(measurement_pmf(rho, basis).probabilities - want).max() < 1e-14
 
 
 def _l(*dims):

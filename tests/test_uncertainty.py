@@ -68,7 +68,7 @@ def test_bounds_command_prints_log_d_for_a_mub_pair(capsys):
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
 def test_maassen_uffink_is_tight_on_a_basis_eigenstate(d):
     pair = mub_pair(d)
-    ket = pair.basis_x.ket(0)
+    ket = pair.basis_x.vectors[:, 0]
     rho = DensityOperator(np.outer(ket, ket.conj()), SystemLayout((d,)))
     small, big, _ = rmu_sides(Instance("rmu", (d,), 1.0, hatconj(1.0), math.nan, None, FORWARD, rho,
                                        pair=pair))
