@@ -1,16 +1,23 @@
 """Entropic quantities built on the sandwiched Renyi divergence.
 
-All logarithms are base 2 (values in bits) and 0*log(0) = 0.  Every spectrum
-comes from the PSD spectral kernel of `linalg`, on single matrices and on the
-optimiser's stacks alike: per matrix, negative eigenvalues inside the clamp
-band count as 0 and lower ones raise `NotPositiveSemidefinite` (a state is
-checked once, where it enters as an array; a `DensityOperator` was checked when
-built), and eigenvalues below the support cutoff are dropped for every exponent
-and from every logarithm (pseudoinverse convention).  A weight such as id (x)
-tau or sigma_A (x) tau_B is decomposed only through its factors.  One formula,
-`_renyi_log_trace`, gives (1/(alpha-1)) log2 tr X^alpha for divergences,
-entropies and the optimisers' values; `_tr_log2` gives their alpha -> 1
-limits.
+All logarithms are base 2 (values in bits) and 0*log(0) = 0.  A state is read
+through its factor G, rho = G G^dagger: a `DensityOperator` carries the one it
+was built from, and a raw array gets V sqrt(lambda) from the check it pays
+where it enters (a state is checked once; negative eigenvalues inside the
+clamp band count as 0 and lower ones raise `NotPositiveSemidefinite`).  Every
+closed-form divergence D_alpha(rho || sigma) = (1/(alpha-1)) log2 tr
+(sigma^c rho sigma^c)^alpha takes its sandwich spectrum from that factor, as
+the squared singular values of diag(w^c) V^dagger G (`linalg.sandwich_spectrum`):
+D_alpha = (2 alpha/(alpha-1)) log2 |sigma^c G|_(2 alpha) (Mueller-Lennert et
+al., arXiv:1306.3142).  One support rule holds.  Whatever is decomposed (a
+weight, the optimiser's stacks) loses its eigenvalues below the support cutoff
+of `linalg`'s PSD spectral kernel, for every exponent and from every logarithm
+(pseudoinverse convention); rho keeps every column of its factor, which only
+the weight's support cuts.  A weight such as id (x) tau or sigma_A (x) tau_B is
+decomposed only through its factors.  One formula, `_renyi_log_trace`, gives
+(1/(alpha-1)) log2 tr X^alpha for divergences, entropies and the optimisers'
+values; `_tr_log2` gives their alpha -> 1 limits.  The fixed point still reads
+rho^(1/2) off rho's matrix.
 
 Optimised quantities (conditional entropy with optimisation, mutual
 informations) minimise D_alpha(rho || tau (x) sigma) in `_optimize_weight`,
@@ -45,19 +52,21 @@ from .linalg import (
     SystemLayout,
     as_layout,
     check_hermitian,
-    congruence_eigvalsh,
     dagger,
     frac_power,
     kron_eigh,
     partial_trace,
+    partial_trace_factor,
     psd_eigh,
     psd_eigh_blocks,
     psd_eigvalsh,
+    sandwich_spectrum,
     schatten_norm,
     spectral_power,
+    support_factor,
     _hermitian,
 )
-from .states import DensityOperator, Pmf, measure, _sectors
+from .states import DensityOperator, Pmf, measure, _sector_factors, _sectors
 
 SUPPORT_TOL = 1e-9
 ALPHA_ONE_WINDOW = 1e-6
@@ -74,12 +83,14 @@ def _mat(x) -> np.ndarray:
     return check_hermitian(x)
 
 
-def _state(rho) -> np.ndarray:
-    """The matrix of a state, a raw array checked PSD where it enters."""
-    mat = _mat(rho)
-    if not isinstance(rho, DensityOperator):
-        psd_eigvalsh(mat)
-    return mat
+def _state(rho):
+    """(matrix, factor G) of a state, rho = G G^dagger: a DensityOperator's own,
+    or for a raw array checked PSD where it enters, V sqrt(lambda) on its
+    support from that check's `psd_eigh`."""
+    if isinstance(rho, DensityOperator):
+        return rho.mat, rho.factor
+    mat = check_hermitian(rho)
+    return mat, support_factor(*psd_eigh(mat))
 
 
 def _weight(sigma):
@@ -143,16 +154,16 @@ def classical_renyi_divergence(p, q, alpha: float) -> float:
 # quantum divergence and entropy
 # ---------------------------------------------------------------------------
 
-def _misses_weight(rho: np.ndarray, weight, alpha: float) -> bool:
-    """Whether D_alpha(rho || tau) is +inf by supports alone, tau given by its
-    `psd_eigh` triple: rho misses supp tau, or leaves it from alpha = 1 - 1e-6 up.
-    A full-support tau keeps all of rho, with no projection."""
-    total = float(np.real(np.trace(rho)))
+def _misses_weight(g: np.ndarray, weight, alpha: float) -> bool:
+    """Whether D_alpha(rho || tau) is +inf by supports alone, rho = G G^dagger
+    and tau given by its `psd_eigh` triple: rho misses supp tau, or leaves it
+    from alpha = 1 - 1e-6 up.  tr P rho P = |P G|_F^2 for the projector P onto
+    supp tau; a full-support tau keeps all of rho, with no projection."""
+    total = float(np.vdot(g, g).real)
     if weight[2].all():
         inside = total
     else:
-        proj = spectral_power(*weight, 0.0)
-        inside = float(np.real(np.trace(proj @ rho @ proj)))
+        inside = float(np.linalg.norm(dagger(weight[1][:, weight[2]]) @ g) ** 2)
     tol = SUPPORT_TOL * max(total, 1.0)
     return inside <= tol or alpha >= 1.0 - ALPHA_ONE_WINDOW and total - inside > tol
 
@@ -168,6 +179,11 @@ def _renyi_log_trace(lam: np.ndarray, live: np.ndarray, alpha: float) -> np.ndar
     return logq / (alpha - 1.0)
 
 
+def _xlog2x(lam: np.ndarray, live: np.ndarray) -> np.ndarray:
+    """sum lambda log2 lambda over each support, from the spectra of a stack."""
+    return np.sum(np.where(live, lam * np.log2(np.where(live, lam, 1.0)), 0.0), axis=-1)
+
+
 def _tr_log2(rho: np.ndarray, sigma) -> np.ndarray:
     """tr rho log2 sigma from the `psd_eigh` triple of sigma, a matrix or a
     stack, the log taken on each support."""
@@ -181,16 +197,20 @@ def _sandwich_exponent(alpha: float) -> float:
     return -0.5 if math.isinf(alpha) else (1.0 - alpha) / (2.0 * alpha)
 
 
-def _divergence_any_order(rho: np.ndarray, weight, alpha: float) -> float:
-    """Sandwiched divergence for alpha in (0, inf]; no DPI-range gate, rho checked
-    where it entered.  The weight's `psd_eigh` triple (a product's from
-    `kron_eigh`) gives its support, its power c and its logarithm."""
-    if _misses_weight(rho, weight, alpha):
+def _divergence_any_order(g: np.ndarray, weight, alpha: float) -> float:
+    """Sandwiched divergence for alpha in (0, inf] of rho = G G^dagger, given by
+    its factor G; no DPI-range gate, rho checked where it entered.  The
+    weight's `psd_eigh` triple (a product's from `kron_eigh`) gives its
+    support, its power c and its logarithm; the sandwich spectrum is
+    `sandwich_spectrum`'s, and inside the order-one window rho's own spectrum
+    is G's squared singular values."""
+    if _misses_weight(g, weight, alpha):
         return math.inf
     if abs(alpha - 1.0) <= ALPHA_ONE_WINDOW:
-        return float(_tr_log2(rho, psd_eigh(rho)) - _tr_log2(rho, weight))
-    w = spectral_power(*weight, _sandwich_exponent(alpha))
-    return float(_renyi_log_trace(*congruence_eigvalsh(w, rho), alpha))
+        lam = np.linalg.svd(g, compute_uv=False) ** 2
+        return float(_xlog2x(lam, lam > 0.0) - _tr_log2(g @ dagger(g), weight))
+    lam = sandwich_spectrum(weight, _sandwich_exponent(alpha), g)
+    return float(_renyi_log_trace(lam, lam > 0.0, alpha))
 
 
 def sandwiched_divergence(rho, sigma, alpha: float) -> float:
@@ -203,7 +223,7 @@ def sandwiched_divergence(rho, sigma, alpha: float) -> float:
     """
     if not (alpha >= 0.5):
         raise InvalidOrder(f"divergence order {alpha} below 1/2")
-    return _divergence_any_order(_state(rho), _weight(sigma), alpha)
+    return _divergence_any_order(_state(rho)[1], _weight(sigma), alpha)
 
 
 def renyi_entropy(rho, alpha: float) -> float:
@@ -251,7 +271,7 @@ STOPS = ("gradient", "ftol", "no_step", "max_iter")
 
 @dataclass
 class OptimizerResult:
-    factors: list     # the optimum's Kronecker factors; `optimum` builds it when first read
+    factors: list     # the optimum's Kronecker factors, matrices; `optimum` builds it when first read
     value: float
     iterations: int
     # a bound, in bits, on the distance of `value` from the optimum: the fixed
@@ -263,8 +283,11 @@ class OptimizerResult:
 
     @functools.cached_property
     def optimum(self) -> DensityOperator:
-        return DensityOperator._built(functools.reduce(np.kron, self.factors),
-                                      SystemLayout(tuple(len(x) for x in self.factors)))
+        """The product state; its factor is the product of each matrix's
+        `support_factor`."""
+        return DensityOperator._built(
+            functools.reduce(np.kron, self.factors), SystemLayout(tuple(len(x) for x in self.factors)),
+            functools.reduce(np.kron, [support_factor(*psd_eigh(x)) for x in self.factors]))
 
 
 # ---------------------------------------------------------------------------
@@ -274,15 +297,15 @@ class OptimizerResult:
 def gen_cond_entropy(rho, tau, alpha: float, dims, weight_pos: int = 1) -> float:
     """H_alpha(rho_AB || tau) = -D_alpha(rho_AB || id (x) tau) with tau at weight_pos."""
     front, _, back = _block_sizes(as_layout(dims), [weight_pos])
-    return -_divergence_any_order(_state(rho), kron_eigh([front, _weight(tau), back]), alpha)
+    return -_divergence_any_order(_state(rho)[1], kron_eigh([front, _weight(tau), back]), alpha)
 
 
 def cond_entropy_down(rho, alpha: float, dims=None) -> float:
     """Conditional entropy against the actual marginal (no optimisation)."""
     layout = _layout_of(rho, dims)
-    rho = _state(rho)
+    rho, g = _state(rho)
     tau = partial_trace(rho, layout, range(1, len(layout.dims)))
-    return -_divergence_any_order(rho, kron_eigh([layout.dims[0], _weight(tau)]), alpha)
+    return -_divergence_any_order(g, kron_eigh([layout.dims[0], _weight(tau)]), alpha)
 
 
 def _layout_of(rho, dims) -> SystemLayout:
@@ -671,7 +694,7 @@ def _min_entropy_sdp(c: np.ndarray, m: int, n: int):
     return best_y, lo, math.log2(top), it, stop
 
 
-def _solve_min_entropy(rho: np.ndarray, layout: SystemLayout, opt_positions,
+def _solve_min_entropy(rho: np.ndarray, g: np.ndarray, layout: SystemLayout, opt_positions,
                        weight) -> OptimizerResult:
     """Minimise D_max(rho || tau (x) sigma) over sigma by the programme of
     `_min_entropy_sdp`: min over sigma of D_max = log2 min{tr Y : tau (x) Y >= rho}.
@@ -700,19 +723,20 @@ def _solve_min_entropy(rho: np.ndarray, layout: SystemLayout, opt_positions,
     y, lo, hi, it, stop = _min_entropy_sdp(dagger(comp) @ r @ comp, m, n)
     sigma = u_p @ y @ dagger(u_p)
     sigma = (sigma + dagger(sigma)) / (2.0 * np.trace(y).real)
-    value = _divergence_any_order(rho, _weight_times(layout, opt_positions, weight, [sigma]), math.inf)
+    value = _divergence_any_order(g, _weight_times(layout, opt_positions, weight, [sigma]), math.inf)
     return OptimizerResult([sigma], value, it, hi - lo, stop)
 
 
-def _optimize_weight(rho: np.ndarray, alpha: float, layout: SystemLayout, blocks,
+def _optimize_weight(rho: np.ndarray, g, alpha: float, layout: SystemLayout, blocks,
                      weight) -> OptimizerResult:
-    """Minimise D_alpha(rho || tau (x) sigma_1 (x) ...) over density matrices
+    """Minimise D_alpha(rho || tau (x) sigma_1 (x) ...), rho = G G^dagger, over density matrices
     sigma_k on the contiguous `blocks` (lists of positions): one block, with
     `weight` the `psd_eigh` triple of tau on the other subsystems (`kron_eigh`
     of their dimensions for the identity), or the blocks ([0], [1]) of a
     bipartite rho with the empty identity `kron_eigh([])`.
     At a finite order rho may also be the (k, n, n) stack of the sectors of a
-    cq state, whose register weight takes its closed form (`_FixedPoint`).
+    cq state, whose register weight takes its closed form (`_FixedPoint`), and
+    G is not read.
 
     Inside the order-one window the optimum is the product of the marginals;
     alpha = inf solves the min-entropy programme (one block only); every
@@ -720,12 +744,12 @@ def _optimize_weight(rho: np.ndarray, alpha: float, layout: SystemLayout, blocks
     """
     blocks = [sorted(p) for p in blocks]
     if math.isinf(alpha):
-        return _solve_min_entropy(rho, layout, *blocks, weight)
+        return _solve_min_entropy(rho, g, layout, *blocks, weight)
     if abs(alpha - 1.0) > ALPHA_ONE_WINDOW:
         sectors = rho.reshape(-1, *rho.shape[-2:])
         return _solve_fixed_point(*_FixedPoint.build(sectors, alpha, layout, blocks, weight))
     marginals = [partial_trace(rho, layout, p) for p in blocks]
-    value = _divergence_any_order(rho, _weight_times(layout, sum(blocks, []), weight, marginals), alpha)
+    value = _divergence_any_order(g, _weight_times(layout, sum(blocks, []), weight, marginals), alpha)
     return OptimizerResult(marginals, value, 0, 0.0, STOPS[0])
 
 
@@ -739,9 +763,8 @@ def cond_entropy_up(rho, alpha: float, dims=None) -> OptimizerResult:
     if not (alpha >= 0.5):
         raise InvalidOrder(f"order {alpha} below 1/2")
     layout = _layout_of(rho, dims)
-    rho = _state(rho)
     rest = list(range(1, len(layout.dims)))
-    res = _optimize_weight(rho, alpha, layout, [rest], kron_eigh([layout.dims[0]]))
+    res = _optimize_weight(*_state(rho), alpha, layout, [rest], kron_eigh([layout.dims[0]]))
     return replace(res, value=-res.value)
 
 
@@ -756,15 +779,16 @@ def gen_mutual_info(rho, tau, alpha: float, dims=None, fixed: int = 0) -> Optimi
     layout = _layout_of(rho, dims)
     if len(layout.dims) != 2:
         raise ValueError("generalised mutual information is bipartite")
-    return _mutual_info_against(_state(rho), _weight(tau), alpha, layout, fixed)
+    return _mutual_info_against(*_state(rho), _weight(tau), alpha, layout, fixed)
 
 
-def _mutual_info_against(rho: np.ndarray, weight, alpha: float, layout: SystemLayout,
-                         fixed: int) -> OptimizerResult:
-    """`gen_mutual_info` of a checked bipartite rho against tau's `psd_eigh` triple."""
-    if _misses_weight(partial_trace(rho, layout, [fixed]), weight, alpha):
+def _mutual_info_against(rho: np.ndarray, g: np.ndarray, weight, alpha: float,
+                         layout: SystemLayout, fixed: int) -> OptimizerResult:
+    """`gen_mutual_info` of a checked bipartite rho = G G^dagger against tau's
+    `psd_eigh` triple."""
+    if _misses_weight(partial_trace_factor(g, layout, [fixed]), weight, alpha):
         return OptimizerResult([partial_trace(rho, layout, [1 - fixed])], math.inf, 0, 0.0, STOPS[0])
-    return _optimize_weight(rho, alpha, layout, [[1 - fixed]], weight)
+    return _optimize_weight(rho, g, alpha, layout, [[1 - fixed]], weight)
 
 
 def mutual_info_up(rho, alpha: float, dims=None) -> OptimizerResult:
@@ -786,15 +810,15 @@ def mutual_info_down(rho, alpha: float, dims=None) -> OptimizerResult:
     layout = _layout_of(rho, dims)
     if len(layout.dims) != 2:
         raise ValueError("mutual information is bipartite")
-    rho = _state(rho)
+    rho, g = _state(rho)
     if not math.isinf(alpha):
-        return _optimize_weight(rho, alpha, layout, ([0], [1]), kron_eigh([]))
+        return _optimize_weight(rho, g, alpha, layout, ([0], [1]), kron_eigh([]))
     sig_a = partial_trace(rho, layout, [0])
     value, iterations, stop = math.inf, 0, STOPS[0]
     for _ in range(MI_DOWN_ROUNDS):
-        res_b = _mutual_info_against(rho, _weight(sig_a), alpha, layout, fixed=0)
-        res_a = _mutual_info_against(rho, _weight(res_b.optimum.mat), alpha, layout, fixed=1)
-        sig_a, sig_b = res_a.optimum.mat, res_b.optimum.mat
+        res_b = _mutual_info_against(rho, g, _weight(sig_a), alpha, layout, fixed=0)
+        res_a = _mutual_info_against(rho, g, _weight(res_b.factors[0]), alpha, layout, fixed=1)
+        sig_a, sig_b = res_a.factors[0], res_b.factors[0]
         iterations += res_a.iterations + res_b.iterations
         stop = max(stop, res_a.stop, res_b.stop, key=STOPS.index)
         residual = value - res_a.value
@@ -806,20 +830,25 @@ def mutual_info_down(rho, alpha: float, dims=None) -> OptimizerResult:
     return OptimizerResult([sig_a, sig_b], value, iterations, max(residual, 0.0), stop)
 
 
-def _register_weights(sectors: np.ndarray, weight, alpha: float):
+def _register_weights(gx: np.ndarray, weight, alpha: float):
     """The optimal register weight q against tau (its `psd_eigh` triple),
     q_x ~ Q_x**(1/alpha) with Q_x = tr(tau**c rho~_x tau**c)**alpha, and the
-    divergence at diag(q) (x) tau, its spectrum cut as `sandwiched_divergence`
-    cuts it (in exact arithmetic (alpha/(alpha-1)) log2 sum_x Q_x**(1/alpha))."""
+    divergence at diag(q) (x) tau, whose support is cut as `linalg` cuts a
+    weight's, on the products q_x tau_j: (alpha/(alpha-1)) log2 sum_x
+    Q_x**(1/alpha) where the cut keeps supp tau in every sector, else each
+    sector's sandwich again against its kept products.  Every sandwich
+    spectrum is `sandwich_spectrum`'s, from the sectors' factors in the stack gx."""
     c = _sandwich_exponent(alpha)
-    lam, _ = congruence_eigvalsh(spectral_power(*weight, c), sectors)
-    _, _, q = _sector_values(lam, lam > EIG_CUTOFF * lam[:, -1].max(), alpha)
+    lam = sandwich_spectrum(weight, c, gx)
+    value, _, q = _sector_values(lam, lam > 0.0, alpha)
     spec, u, live = weight
     prod = q[:, None] * np.where(live, spec, 0.0)
     keep = prod > EIG_CUTOFF * prod.max()
-    w = (u * np.where(keep, np.where(keep, prod, 1.0) ** c, 0.0)[:, None, :]) @ dagger(u)
-    lam = np.sort(congruence_eigvalsh(w, sectors)[0], axis=None)
-    return float(_renyi_log_trace(lam, lam > EIG_CUTOFF * lam[-1], alpha)), q
+    if (keep == live).all():
+        return float(value), q
+    lam = np.sort(np.concatenate([sandwich_spectrum((w, u, k), c, g) for w, k, g in zip(prod, keep, gx)
+                                  if k.any()]))
+    return float(_renyi_log_trace(lam, lam > 0.0, alpha)), q
 
 
 def _register_window(sectors: np.ndarray, v: np.ndarray, tau) -> OptimizerResult:
@@ -830,7 +859,7 @@ def _register_window(sectors: np.ndarray, v: np.ndarray, tau) -> OptimizerResult
     marginal = sectors.sum(axis=0)
     lam, _, live = psd_eigh_blocks(sectors)
     p = np.einsum("xaa->x", sectors).real
-    joint = np.sum(np.where(live, lam * np.log2(np.where(live, lam, 1.0)), 0.0))
+    joint = _xlog2x(lam, live).sum()
     weight = psd_eigh(marginal) if tau is None else _weight(tau)
     value = joint + classical_renyi_entropy(p, 1.0) - _tr_log2(marginal, weight)
     factors = [(v * p) @ dagger(v)] + ([marginal] if tau is None else [])
@@ -854,7 +883,7 @@ def measured_mutual_info(rho: DensityOperator, basis, alpha: float, tau=None) ->
     sectors, v = _sectors(rho, basis), basis.vectors
     db = sectors.shape[-1]
     weight = None if tau is None else _weight(tau)
-    if tau is not None and _misses_weight(sectors.sum(axis=0), weight, alpha):
+    if tau is not None and _misses_weight(partial_trace_factor(rho.factor, (len(v), db), [1]), weight, alpha):
         p = np.einsum("xaa->x", sectors).real
         return OptimizerResult([(v * p) @ dagger(v)], math.inf, 0, 0.0, STOPS[0])
     if math.isinf(alpha):
@@ -863,8 +892,8 @@ def measured_mutual_info(rho: DensityOperator, basis, alpha: float, tau=None) ->
     if abs(alpha - 1.0) <= ALPHA_ONE_WINDOW:
         return _register_window(sectors, v, tau)
     if tau is None:
-        res = _optimize_weight(sectors, alpha, SystemLayout((db,)), [[0]], kron_eigh([]))
-        value, q = _register_weights(sectors, psd_eigh(res.optimum.mat), alpha)
-        return replace(res, value=value, factors=[(v * q) @ dagger(v), res.optimum.mat])
-    value, q = _register_weights(sectors, weight, alpha)
+        res = _optimize_weight(sectors, None, alpha, SystemLayout((db,)), [[0]], kron_eigh([]))
+        value, q = _register_weights(_sector_factors(rho, basis), _weight(res.factors[0]), alpha)
+        return replace(res, value=value, factors=[(v * q) @ dagger(v), res.factors[0]])
+    value, q = _register_weights(_sector_factors(rho, basis), weight, alpha)
     return OptimizerResult([(v * q) @ dagger(v)], value, 0, 0.0, STOPS[0])

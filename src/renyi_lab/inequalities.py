@@ -24,11 +24,10 @@ from .entropies import (
     _divergence_any_order,
     _tr_log2,
 )
-from .linalg import as_layout, frac_power, kron_eigh, partial_trace, psd_eigh, swap_bipartite
+from .linalg import as_layout, frac_power, kron_eigh, partial_trace, psd_eigh
 from .orders import FORWARD, REVERSE, hconj, noncond_orders, sample_triple
 from .report import Instance, finish, summarize
-from .states import (DensityOperator, density_from_factor, random_density, random_density_factor,
-                     random_pure, trial_rng)
+from .states import density_from_factor, random_density, random_density_factor, random_pure, trial_rng
 
 
 def _entropy_weight_term(gamma: float, rho_marg: np.ndarray, sigma: np.ndarray) -> float:
@@ -43,13 +42,14 @@ def _entropy_weight_term(gamma: float, rho_marg: np.ndarray, sigma: np.ndarray) 
 # suite driver
 # ---------------------------------------------------------------------------
 
-def _rank_deficient_pair(rng, da: int, db: int):
+def _rank_deficient_pair(rng, da: int, db: int, dims=None):
     """(rho, tau) with tau rank-deficient on the weighted subsystem but
-    dominating rho, exercising the pseudoinverse path."""
+    dominating rho, exercising the pseudoinverse path; rho on `dims`, one
+    system of da * db by default."""
     u = random_pure(db, rng)
     tau = float(rng.uniform(0.3, 1.5)) * np.outer(u, u.conj())
     g_a = random_density_factor(da, da, rng)
-    return density_from_factor(np.kron(g_a, u[:, None]), da * db), tau   # rho_A (x) |u><u|
+    return density_from_factor(np.kron(g_a, u[:, None]), dims or da * db), tau   # rho_A (x) |u><u|
 
 
 def _draw(tag: str, rng, dims) -> Instance:
@@ -66,15 +66,16 @@ def _draw(tag: str, rng, dims) -> Instance:
         (a, b, g), d, direction = triple.as_tuple(), None, triple.direction
     if tag in ("bchain", "bchain-alt", "noncond"):   # no fixed weight
         rank = int(rng.integers(2 if tag == "noncond" else 1, da * db + 1))
-        return Instance(tag, dims, a, b, g, d, direction, random_density(da * db, rank, rng))
+        return Instance(tag, dims, a, b, g, d, direction, random_density(da * db, rank, rng, dims))
     # the weight acts on B for general, on A for decomp and on C for chain
     dw, full = dims[{"general": 1, "decomp": 0, "decomp-dup": 0}.get(tag, 2)], math.prod(dims)
     if rank_deficient:
-        rho, tau = _rank_deficient_pair(rng, full // dw, dw)
-        if tag.startswith("decomp"):   # drawn as rho_B (x) |u><u|: put A first
-            rho = DensityOperator._built(swap_bipartite(rho.mat, (db, da)), as_layout(dims))
+        swap = tag.startswith("decomp")
+        rho, tau = _rank_deficient_pair(rng, full // dw, dw, None if swap else dims)
+        if swap:   # drawn as rho_B (x) |u><u|: put A first in G's rows
+            rho = density_from_factor(rho.factor.reshape(db, da, -1).swapaxes(0, 1).reshape(full, -1), dims)
     else:
-        rho = random_density(full, int(rng.integers(1, full + 1)), rng)
+        rho = random_density(full, int(rng.integers(1, full + 1)), rng, dims)
         tau = random_density(dw, dw, rng).mat
     if tag != "general":
         return Instance(tag, dims, a, b, g, d, direction, rho, (tau,))
@@ -91,7 +92,7 @@ def _general_sides(inst: Instance):
     """-H_a(rho||tau_B) vs D_b(rho||sigma_A x tau_B) + the weight term (no optimiser)."""
     layout, (tau_b, sig_a) = as_layout(inst.dims), inst.weights
     small = -gen_cond_entropy(inst.rho, tau_b, inst.alpha, layout, weight_pos=1)
-    big = (_divergence_any_order(inst.rho.mat, kron_eigh([psd_eigh(sig_a), psd_eigh(tau_b)]), inst.beta)
+    big = (_divergence_any_order(inst.rho.factor, kron_eigh([psd_eigh(sig_a), psd_eigh(tau_b)]), inst.beta)
            + _entropy_weight_term(inst.gamma, partial_trace(inst.rho.mat, layout, [0]), sig_a))
     return _oriented(inst, small, big)
 
@@ -117,8 +118,8 @@ def _chain_sides(inst: Instance):
     """H_up_b(A|BC) + H_g(rho_BC||tau_C) vs H_a(rho_ABC||tau_C)."""
     layout, (tau_c,) = as_layout(inst.dims), inst.weights
     solve = cond_entropy_up(inst.rho, inst.beta, layout)
-    rho_bc = partial_trace(inst.rho.mat, layout, [1, 2])
-    small = solve.value + gen_cond_entropy(rho_bc, tau_c, inst.gamma, layout.dims[1:], weight_pos=1)
+    rho_bc = inst.rho.marginal([1, 2])
+    small = solve.value + gen_cond_entropy(rho_bc, tau_c, inst.gamma, rho_bc.layout, weight_pos=1)
     big = gen_cond_entropy(inst.rho, tau_c, inst.alpha, layout, weight_pos=2)
     return _oriented(inst, small, big, [solve])
 

@@ -2,16 +2,21 @@
 
 All samplers take an explicit numpy Generator.  Trial-level RNGs derive from
 (master_seed, trial_index) so trials are order-independent and reproducible
-bit-for-bit.  A raw matrix becomes a state by its spectrum; a matrix built PSD,
-such as a sampled Gram G G^dagger, a measured state, a partial trace or a
-product of checked states, by its trace alone.  Measuring A, the first
+bit-for-bit.  Every state carries a factor G, rho = G G^dagger (n x r), which
+its builder already holds: a sampled state its draw, a cq state its stacked
+blocks, a marginal G with the traced systems moved into its columns, a measured
+state its sectors' factors.  A raw matrix becomes a state by its spectrum, which
+also gives its factor V sqrt(lambda) on its support; a matrix built PSD
+by construction, by its trace alone.  So the support of a state is its factor's
+columns, and nothing built is decomposed to find it.  Measuring A, the first
 subsystem, in a basis is read through its sectors rho~_x = (<x| (x) 1) rho
-(|x> (x) 1): the measured state and the outcome distribution are built from them.
+(|x> (x) 1), with factors (<x| (x) 1) G: the measured state and the outcome
+distribution are built from them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -21,7 +26,9 @@ from .linalg import (
     as_layout,
     dagger,
     partial_trace,
+    partial_trace_factor,
     psd_eigh,
+    support_factor,
     _hermitian,
 )
 
@@ -31,32 +38,37 @@ ONB_TOL = 1e-10
 
 @dataclass(frozen=True)
 class DensityOperator:
-    """Trace-1 PSD matrix with an attached subsystem layout.  A raw matrix is
-    checked by one `psd_eigh` and rebuilt from the clamped spectrum; a matrix
-    PSD by construction is checked by its trace alone (`_built`)."""
+    """Trace-1 PSD matrix with an attached subsystem layout and a factor G,
+    mat = G G^dagger with G n x r.  A raw matrix is checked by one `psd_eigh`,
+    rebuilt from the clamped spectrum and factored as V sqrt(lambda) on its
+    support; a matrix PSD by construction is checked by its trace alone and
+    keeps the factor it was built from (`_built`)."""
 
     mat: np.ndarray
     layout: SystemLayout
+    factor: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m = np.asarray(self.mat, dtype=complex)
         self.layout.check(m.shape[0])
-        vals, vecs, _ = psd_eigh(_hermitian(m))  # raises if meaningfully non-PSD
+        vals, vecs, live = psd_eigh(_hermitian(m))  # raises if meaningfully non-PSD
         _check_trace(vals.sum())
         object.__setattr__(self, "mat", (vecs * vals) @ dagger(vecs))
+        object.__setattr__(self, "factor", support_factor(vals, vecs, live))
 
     @classmethod
-    def _built(cls, mat: np.ndarray, layout: SystemLayout) -> "DensityOperator":
-        """The state of a matrix PSD by construction: a Gram G G^dagger, or a
-        measured state, a partial trace or a product of checked states.  Its
-        Hermitian part is kept and only its trace is checked, which a
-        non-finite factor fails; nothing is decomposed."""
+    def _built(cls, mat: np.ndarray, layout: SystemLayout, factor: np.ndarray) -> "DensityOperator":
+        """The state of a matrix PSD by construction, mat = factor factor^dagger:
+        a Gram G G^dagger, or a measured state, a partial trace or a product of
+        checked states.  Its Hermitian part is kept and only its trace is
+        checked, which a non-finite factor fails; nothing is decomposed."""
         layout.check(mat.shape[0])
         mat = (mat + dagger(mat)) / 2.0
         _check_trace(np.trace(mat).real)
         state = object.__new__(cls)
         object.__setattr__(state, "mat", mat)
         object.__setattr__(state, "layout", layout)
+        object.__setattr__(state, "factor", factor)
         return state
 
     @property
@@ -64,9 +76,12 @@ class DensityOperator:
         return self.layout.dim
 
     def marginal(self, keep) -> "DensityOperator":
+        """The partial trace onto `keep`; its factor is G with the traced
+        systems moved into the columns."""
         keep = sorted(set(keep))
         sub = partial_trace(self.mat, self.layout, keep)
-        return DensityOperator._built(sub, SystemLayout(tuple(self.layout.dims[k] for k in keep)))
+        return DensityOperator._built(sub, SystemLayout(tuple(self.layout.dims[k] for k in keep)),
+                                      partial_trace_factor(self.factor, self.layout, keep))
 
 
 def _check_trace(tr: float) -> None:
@@ -136,7 +151,7 @@ def density_from_factor(g: np.ndarray, dims=None) -> DensityOperator:
     product and checked by its trace."""
     dim = g.shape[0]
     layout = as_layout(dims) if dims is not None else SystemLayout((dim,))
-    return DensityOperator._built(g @ dagger(g), layout)
+    return DensityOperator._built(g @ dagger(g), layout, g)
 
 
 def random_onb(dim: int, rng: np.random.Generator) -> MeasurementBasis:
@@ -148,32 +163,52 @@ def random_onb(dim: int, rng: np.random.Generator) -> MeasurementBasis:
 
 
 def random_cq_state(dim: int, registers: int, rng: np.random.Generator) -> DensityOperator:
-    """sum_y p(y) rho_y (x) |y><y| on A (x) Y, the register second, its blocks
-    p(y) rho_y formed as one stacked product: p Dirichlet(1, ..., 1), then each
-    rho_y the draw and build of `random_density(dim, dim, rng)`."""
+    """sum_y p(y) rho_y (x) |y><y| on A (x) Y, the register second: p
+    Dirichlet(1, ..., 1), then each rho_y the draw and build of
+    `random_density(dim, dim, rng)`.  The blocks p(y) rho_y are one stacked
+    product, placed by index; the factor holds sqrt(p(y)) G_y on the rows of
+    register y and columns of its own."""
     p = rng.dirichlet(np.ones(registers))
     g = np.stack([random_density_factor(dim, dim, rng) for _ in range(registers)])
-    blocks = p[:, None, None] * (g @ dagger(g))
-    mat = np.einsum("yab,yz->aybz", blocks, np.eye(registers)).reshape(dim * registers, -1)
-    return DensityOperator._built(mat, SystemLayout((dim, registers)))
+    y, n = np.arange(registers), dim * registers
+    mat = np.zeros((dim, registers, dim, registers), dtype=complex)
+    mat[:, y, :, y] = p[:, None, None] * (g @ dagger(g))
+    factor = np.zeros((dim, registers, registers, dim), dtype=complex)
+    factor[:, y, y, :] = (np.sqrt(p)[:, None, None] * g).transpose(1, 0, 2)
+    return DensityOperator._built(mat.reshape(n, n), SystemLayout((dim, registers)), factor.reshape(n, n))
 
 
 def _sectors(rho: DensityOperator, basis: MeasurementBasis) -> np.ndarray:
     """The (d_A, d_B, d_B) stack of rho~_x = (<x| (x) 1) rho (|x> (x) 1), A the
-    first subsystem and B the rest (d_B = 1 for a one-system state)."""
+    first subsystem and B the rest (d_B = 1 for a one-system state): <x| on the
+    rows as one product, |x> on the columns as a batched one."""
     da = rho.layout.dims[0]
     if basis.dim != da:
         raise LayoutMismatch(f"basis dimension {basis.dim} != subsystem dimension {da}")
-    db, v = rho.dim // da, basis.vectors
-    return np.einsum("ix,iajb,jx->xab", v.conj(), rho.mat.reshape(da, db, da, db), v)
+    v = basis.vectors
+    t = (dagger(v) @ rho.mat.reshape(da, -1)).reshape(da, rho.dim // da, da, -1)   # (x, a, j, b)
+    return (v.T[:, None, None, :] @ t)[:, :, 0, :]
+
+
+def _sector_factors(rho: DensityOperator, basis: MeasurementBasis) -> np.ndarray:
+    """The (d_A, d_B, r) stack of the sectors' factors (<x| (x) 1) G, for a
+    basis `_sectors` accepted."""
+    da = basis.dim
+    return (dagger(basis.vectors) @ rho.factor.reshape(da, -1)).reshape(da, rho.dim // da, -1)
 
 
 def measure(rho: DensityOperator, basis: MeasurementBasis) -> DensityOperator:
     """A measured in the given basis (projective measurement channel):
-    sum_x |x><x| (x) rho~_x, built back from the sectors."""
-    v = basis.vectors
-    mat = np.einsum("ix,xab,jx->iajb", v, _sectors(rho, basis), v.conj())
-    return DensityOperator._built(mat.reshape(rho.dim, rho.dim), rho.layout)
+    sum_x |x><x| (x) rho~_x, built back from the sectors; its factor holds
+    each sector's factor on the rows of |x> and columns of its own, one wider
+    than d_B taken to d_B columns as R^dagger of G_x^dagger = QR."""
+    v, s = basis.vectors, _sectors(rho, basis)
+    mat = v @ (s[:, :, None, :] * v.conj().T[:, None, :, None]).reshape(len(v), -1)   # (i, a, j, b)
+    gx = _sector_factors(rho, basis)
+    if gx.shape[2] > gx.shape[1]:
+        gx = dagger(np.linalg.qr(dagger(gx), mode="r"))
+    factor = (v[:, None, :, None] * gx.transpose(1, 0, 2)[None]).reshape(rho.dim, -1)   # (i, b, x, k)
+    return DensityOperator._built(mat.reshape(rho.dim, rho.dim), rho.layout, factor)
 
 
 def measurement_pmf(rho: DensityOperator, basis: MeasurementBasis) -> Pmf:

@@ -27,11 +27,11 @@ from renyi_lab.entropies import (
 )
 from renyi_lab import uncertainty
 from renyi_lab.linalg import (
+    EIG_CUTOFF,
     InvalidOrder,
     NotHermitian,
     NotPositiveSemidefinite,
     SystemLayout,
-    congruence_eigvalsh,
     dagger,
     frac_power,
     kron_eigh,
@@ -54,6 +54,7 @@ from renyi_lab.states import (
 )
 
 from bloch_reference import grid_qubit_minimize
+import mp_reference
 
 BELL = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
 ORDERS = (0.5, 0.7, 1.0, 2.0, 5.0, math.inf)
@@ -164,7 +165,7 @@ class TestSandwichedDivergence:
             skew[0, 1] = 0.1
             with pytest.raises(NotHermitian):
                 entry(np.eye(4, dtype=complex) / 4.0, skew)
-        monkeypatch.setattr(entropies, "psd_eigvalsh", None)
+        monkeypatch.setattr(entropies, "support_factor", None)
         entry(random_density(4, 3, trial_rng(30, 5), dims=(2, 2)), tau)
 
     def test_non_finite_states_and_weights_are_refused(self):
@@ -193,24 +194,26 @@ class TestSandwichedDivergence:
         weights = [psd_eigh(random_density(3, rank, rng).mat) for rank in (3, 2, 1)]
         weights += [psd_eigh(np.zeros((3, 3), dtype=complex)), kron_eigh([3])]
         assert [w[2].all() for w in weights] == [True, False, False, False, True]
-        rhos = [random_density(3, rank, rng).mat for rank in (3, 2, 1)]
-        rhos += [spectral_power(*w, 0.0) / w[2].sum() for w in weights[1:3]]
+        factors = [random_density(3, rank, rng).factor for rank in (3, 2, 1)]
+        factors += [w[1][:, w[2]] / math.sqrt(w[2].sum()) for w in weights[1:3]]   # on supp w
         for weight in weights:
-            for rho in rhos:
+            for g in factors:
                 for alpha in (0.5, 1.0 - 5e-7, 1.0, 2.0, math.inf):
-                    assert entropies._misses_weight(rho, weight, alpha) == projected(rho, weight, alpha)
+                    want = projected(g @ dagger(g), weight, alpha)
+                    assert entropies._misses_weight(g, weight, alpha) == want
 
     def test_norm_form_identity(self):
         # divergence as the alpha-norm of the weighted state, to its conjugate power
         rng = trial_rng(30, 3)
-        rho = random_density(3, 3, rng).mat
+        state = random_density(3, 3, rng)
+        rho = state.mat
         sig = rand_pos(3, rng)
         for a in (0.6, 1.5, 3.0):
             w = frac_power(sig, -1.0 / (2.0 * hconj(a)))
             val = hconj(a) * np.log2(schatten_norm(w @ rho @ w, a))
             assert sandwiched_divergence(rho, sig, a) == pytest.approx(val, abs=1e-10) or a < 1
             if a < 1:
-                assert _divergence_any_order(rho, psd_eigh(sig), a) == pytest.approx(val, abs=1e-10)
+                assert _divergence_any_order(state.factor, psd_eigh(sig), a) == pytest.approx(val, abs=1e-10)
 
     def test_orthogonal_supports_diverge(self):
         rho = np.diag([1.0, 0.0]).astype(complex)
@@ -274,32 +277,39 @@ class TestSandwichedDivergence:
 
     @pytest.mark.parametrize("d", [2, 3, 4, 8])
     def test_one_decomposition_of_sigma_is_bit_identical(self, d):
-        # sigma's support projector, its power c and its logarithm come from one
+        # sigma's support, its power c and its logarithm come from one
         # decomposition, which kron_eigh of one factor passes on as it is; the
-        # separate frac_power (at 0, the support projector) and psd_eigh calls give the same bits
-        def separate(rho, sigma, alpha):
-            proj = frac_power(sigma, 0.0)
-            inside, total = np.trace(proj @ rho @ proj).real, np.trace(rho).real
-            tol = entropies.SUPPORT_TOL * max(total, 1.0)
-            if inside <= tol or alpha >= 1.0 - entropies.ALPHA_ONE_WINDOW and total - inside > tol:
+        # divergence against it meets separate evaluations: 50 digits off the
+        # order-one window, and inside it D_1 from numpy's own eigh of rho and sigma
+        def relative_entropy(g, sigma):
+            rho = g @ dagger(g)
+            w, v = np.linalg.eigh(sigma)
+            live = w > EIG_CUTOFF * w.max()
+            proj = v[:, live] @ dagger(v[:, live])
+            if np.trace(rho).real - np.trace(proj @ rho @ proj).real > entropies.SUPPORT_TOL:
                 return math.inf
-            if abs(alpha - 1.0) <= entropies.ALPHA_ONE_WINDOW:
-                herm = psd_eigh((sigma + dagger(sigma)) / 2.0)
-                return float(entropies._tr_log2(rho, psd_eigh(rho)) - entropies._tr_log2(rho, herm))
-            w = frac_power(sigma, entropies._sandwich_exponent(alpha))
-            return float(entropies._renyi_log_trace(*congruence_eigvalsh(w, rho), alpha))
+            lam = np.clip(np.linalg.eigvalsh(rho), 0.0, None)
+            log_sigma = (v[:, live] * np.log2(w[live])) @ dagger(v[:, live])
+            return float(np.sum(lam[lam > 0] * np.log2(lam[lam > 0])) - np.trace(rho @ log_sigma).real)
 
         for rank in range(1, d + 1):
             rng = trial_rng(31, 10 * d + rank)
             sigma = random_density(d, rank, rng).mat
             u = np.linalg.eigh(sigma)[1][:, ::-1][:, :rank]
             g = u @ (rng.standard_normal((rank, rank)) + 1j * rng.standard_normal((rank, rank)))
-            inside = g @ dagger(g) / np.trace(g @ dagger(g)).real   # on supp sigma
-            for rho in (random_density(d, int(rng.integers(1, d + 1)), rng).mat, inside):
-                weight = kron_eigh([1, psd_eigh((sigma + dagger(sigma)) / 2.0), 1])
+            inside = g / np.linalg.norm(g)   # rho on supp sigma
+            own = psd_eigh((sigma + dagger(sigma)) / 2.0)
+            weight = kron_eigh([1, own, 1])
+            assert all(np.array_equal(x, y) for x, y in zip(weight, own))
+            for factor in (random_density(d, int(rng.integers(1, d + 1)), rng).factor, inside):
                 for alpha in (0.3, 0.5, 0.75, 1.0 - 5e-7, 1.0, 1.5, 4.0, math.inf):
-                    assert _divergence_any_order(rho, weight, alpha) == separate(rho, sigma, alpha), \
-                        (rank, alpha)
+                    got = _divergence_any_order(factor, weight, alpha)
+                    assert got == _divergence_any_order(factor, own, alpha), (rank, alpha)
+                    if abs(alpha - 1.0) <= entropies.ALPHA_ONE_WINDOW:
+                        want = relative_entropy(factor, sigma)
+                    else:
+                        want = mp_reference.divergence(factor, sigma, alpha)
+                    assert got == pytest.approx(want, abs=1e-10), (rank, alpha)
 
 
 class TestRenyiEntropy:
@@ -555,8 +565,8 @@ class TestQuantityNormIdentities:
     def test_divergence_weight_composition(self):
         # relates a twice-weighted two-norm to the divergence with a tilted product weight
         rng = trial_rng(36, 3)
-        rho = random_density(4, 4, rng, dims=(2, 2)).mat
-        m = self._root(rho)
+        state = random_density(4, 4, rng, dims=(2, 2))
+        m = self._root(state.mat)
         sig_a = rand_pos(2, rng, 0.2)
         tau_b = rand_pos(2, rng, 0.2)
         for a in (0.7, 1.6):
@@ -569,7 +579,7 @@ class TestQuantityNormIdentities:
                     schatten_norm(y @ np.kron(np.eye(2), frac_power(tau_b, 1.0 / (2.0 * a))), 2 * a))
                 tilt = 1.0 - (0.0 if math.isinf(lp) else ap / lp)
                 w = kron_eigh([psd_eigh(frac_power(sig_a, tilt)), psd_eigh(tau_b)])
-                assert val == pytest.approx(_divergence_any_order(rho, w, a), abs=1e-8)
+                assert val == pytest.approx(_divergence_any_order(state.factor, w, a), abs=1e-8)
 
     def test_norm_as_weighted_trace_supremum(self):
         rng = trial_rng(36, 4)
@@ -838,17 +848,20 @@ class TestJointMutualInfoDown:
 
     def test_alternation_at_infinity_checks_rho_once(self, monkeypatch):
         # its 17 rounds run on the state checked at entry: a raw array is
-        # checked once, a DensityOperator not at all, and the value stays: the
-        # two entries agree to the bit, and the draw built as one product
-        # moves the value of the rank-one-sum build, 1.13314831599065, by rounding
+        # checked once, its factor read off that check, a DensityOperator not
+        # at all, and the value stays.  The two entries agree to rounding: the
+        # value at the optimum is read off each entry's own factor (the raw
+        # array's from its eigendecomposition, the state's from its draw), and
+        # the draw built as one product moves the value of the rank-one-sum
+        # build, 1.13314831599065, by rounding
         rho = random_density(4, 3, trial_rng(1, 2), dims=(2, 2))
         checked = []
-        monkeypatch.setattr(entropies, "psd_eigvalsh",
-                            lambda h, _check=entropies.psd_eigvalsh: checked.append(h) or _check(h))
+        monkeypatch.setattr(entropies, "support_factor",
+                            lambda *t, _factor=entropies.support_factor: checked.append(t) or _factor(*t))
         raw = mutual_info_down(rho.mat, math.inf, (2, 2)).value
         assert len(checked) == 1
         checked.clear()
-        assert mutual_info_down(rho, math.inf).value == raw
+        assert mutual_info_down(rho, math.inf).value == pytest.approx(raw, abs=1e-14)
         assert checked == []
         assert raw == pytest.approx(1.13314831599065, abs=1e-12)
 

@@ -5,12 +5,14 @@ import numpy as np
 import pytest
 
 from renyi_lab import report
-from renyi_lab.entropies import ALPHA_ONE_WINDOW, renyi_entropy, sandwiched_divergence
+from renyi_lab.entropies import ALPHA_ONE_WINDOW, cond_entropy_up, renyi_entropy, sandwiched_divergence
 from renyi_lab.inequalities import SUITES, _entropy_weight_term, _rank_deficient_pair, run_suite
-from renyi_lab.linalg import SystemLayout
+from renyi_lab.linalg import SystemLayout, as_layout, partial_trace, partial_trace_factor
 from renyi_lab.orders import FORWARD, REVERSE, make_triple
 from renyi_lab.report import Instance, finish
 from renyi_lab.states import DensityOperator, random_density, random_pure, trial_rng
+
+import mp_reference
 
 
 def test_weight_term_takes_the_order_one_route_across_the_alpha_one_window():
@@ -59,9 +61,9 @@ def test_trials_check_no_state_by_its_spectrum(monkeypatch):
 @pytest.mark.parametrize("tag, allowed", [("general", {0, 1, 2}), ("hall-classical", {0})])
 def test_wide_trials_decompose_few_64_by_64_matrices(tag, allowed, monkeypatch):
     # weights are decomposed through their 8 x 8 factors and a drawn state is
-    # built as G G^dagger, never decomposed: general keeps one sandwich (or,
-    # near alpha = 1, rho's logarithm) per divergence; hall-classical reads
-    # only its cq state's register sectors
+    # built as G G^dagger, never decomposed: general keeps one sandwich per
+    # divergence, the singular values of the 64 x r matrix sigma^c G (near
+    # alpha = 1, of G); hall-classical reads only its cq state's register sectors
     sizes = []
     for name in ("eigh", "eigvalsh", "eig", "eigvals", "svd"):
         def counted(a, *args, _decompose=getattr(np.linalg, name), **kwargs):
@@ -280,3 +282,65 @@ def test_each_divergence_shape_can_fail(tag):
         inst = _off_surface_instance(tag, seed)
         rep = finish(inst, 0, *SUITES[tag][1](inst), report.BASE_TOL)
         assert rep.verdict == report.FAIL and rep.gap < -1e-3, (seed, rep.gap)
+
+
+# ---------------------------------------------------------------------------
+# every closed-form divergence term against a 50-digit reference built from
+# the state's factor
+# ---------------------------------------------------------------------------
+
+def _divergence_terms(inst):
+    """(order, D, factor, weight) of each closed-form divergence term of a
+    general, decomp(-dup) or chain trial: a side less its other parts, each
+    computed on its own, with the factor of the state it reads and the dense
+    weight."""
+    layout, dims, g = as_layout(inst.dims), inst.dims, inst.rho.factor
+    small, big = _forward(inst, *SUITES[inst.tag][1](inst)[:2])
+    if inst.tag == "general":
+        tau, sig = inst.weights
+        weight_term = _entropy_weight_term(inst.gamma, partial_trace(inst.rho.mat, layout, [0]), sig)
+        return [(inst.alpha, small, g, np.kron(np.eye(dims[0]), tau)),
+                (inst.beta, big - weight_term, g, np.kron(sig, tau))]
+    (tau,) = inst.weights
+    if inst.tag.startswith("decomp"):   # H_g(rho_B) + D_a(rho || tau_A (x) 1)
+        h_b = renyi_entropy(partial_trace(inst.rho.mat, layout, [1]), inst.gamma)
+        return [(inst.alpha, small - h_b, g, np.kron(tau, np.eye(dims[1])))]
+    # chain: H_up_b(A|BC) - D_g(rho_BC || 1 (x) tau_C) vs -D_a(rho || 1 (x) 1 (x) tau_C)
+    h_up = cond_entropy_up(inst.rho, inst.beta, layout).value
+    return [(inst.alpha, -big, g, np.kron(np.eye(dims[0] * dims[1]), tau)),
+            (inst.gamma, h_up - small, partial_trace_factor(g, layout, [1, 2]),
+             np.kron(np.eye(dims[1]), tau))]
+
+
+@pytest.mark.parametrize("tag, dims", [("general", (2, 2)), ("general", (2, 3)), ("decomp", (2, 2)),
+                                       ("decomp", (3, 2)), ("decomp-dup", (2, 2)), ("decomp-dup", (2, 3)),
+                                       ("chain", (2, 2, 2))])
+def test_closed_form_divergence_terms_meet_50_digits(tag, dims):
+    # every order the suite draws (decomp-dup's reach about 0.05), full-rank and
+    # rank-deficient weights: the sandwich spectrum read off the factor, with
+    # no relative cut, is exact to rounding
+    deficient = 0
+    for i in range(40):
+        inst = SUITES[tag][0](tag, trial_rng(41, i), dims)
+        deficient += np.linalg.matrix_rank(inst.weights[0]) < len(inst.weights[0])
+        for order, value, g, weight in _divergence_terms(inst):
+            want = mp_reference.divergence(g, weight, order)
+            assert math.isinf(value) == math.isinf(want), (i, order)
+            if math.isfinite(want):
+                assert value == pytest.approx(want, abs=1e-10), (i, order)
+    assert deficient >= 1
+
+
+@pytest.mark.parametrize("seed, trial, dims, want", [(7, 1006, (2, 2), -0.954548520535343),
+                                                     (7, 328, (3, 3), -1.403578372945899),
+                                                     (2024, 15, (2, 2), -0.778482291079840)])
+def test_small_order_decomp_dup_rows_meet_50_digits(seed, trial, dims, want):
+    # at alpha near 0.07 the sandwich exponent c = (1 - alpha)/(2 alpha) reaches
+    # 7, and eigenvalues of sigma^c rho sigma^c far below 1e-12 of the largest
+    # still carry a tenth of its alpha-th power: a relative cut of that
+    # spectrum put these D_alpha(rho || tau_A (x) 1) 0.136, 0.059 and 0.010 bits off
+    inst = SUITES["decomp-dup"][0]("decomp-dup", trial_rng(seed, trial), dims)
+    ((order, value, g, weight),) = _divergence_terms(inst)
+    assert order < 0.1
+    assert mp_reference.divergence(g, weight, order) == pytest.approx(want, abs=1e-14)
+    assert value == pytest.approx(want, abs=1e-10)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -8,16 +10,19 @@ from renyi_lab.linalg import (
     NotPositiveSemidefinite,
     SystemLayout,
     check_hermitian,
-    congruence_eigvalsh,
     dagger,
     frac_power,
+    kron_eigh,
     partial_trace,
+    partial_trace_factor,
+    psd_eigh,
     psd_eigvalsh,
     purify,
+    sandwich_spectrum,
     schatten_norm,
     _psd_policy,
 )
-from renyi_lab.states import random_density, random_pure, trial_rng
+from renyi_lab.states import random_density, random_density_factor, random_pure, trial_rng
 
 
 def rand_herm(d, rng):
@@ -104,22 +109,69 @@ class TestFracPower:
         assert out[1, 1, 1] == pytest.approx(1e15)
         assert out[1, 0, 0] == pytest.approx(1e6)
 
-    def test_congruence_band_follows_the_factor_scale(self):
+
+
+class TestSandwichSpectrum:
+    @staticmethod
+    def _dense(sigma, c, g):
+        """The eigenvalues of w rho w, w = sigma^c on supp sigma, of the n x n product."""
+        w = frac_power(sigma, c)
+        return np.linalg.eigvalsh(w @ g @ dagger(g) @ dagger(w))
+
+    def test_matches_the_dense_sandwich(self):
+        # min(|supp sigma|, r) values, the largest ones of the dense product;
+        # the rest of its spectrum is rounding around 0
+        for i in range(20):
+            rng = trial_rng(7, i)
+            n = int(rng.integers(2, 7))
+            sigma = random_density(n, int(rng.integers(1, n + 1)), rng).mat
+            g = random_density_factor(n, int(rng.integers(1, n + 1)), rng)
+            weight = psd_eigh(sigma)
+            for c in (-0.5, -0.25, 0.25, 1.0):
+                got = sandwich_spectrum(weight, c, g)
+                dense = self._dense(sigma, c, g)
+                assert len(got) == min(weight[2].sum(), g.shape[1])
+                assert np.all(np.diff(got) >= 0.0) and got.min() >= 0.0
+                assert np.abs(got - dense[len(dense) - len(got):]).max() <= 1e-12 * dense[-1], (i, c)
+                assert np.abs(dense[:len(dense) - len(got)]).max(initial=0.0) <= 1e-12 * dense[-1]
+
+    def test_stack_matches_matrices(self):
+        rng = trial_rng(7, 50)
+        weight = kron_eigh([2, psd_eigh(random_density(2, 2, rng).mat)])
+        stack = np.stack([random_density_factor(4, 3, rng) for _ in range(5)])
+        got = sandwich_spectrum(weight, -0.3, stack)
+        assert got.shape == (5, 3)
+        for k in range(5):
+            assert np.abs(got[k] - sandwich_spectrum(weight, -0.3, stack[k])).max() <= 1e-15
+
+    def test_floored_weight_at_a_negative_power_stays_nonnegative(self):
         # a weight floored at 1e-11 and raised to -1/2 turns rounding in a
-        # rank-one rho on its large eigenspace into +-1e-6 eigenvalues of
-        # w rho w^dagger, whose top eigenvalue is 2
+        # rank-one rho on its large eigenspace into +-1e-6 eigenvalues of the
+        # dense w rho w^dagger, whose top eigenvalue is 2; squared singular
+        # values are nonnegative and small there
         rng = trial_rng(2, 60)
         u = rand_unitary(4, rng)
-        w = frac_power(u @ np.diag([0.5, 0.5, 1e-11, 1e-11]) @ dagger(u), -0.5)
+        weight = (np.array([1e-11, 1e-11, 0.5, 0.5]), u[:, [2, 3, 0, 1]], np.ones(4, dtype=bool))
         psi = u[:, :2] @ random_pure(2, rng)
-        rho = np.outer(psi, psi.conj())
+        w = frac_power(u @ np.diag([0.5, 0.5, 1e-11, 1e-11]) @ dagger(u), -0.5)
         with pytest.raises(NotPositiveSemidefinite):
-            psd_eigvalsh(w @ rho @ dagger(w))
-        lam, live = congruence_eigvalsh(w, rho)
-        assert lam.min() == 0.0 and lam.max() == pytest.approx(2.0, rel=1e-6)
-        assert live.sum() >= 1
-        with pytest.raises(NotPositiveSemidefinite):
-            congruence_eigvalsh(np.eye(2), np.diag([1.0, -1e-6]))
+            psd_eigvalsh(w @ np.outer(psi, psi.conj()) @ dagger(w))
+        lam = sandwich_spectrum(weight, -0.5, psi[:, None])
+        assert lam.shape == (1,) and lam[0] == pytest.approx(2.0, rel=1e-6)
+
+    def test_small_values_keep_their_relative_accuracy_on_a_graded_weight(self):
+        # 2 x 2: s_min^2 = det^2 / s_max^2 exactly, with s_max^2 from the
+        # Frobenius norm; w^c spans 1e-10, and rows taken in increasing order
+        # of w^c lose about 1e-5 of s_min^2 here
+        for i in range(50):
+            rng = trial_rng(5, i)
+            u = rand_unitary(2, rng)
+            g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+            weight = (np.array([1e-10, 0.7]), u, np.ones(2, dtype=bool))
+            x = weight[0][:, None] * (dagger(u) @ g)
+            det, frob = abs(np.linalg.det(x)), np.linalg.norm(x) ** 2
+            want = det ** 2 / ((frob + math.sqrt(frob ** 2 - 4.0 * det ** 2)) / 2.0)
+            assert sandwich_spectrum(weight, 1.0, g)[0] == pytest.approx(want, rel=1e-12), i
 
 
 class TestSchattenNorm:
@@ -186,6 +238,16 @@ class TestPartialTraceTensor:
     def test_layout_mismatch(self):
         with pytest.raises(LayoutMismatch):
             partial_trace(np.eye(4), (2, 3), keep=[0])
+
+    @pytest.mark.parametrize("dims, keep", [((2, 3), [0]), ((2, 3), [1]), ((3, 2, 2), [1, 2]),
+                                            ((3, 2, 2), [0, 2]), ((2, 2, 3), [1]), ((2, 3), [0, 1])])
+    def test_factor_of_the_partial_trace(self, dims, keep):
+        # the traced systems move into the columns: d_keep rows, (d_rest r) columns
+        rng = trial_rng(5, 3)
+        g = random_density_factor(int(np.prod(dims)), 3, rng)
+        f = partial_trace_factor(g, dims, keep)
+        assert f.shape == (int(np.prod([dims[k] for k in keep])), g.size // len(f))
+        assert np.abs(f @ dagger(f) - partial_trace(g @ dagger(g), dims, keep)).max() <= 1e-15
 
 
 class TestPurify:

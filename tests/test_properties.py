@@ -68,9 +68,10 @@ PRODUCT_LAYOUTS = [((2, 3), (0,)), ((3, 2), (0,)), ((2, 3), (1,)), ((3, 2), (1,)
 
 @st.composite
 def product_weight(draw):
-    """(rho, factors, dims): a weight's factors in layout order, each a zero,
+    """(G, factors, dims): a weight's factors in layout order, each a zero,
     rank-one or random-rank density matrix or an identity (its dimension), and
-    rho of any rank; with `inside`, rho is compressed onto supp of the weight."""
+    the factor G of a rho = G G^dagger of any rank; with `inside`, rho is
+    compressed onto supp of the weight."""
     dims, positions = draw(st.sampled_from(PRODUCT_LAYOUTS))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     factors = []
@@ -79,12 +80,12 @@ def product_weight(draw):
         factors.append(d if rank is None else np.zeros((d, d), complex) if rank == 0
                        else random_density(d, rank, rng).mat)
     n = math.prod(dims)
-    rho = random_density(n, draw(st.integers(1, n)), rng).mat
+    g = random_density(n, draw(st.integers(1, n)), rng).factor
     if draw(st.booleans()):
-        p = frac_power(_dense(factors), 0.0)
-        if np.trace(p @ rho).real > 1e-6:
-            rho = p @ rho @ p / np.trace(p @ rho @ p).real
-    return rho, factors, dims
+        pg = frac_power(_dense(factors), 0.0) @ g
+        if np.linalg.norm(pg) ** 2 > 1e-6:
+            g = pg / np.linalg.norm(pg)
+    return g, factors, dims
 
 
 def _dense(factors):
@@ -94,12 +95,12 @@ def _dense(factors):
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
 @given(product_weight())
 def test_a_product_weight_from_its_factors_matches_the_dense_product(case):
-    rho, factors, dims = case
+    g, factors, dims = case
     weight = kron_eigh([f if isinstance(f, int) else psd_eigh(f) for f in factors])
     dense = psd_eigh(_dense(factors))
     assert np.all(np.diff(weight[0]) >= 0.0)
     for alpha in EDGE_ORDERS:
-        got, want = _divergence_any_order(rho, weight, alpha), _divergence_any_order(rho, dense, alpha)
+        got, want = _divergence_any_order(g, weight, alpha), _divergence_any_order(g, dense, alpha)
         assert math.isinf(got) == math.isinf(want), (dims, alpha, got, want)
         if math.isfinite(want):
             # the dense decomposition rounds at about 1e-13 of D (D reaches 13 bits)

@@ -151,16 +151,36 @@ def test_sampled_states_are_not_decomposed(monkeypatch):
     assert abs(np.trace(rho.mat) - 1) < 1e-12 and abs(np.trace(cq.mat) - 1) < 1e-12
 
 
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (4, 2)])
+def test_every_state_carries_a_factor_of_its_matrix(dims):
+    # a sample keeps its draw; a marginal, a measured state (each sector's
+    # factor taken to at most d_B columns) and a cq state are built with
+    # theirs; a raw matrix gets V sqrt(lambda) on its support: G G^dagger is
+    # the matrix to rounding, with one column per unit of rank where it is known
+    d = dims[0] * dims[1]
+    for rank in (1, 2, d):
+        rng, again = trial_rng(20, 10 * d + rank), trial_rng(20, 10 * d + rank)
+        rho = random_density(d, rank, rng, dims=dims)
+        assert np.array_equal(rho.factor, random_density_factor(d, rank, again))
+        measured = measure(rho, random_onb(dims[0], rng))
+        assert measured.factor.shape[1] == dims[0] * min(rank, dims[1])
+        raw = DensityOperator(rho.mat, _l(*dims))
+        assert raw.factor.shape[1] == rank
+        for state in (rho, rho.marginal([0]), rho.marginal([1]), measured, raw, random_cq_state(*dims, rng)):
+            assert len(state.factor) == state.dim
+            assert np.abs(state.factor @ dagger(state.factor) - state.mat).max() <= 1e-15
+
+
 def test_built_states_are_checked_by_their_trace():
     g = random_density_factor(4, 3, trial_rng(19, 2))
-    rho = DensityOperator._built(g @ dagger(g), _l(2, 2))
+    rho = DensityOperator._built(g @ dagger(g), _l(2, 2), g)
     # the Hermitian part, exactly, and no rebuild: the product itself to rounding
     assert np.array_equal(rho.mat, dagger(rho.mat)) and rho.layout.dims == (2, 2)
     assert np.abs(rho.mat - g @ dagger(g)).max() <= 1e-16
     with pytest.raises(ValueError, match="trace"):
-        DensityOperator._built(rho.mat + 1e-9 * np.diag([1, 0, 0, 0]), _l(2, 2))
+        DensityOperator._built(rho.mat + 1e-9 * np.diag([1, 0, 0, 0]), _l(2, 2), g)
     with pytest.raises(LayoutMismatch):
-        DensityOperator._built(rho.mat, _l(3))
+        DensityOperator._built(rho.mat, _l(3), g)
     for bad in (np.nan, np.inf):
         g_bad = g.copy()
         g_bad[1, 2] = bad

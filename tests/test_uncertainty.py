@@ -16,10 +16,12 @@ import scipy.optimize
 
 from renyi_lab.cli import main
 from renyi_lab.linalg import SystemLayout, dagger
-from renyi_lab.orders import FORWARD, hatconj, hconj
-from renyi_lab.report import Instance
-from renyi_lab.states import DensityOperator, random_density, trial_rng
+from renyi_lab.orders import FORWARD, REVERSE, hatconj, hconj
+from renyi_lab.report import BASE_TOL, FAIL, Instance, finish
+from renyi_lab.states import DensityOperator, MeasurementBasis, random_density, trial_rng
 from renyi_lab.uncertainty import (
+    MeasurementPair,
+    const_comp_sides,
     DELTA_ONE_WINDOW,
     DELTA_ZERO_WINDOW,
     rmu_sides,
@@ -73,6 +75,35 @@ def test_maassen_uffink_is_tight_on_a_basis_eigenstate(d):
     small, big, _ = rmu_sides(Instance("rmu", (d,), 1.0, hatconj(1.0), math.nan, None, FORWARD, rho,
                                        pair=pair))
     assert abs(big - small) <= 1e-12
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_maassen_uffink_can_fail_off_its_orders(d):
+    # at (alpha, beta) = (inf, inf), off 1/alpha + 1/beta = 2, the min-entropies
+    # of a state between a MUB pair's first kets sum to less than q_MU = log2 d
+    pair = mub_pair(d)
+    ket = pair.basis_x.vectors[:, 0] + pair.basis_z.vectors[:, 0]
+    ket /= np.linalg.norm(ket)
+    rho = DensityOperator(np.outer(ket, ket.conj()), SystemLayout((d,)))
+    inst = Instance("rmu", (d, d), math.inf, math.inf, math.nan, None, FORWARD, rho, pair=pair)
+    rep = finish(inst, 0, *rmu_sides(inst), BASE_TOL)
+    assert rep.verdict == FAIL and rep.gap < -0.5, rep.gap
+
+
+@pytest.mark.parametrize("theta", [math.pi / 4, math.pi / 6, math.pi / 3])
+def test_constant_comparison_can_fail_off_its_orders(theta):
+    # with delta < 0, which no sampled (alpha, delta) meets, q_delta of the
+    # maximally mixed qutrit is -log2 of a power mean of order 1 - 1/delta > 1
+    # of the row maxima m_x of the overlaps; a pair rotating two kets by theta
+    # and keeping the third has unequal m_x, so H_alpha(X) - q_delta = log2 3
+    # + log2 M_11(m) passes the constant log2 sum_x m_x = log2 3 M_1(m)
+    rot = np.eye(3, dtype=complex)
+    rot[:2, :2] = [[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]]
+    pair = MeasurementPair.from_bases(MeasurementBasis(np.eye(3, dtype=complex)), MeasurementBasis(rot))
+    rho = DensityOperator(np.eye(3, dtype=complex) / 3.0, SystemLayout((3,)))
+    inst = Instance("const-comp", (3, 3), 2.0, math.nan, math.nan, -0.1, REVERSE, rho, pair=pair)
+    rep = finish(inst, 0, *const_comp_sides(inst), BASE_TOL)
+    assert rep.verdict == FAIL and rep.gap < -0.1, rep.gap
 
 
 # ---------------------------------------------------------------------------
