@@ -16,8 +16,8 @@ of `linalg`'s PSD spectral kernel, for every exponent and from every logarithm
 the weight's support cuts.  A weight such as id (x) tau or sigma_A (x) tau_B is
 decomposed only through its factors.  One formula, `_renyi_log_trace`, gives
 (1/(alpha-1)) log2 tr X^alpha for divergences, entropies and the optimisers'
-values; `_tr_log2` gives their alpha -> 1 limits.  The fixed point still reads
-rho^(1/2) off rho's matrix.
+values; `_tr_log2` gives their alpha -> 1 limits.  The solves read rho by G
+alone: a matrix they need (a marginal, the alpha = inf programme's) is a Gram.
 
 Optimised quantities (conditional entropy with optimisation, mutual
 informations) minimise D_alpha(rho || tau (x) sigma) in `_optimize_weight`,
@@ -35,7 +35,7 @@ the other held fixed), the width of a primal-dual certificate for the programme.
 A measured I(X:B), X being A measured in a basis, is solved through its
 classical register (`measured_mutual_info`): the weight on X has a closed
 form, so I_alpha(X:B) against a fixed weight needs no iteration and
-I-down(X:B) is the fixed point over sigma_B alone, the sectors x its stack.
+I-down(X:B) is the fixed point over sigma_B alone, the factors G_x its stack.
 """
 
 from __future__ import annotations
@@ -55,18 +55,17 @@ from .linalg import (
     dagger,
     frac_power,
     kron_eigh,
-    partial_trace,
+    narrow_factor,
     partial_trace_factor,
     psd_eigh,
     psd_eigh_blocks,
     psd_eigvalsh,
     sandwich_spectrum,
     schatten_norm,
-    spectral_power,
     support_factor,
     _hermitian,
 )
-from .states import DensityOperator, Pmf, measure, _sector_factors, _sectors
+from .states import DensityOperator, Pmf, measure, _sector_factors
 
 SUPPORT_TOL = 1e-9
 ALPHA_ONE_WINDOW = 1e-6
@@ -83,14 +82,19 @@ def _mat(x) -> np.ndarray:
     return check_hermitian(x)
 
 
-def _state(rho):
-    """(matrix, factor G) of a state, rho = G G^dagger: a DensityOperator's own,
-    or for a raw array checked PSD where it enters, V sqrt(lambda) on its
+def _state(rho) -> np.ndarray:
+    """The factor G of a state, rho = G G^dagger: a DensityOperator's own, or
+    for a raw array checked PSD where it enters, V sqrt(lambda) on its
     support from that check's `psd_eigh`."""
     if isinstance(rho, DensityOperator):
-        return rho.mat, rho.factor
-    mat = check_hermitian(rho)
-    return mat, support_factor(*psd_eigh(mat))
+        return rho.factor
+    return support_factor(*psd_eigh(check_hermitian(rho)))
+
+
+def _marginal(g: np.ndarray, layout: SystemLayout, keep) -> np.ndarray:
+    """The marginal on `keep` of rho = G G^dagger, the Gram of `partial_trace_factor`."""
+    h = partial_trace_factor(g, layout, keep)
+    return h @ dagger(h)
 
 
 def _weight(sigma):
@@ -223,7 +227,7 @@ def sandwiched_divergence(rho, sigma, alpha: float) -> float:
     """
     if not (alpha >= 0.5):
         raise InvalidOrder(f"divergence order {alpha} below 1/2")
-    return _divergence_any_order(_state(rho)[1], _weight(sigma), alpha)
+    return _divergence_any_order(_state(rho), _weight(sigma), alpha)
 
 
 def renyi_entropy(rho, alpha: float) -> float:
@@ -297,14 +301,14 @@ class OptimizerResult:
 def gen_cond_entropy(rho, tau, alpha: float, dims, weight_pos: int = 1) -> float:
     """H_alpha(rho_AB || tau) = -D_alpha(rho_AB || id (x) tau) with tau at weight_pos."""
     front, _, back = _block_sizes(as_layout(dims), [weight_pos])
-    return -_divergence_any_order(_state(rho)[1], kron_eigh([front, _weight(tau), back]), alpha)
+    return -_divergence_any_order(_state(rho), kron_eigh([front, _weight(tau), back]), alpha)
 
 
 def cond_entropy_down(rho, alpha: float, dims=None) -> float:
     """Conditional entropy against the actual marginal (no optimisation)."""
     layout = _layout_of(rho, dims)
-    rho, g = _state(rho)
-    tau = partial_trace(rho, layout, range(1, len(layout.dims)))
+    g = _state(rho)
+    tau = _marginal(g, layout, range(1, len(layout.dims)))
     return -_divergence_any_order(g, kron_eigh([layout.dims[0], _weight(tau)]), alpha)
 
 
@@ -314,6 +318,13 @@ def _layout_of(rho, dims) -> SystemLayout:
     if isinstance(rho, DensityOperator):
         return rho.layout
     raise ValueError("subsystem dimensions required")
+
+
+def _bipartite(rho, dims) -> SystemLayout:
+    layout = _layout_of(rho, dims)
+    if len(layout.dims) != 2:
+        raise ValueError("mutual information is bipartite")
+    return layout
 
 
 def _block_sizes(layout: SystemLayout, positions) -> tuple[int, int, int]:
@@ -358,13 +369,14 @@ class _FixedPoint:
     rho against no weight.  Pinching a block onto supp rho_k and
     renormalising never raises the divergence, so every minimiser lives there.
 
-    rho comes as the stack of its sectors rho~_x, rho = sum_x |x><x| (x) rho~_x
-    on a classical register whose weight diag(q) takes its closed form at each
-    iterate (`_sector_values`); a state without a register is one sector.
-    With Q = sum_x tr Y_x**alpha and Y_x = rho~_x^(1/2) (q_x tau (x) sigma_1
-    (x) ...)**s rho~_x^(1/2), s = (1 - alpha)/alpha, one stacked
+    rho comes as the stack of its sectors' factors G_x, rho = sum_x |x><x| (x)
+    G_x G_x^dagger on a classical register whose weight diag(q) takes its
+    closed form at each iterate (`_sector_values`); a state without a
+    register is one sector.  With Q = sum_x tr Y_x**alpha and Y_x = G_x^dagger
+    (q_x tau (x) sigma_1 (x) ...)**s G_x, s = (1 - alpha)/alpha, r x r for G_x
+    n x r and with the nonzero spectrum of the n x n sandwich, one stacked
     eigendecomposition gives the value (1/(alpha - 1)) log2 Q and, with Z_x =
-    rho~_x^(1/2) Y_x**(alpha-1) rho~_x^(1/2), each M_k = sum_x q_x**s
+    G_x Y_x**(alpha-1) G_x^dagger, each M_k = sum_x q_x**s
     tr_(not k)[(tau**s (x) sigma_j**s, j != k) Z_x], the factor of dQ =
     alpha tr[M_k d(sigma_k**s)].  The weight's spectrum is the product of
     the factors', cut as `linalg` cuts every spectrum, so the value is
@@ -374,22 +386,23 @@ class _FixedPoint:
 
     alpha: float
     bases: list         # per block (d_k, r_k): the support eigenvectors of rho_k
-    c: np.ndarray       # rho~^(1/2) (tau's eigenbasis (x) bases), indexed (sector, row, rest, r_1, ...)
+    c: np.ndarray       # G_x^dagger (tau's eigenbasis (x) bases), indexed (sector, rank, rest, r_1, ...)
     tau: np.ndarray     # tau's spectrum on the rest, 0 off its support ([1] for two blocks)
     tau_s: np.ndarray   # the same to the power s
 
     @classmethod
-    def build(cls, rho: np.ndarray, alpha: float, layout: SystemLayout, blocks, weight):
-        """The problem on the (k, n, n) stack of sectors rho, and log sigma_k of
-        the first iterate sigma_k = rho_k in `bases[k]`."""
-        marginal = rho.sum(axis=0)
-        eigs = [psd_eigh(partial_trace(marginal, layout, p)) for p in blocks]
+    def build(cls, g: np.ndarray, alpha: float, layout: SystemLayout, blocks, weight):
+        """The problem on a factor g or a (k, n, r) stack of sectors' factors, each
+        narrowed to at most n columns (`narrow_factor`), and log sigma_k of the
+        first iterate sigma_k = rho_k in `bases[k]`."""
+        g = narrow_factor(g.reshape(-1, *g.shape[-2:]))
+        eigs = [psd_eigh(_marginal(np.hstack(g), layout, p)) for p in blocks]   # rho = sum_x G_x G_x^dagger
         bases = [vecs[:, live] for _, vecs, live in eigs]
         front, d, back = _block_sizes(layout, blocks[-1])
         outer = weight[1] if len(blocks) == 1 else bases[0]   # block A where tau's eigenbasis goes
-        b = spectral_power(*psd_eigh_blocks(rho), 0.5).reshape(-1, front, d, back)
-        c = np.einsum("ifpb,pj,fbk->ikj", b, bases[-1], outer.reshape(front, back, -1))
-        c = c.reshape(*rho.shape[:2], len(weight[0]), *(basis.shape[1] for basis in bases))
+        c = np.einsum("ifpb,pj,fbk->ikj", dagger(g).reshape(-1, front, d, back), bases[-1],
+                      outer.reshape(front, back, -1))
+        c = c.reshape(len(g), g.shape[2], len(weight[0]), *(basis.shape[1] for basis in bases))
         tau, live_tau = np.where(weight[2], weight[0], 1.0), weight[2]
         problem = cls(alpha, bases, c, np.where(live_tau, tau, 0.0),
                       np.where(live_tau, tau ** ((1.0 - alpha) / alpha), 0.0))
@@ -694,27 +707,25 @@ def _min_entropy_sdp(c: np.ndarray, m: int, n: int):
     return best_y, lo, math.log2(top), it, stop
 
 
-def _solve_min_entropy(rho: np.ndarray, g: np.ndarray, layout: SystemLayout, opt_positions,
-                       weight) -> OptimizerResult:
-    """Minimise D_max(rho || tau (x) sigma) over sigma by the programme of
-    `_min_entropy_sdp`: min over sigma of D_max = log2 min{tr Y : tau (x) Y >= rho}.
+def _solve_min_entropy(g: np.ndarray, layout: SystemLayout, opt_positions, weight) -> OptimizerResult:
+    """Minimise D_max(rho || tau (x) sigma) over sigma, rho = G G^dagger, by the
+    programme of `_min_entropy_sdp`: min over sigma of D_max = log2 min{tr Y :
+    tau (x) Y >= rho}.
 
-    With rho' = (tau^(-1/2) (x) 1) rho (tau^(-1/2) (x) 1) on supp tau, the
-    constraint is 1 (x) Y >= rho', and it may be restricted to the supports of
-    the marginals of rho': compressing a feasible Y onto supp rho'_P keeps it
-    feasible and lowers tr Y, and 1 (x) Y >= rho' holds once it holds on
-    supp rho'_R (x) supp rho'_P.  sigma = Y / tr Y, and `value` is
-    `sandwiched_divergence` at sigma; `residual` is the certified width.
+    With rho' = (tau^(-1/2) (x) 1) rho (tau^(-1/2) (x) 1) on supp tau, the Gram
+    of (tau^(-1/2) (x) 1) G, the constraint is 1 (x) Y >= rho', and it may be
+    restricted to the supports of the marginals of rho': compressing a
+    feasible Y onto supp rho'_P keeps it feasible and lowers tr Y, and 1 (x) Y
+    >= rho' holds once it holds on supp rho'_R (x) supp rho'_P.  sigma = Y /
+    tr Y, and `value` is `sandwiched_divergence` at sigma; `residual` is the
+    certified width.
     """
     front, d, back = _block_sizes(layout, opt_positions)
-    rest = front * back
-    r = rho.reshape(front, d, back, front, d, back).transpose(0, 2, 1, 3, 5, 4)
-    r = r.reshape(rest * d, rest * d)                         # ordered (rest, block)
     lam, v, live = weight
-    k = int(live.sum())
-    w = ((v[:, live] / np.sqrt(lam[live]))[:, None, :, None]
-         * np.eye(d)[None, :, None, :]).reshape(rest * d, k * d)
-    r = dagger(w) @ r @ w                                     # rho' on supp tau
+    u = (v[:, live] / np.sqrt(lam[live])).reshape(front, back, -1)   # tau^(-1/2) on supp tau
+    h = np.einsum("fbk,fpbr->kpr", u.conj(), g.reshape(front, d, back, -1))
+    k = len(h)
+    r = h.reshape(k * d, -1) @ dagger(h.reshape(k * d, -1))  # rho' on supp tau, ordered (tau, block)
     _, u_r, live_r = psd_eigh(np.einsum("rpsp->rs", r.reshape(k, d, k, d)))
     _, u_p, live_p = psd_eigh(np.einsum("rpra->pa", r.reshape(k, d, k, d)))
     u_r, u_p = u_r[:, live_r], u_p[:, live_p]
@@ -727,16 +738,15 @@ def _solve_min_entropy(rho: np.ndarray, g: np.ndarray, layout: SystemLayout, opt
     return OptimizerResult([sigma], value, it, hi - lo, stop)
 
 
-def _optimize_weight(rho: np.ndarray, g, alpha: float, layout: SystemLayout, blocks,
-                     weight) -> OptimizerResult:
+def _optimize_weight(g: np.ndarray, alpha: float, layout: SystemLayout, blocks, weight) -> OptimizerResult:
     """Minimise D_alpha(rho || tau (x) sigma_1 (x) ...), rho = G G^dagger, over density matrices
     sigma_k on the contiguous `blocks` (lists of positions): one block, with
     `weight` the `psd_eigh` triple of tau on the other subsystems (`kron_eigh`
     of their dimensions for the identity), or the blocks ([0], [1]) of a
     bipartite rho with the empty identity `kron_eigh([])`.
-    At a finite order rho may also be the (k, n, n) stack of the sectors of a
-    cq state, whose register weight takes its closed form (`_FixedPoint`), and
-    G is not read.
+    At a finite order G may also be the (k, n, r) stack of the sectors'
+    factors of a cq state, whose register weight takes its closed form
+    (`_FixedPoint`).
 
     Inside the order-one window the optimum is the product of the marginals;
     alpha = inf solves the min-entropy programme (one block only); every
@@ -744,11 +754,10 @@ def _optimize_weight(rho: np.ndarray, g, alpha: float, layout: SystemLayout, blo
     """
     blocks = [sorted(p) for p in blocks]
     if math.isinf(alpha):
-        return _solve_min_entropy(rho, g, layout, *blocks, weight)
+        return _solve_min_entropy(g, layout, *blocks, weight)
     if abs(alpha - 1.0) > ALPHA_ONE_WINDOW:
-        sectors = rho.reshape(-1, *rho.shape[-2:])
-        return _solve_fixed_point(*_FixedPoint.build(sectors, alpha, layout, blocks, weight))
-    marginals = [partial_trace(rho, layout, p) for p in blocks]
+        return _solve_fixed_point(*_FixedPoint.build(g, alpha, layout, blocks, weight))
+    marginals = [_marginal(g, layout, p) for p in blocks]
     value = _divergence_any_order(g, _weight_times(layout, sum(blocks, []), weight, marginals), alpha)
     return OptimizerResult(marginals, value, 0, 0.0, STOPS[0])
 
@@ -764,7 +773,7 @@ def cond_entropy_up(rho, alpha: float, dims=None) -> OptimizerResult:
         raise InvalidOrder(f"order {alpha} below 1/2")
     layout = _layout_of(rho, dims)
     rest = list(range(1, len(layout.dims)))
-    res = _optimize_weight(*_state(rho), alpha, layout, [rest], kron_eigh([layout.dims[0]]))
+    res = _optimize_weight(_state(rho), alpha, layout, [rest], kron_eigh([layout.dims[0]]))
     return replace(res, value=-res.value)
 
 
@@ -776,25 +785,21 @@ def gen_mutual_info(rho, tau, alpha: float, dims=None, fixed: int = 0) -> Optimi
     (0 iterations, residual 0), when rho misses supp tau (x) id, and from
     alpha = 1 - 1e-6 up when supp tau (x) id does not dominate rho.
     """
-    layout = _layout_of(rho, dims)
-    if len(layout.dims) != 2:
-        raise ValueError("generalised mutual information is bipartite")
-    return _mutual_info_against(*_state(rho), _weight(tau), alpha, layout, fixed)
+    return _mutual_info_against(_state(rho), _weight(tau), alpha, _bipartite(rho, dims), fixed)
 
 
-def _mutual_info_against(rho: np.ndarray, g: np.ndarray, weight, alpha: float,
-                         layout: SystemLayout, fixed: int) -> OptimizerResult:
+def _mutual_info_against(g: np.ndarray, weight, alpha: float, layout: SystemLayout, fixed: int) -> OptimizerResult:
     """`gen_mutual_info` of a checked bipartite rho = G G^dagger against tau's
     `psd_eigh` triple."""
     if _misses_weight(partial_trace_factor(g, layout, [fixed]), weight, alpha):
-        return OptimizerResult([partial_trace(rho, layout, [1 - fixed])], math.inf, 0, 0.0, STOPS[0])
-    return _optimize_weight(rho, g, alpha, layout, [[1 - fixed]], weight)
+        return OptimizerResult([_marginal(g, layout, [1 - fixed])], math.inf, 0, 0.0, STOPS[0])
+    return _optimize_weight(g, alpha, layout, [[1 - fixed]], weight)
 
 
 def mutual_info_up(rho, alpha: float, dims=None) -> OptimizerResult:
-    layout = _layout_of(rho, dims)
-    rho_a = partial_trace(_mat(rho), layout, [0])
-    return gen_mutual_info(rho, rho_a, alpha, layout, fixed=0)
+    layout = _bipartite(rho, dims)
+    g = _state(rho)
+    return _mutual_info_against(g, _weight(_marginal(g, layout, [0])), alpha, layout, fixed=0)
 
 
 def mutual_info_down(rho, alpha: float, dims=None) -> OptimizerResult:
@@ -807,17 +812,15 @@ def mutual_info_down(rho, alpha: float, dims=None) -> OptimizerResult:
     MI_DOWN_TOL, and `residual` is that last gain; if MI_DOWN_ROUNDS run out
     first, `stop` is "max_iter" and `residual` is inf: no bound.
     """
-    layout = _layout_of(rho, dims)
-    if len(layout.dims) != 2:
-        raise ValueError("mutual information is bipartite")
-    rho, g = _state(rho)
+    layout = _bipartite(rho, dims)
+    g = _state(rho)
     if not math.isinf(alpha):
-        return _optimize_weight(rho, g, alpha, layout, ([0], [1]), kron_eigh([]))
-    sig_a = partial_trace(rho, layout, [0])
+        return _optimize_weight(g, alpha, layout, ([0], [1]), kron_eigh([]))
+    sig_a = _marginal(g, layout, [0])
     value, iterations, stop = math.inf, 0, STOPS[0]
     for _ in range(MI_DOWN_ROUNDS):
-        res_b = _mutual_info_against(rho, g, _weight(sig_a), alpha, layout, fixed=0)
-        res_a = _mutual_info_against(rho, g, _weight(res_b.factors[0]), alpha, layout, fixed=1)
+        res_b = _mutual_info_against(g, _weight(sig_a), alpha, layout, fixed=0)
+        res_a = _mutual_info_against(g, _weight(res_b.factors[0]), alpha, layout, fixed=1)
         sig_a, sig_b = res_a.factors[0], res_b.factors[0]
         iterations += res_a.iterations + res_b.iterations
         stop = max(stop, res_a.stop, res_b.stop, key=STOPS.index)
@@ -851,11 +854,12 @@ def _register_weights(gx: np.ndarray, weight, alpha: float):
     return float(_renyi_log_trace(lam, lam > 0.0, alpha)), q
 
 
-def _register_window(sectors: np.ndarray, v: np.ndarray, tau) -> OptimizerResult:
+def _register_window(gx: np.ndarray, v: np.ndarray, tau) -> OptimizerResult:
     """I(X:B) inside the order-one window against tau on B or, when tau is None,
     I-down with sigma_B = rho~ = sum_x rho~_x: at sigma_X = diag(p), p_x = tr rho~_x,
-    sum_x tr rho~_x log2 rho~_x - sum_x p_x log2 p_x - tr rho~ log2 sigma_B, the
-    sectors' spectra cut as one matrix."""
+    sum_x tr rho~_x log2 rho~_x - sum_x p_x log2 p_x - tr rho~ log2 sigma_B, each
+    rho~_x = G_x G_x^dagger from the stack gx, their spectra cut as one matrix."""
+    sectors = gx @ dagger(gx)
     marginal = sectors.sum(axis=0)
     lam, _, live = psd_eigh_blocks(sectors)
     p = np.einsum("xaa->x", sectors).real
@@ -880,20 +884,20 @@ def measured_mutual_info(rho: DensityOperator, basis, alpha: float, tau=None) ->
     as in `gen_mutual_info`, with sigma_X = diag(p), p_x = tr rho~_x; at alpha = inf
     `mutual_info_down` and `gen_mutual_info` answer on the measured state.
     """
-    sectors, v = _sectors(rho, basis), basis.vectors
-    db = sectors.shape[-1]
+    gx, v = _sector_factors(rho, basis), basis.vectors
+    db = gx.shape[1]
     weight = None if tau is None else _weight(tau)
     if tau is not None and _misses_weight(partial_trace_factor(rho.factor, (len(v), db), [1]), weight, alpha):
-        p = np.einsum("xaa->x", sectors).real
+        p = np.einsum("xbk,xbk->x", gx.conj(), gx).real
         return OptimizerResult([(v * p) @ dagger(v)], math.inf, 0, 0.0, STOPS[0])
     if math.isinf(alpha):
         measured = measure(rho, basis)
         return mutual_info_down(measured, alpha) if tau is None else gen_mutual_info(measured, tau, alpha, fixed=1)
     if abs(alpha - 1.0) <= ALPHA_ONE_WINDOW:
-        return _register_window(sectors, v, tau)
+        return _register_window(gx, v, tau)
     if tau is None:
-        res = _optimize_weight(sectors, None, alpha, SystemLayout((db,)), [[0]], kron_eigh([]))
-        value, q = _register_weights(_sector_factors(rho, basis), _weight(res.factors[0]), alpha)
+        res = _optimize_weight(gx, alpha, SystemLayout((db,)), [[0]], kron_eigh([]))
+        value, q = _register_weights(gx, _weight(res.factors[0]), alpha)
         return replace(res, value=value, factors=[(v * q) @ dagger(v), res.factors[0]])
-    value, q = _register_weights(_sector_factors(rho, basis), weight, alpha)
+    value, q = _register_weights(gx, weight, alpha)
     return OptimizerResult([(v * q) @ dagger(v)], value, 0, 0.0, STOPS[0])

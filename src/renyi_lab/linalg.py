@@ -168,6 +168,12 @@ def support_factor(lam: np.ndarray, v: np.ndarray, live: np.ndarray) -> np.ndarr
     return v[:, live] * np.sqrt(lam[live])
 
 
+def narrow_factor(g: np.ndarray) -> np.ndarray:
+    """A factor of G G^dagger, G n x r or a (..., n, r) stack, with at most n
+    columns: G when r <= n, else R^dagger of G^dagger = QR."""
+    return g if g.shape[-1] <= g.shape[-2] else dagger(np.linalg.qr(dagger(g), mode="r"))
+
+
 def spectral_power(lam: np.ndarray, v: np.ndarray, live: np.ndarray, a: float) -> np.ndarray:
     """The matrix power a from a `psd_eigh` decomposition (lam, v, live);
     eigenvalues off `live` map to 0 for every a."""

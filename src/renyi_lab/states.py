@@ -9,9 +9,9 @@ state its sectors' factors.  A raw matrix becomes a state by its spectrum, which
 also gives its factor V sqrt(lambda) on its support; a matrix built PSD
 by construction, by its trace alone.  So the support of a state is its factor's
 columns, and nothing built is decomposed to find it.  Measuring A, the first
-subsystem, in a basis is read through its sectors rho~_x = (<x| (x) 1) rho
-(|x> (x) 1), with factors (<x| (x) 1) G: the measured state and the outcome
-distribution are built from them.
+subsystem, in a basis reads its sectors rho~_x = (<x| (x) 1) rho (|x> (x) 1)
+through their factors G_x = (<x| (x) 1) G alone: p_x = |G_x|_F^2, and the
+measured state is built from the G_x.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from .linalg import (
     SystemLayout,
     as_layout,
     dagger,
+    narrow_factor,
     partial_trace,
     partial_trace_factor,
     psd_eigh,
@@ -178,40 +179,27 @@ def random_cq_state(dim: int, registers: int, rng: np.random.Generator) -> Densi
     return DensityOperator._built(mat.reshape(n, n), SystemLayout((dim, registers)), factor.reshape(n, n))
 
 
-def _sectors(rho: DensityOperator, basis: MeasurementBasis) -> np.ndarray:
-    """The (d_A, d_B, d_B) stack of rho~_x = (<x| (x) 1) rho (|x> (x) 1), A the
-    first subsystem and B the rest (d_B = 1 for a one-system state): <x| on the
-    rows as one product, |x> on the columns as a batched one."""
+def _sector_factors(rho: DensityOperator, basis: MeasurementBasis) -> np.ndarray:
+    """The (d_A, d_B, r) stack of the sectors' factors G_x = (<x| (x) 1) G, A
+    the first subsystem and B the rest (d_B = 1 for a one-system state), as
+    one product."""
     da = rho.layout.dims[0]
     if basis.dim != da:
         raise LayoutMismatch(f"basis dimension {basis.dim} != subsystem dimension {da}")
-    v = basis.vectors
-    t = (dagger(v) @ rho.mat.reshape(da, -1)).reshape(da, rho.dim // da, da, -1)   # (x, a, j, b)
-    return (v.T[:, None, None, :] @ t)[:, :, 0, :]
-
-
-def _sector_factors(rho: DensityOperator, basis: MeasurementBasis) -> np.ndarray:
-    """The (d_A, d_B, r) stack of the sectors' factors (<x| (x) 1) G, for a
-    basis `_sectors` accepted."""
-    da = basis.dim
     return (dagger(basis.vectors) @ rho.factor.reshape(da, -1)).reshape(da, rho.dim // da, -1)
 
 
 def measure(rho: DensityOperator, basis: MeasurementBasis) -> DensityOperator:
     """A measured in the given basis (projective measurement channel):
-    sum_x |x><x| (x) rho~_x, built back from the sectors; its factor holds
-    each sector's factor on the rows of |x> and columns of its own, one wider
-    than d_B taken to d_B columns as R^dagger of G_x^dagger = QR."""
-    v, s = basis.vectors, _sectors(rho, basis)
-    mat = v @ (s[:, :, None, :] * v.conj().T[:, None, :, None]).reshape(len(v), -1)   # (i, a, j, b)
-    gx = _sector_factors(rho, basis)
-    if gx.shape[2] > gx.shape[1]:
-        gx = dagger(np.linalg.qr(dagger(gx), mode="r"))
+    sum_x |x><x| (x) rho~_x.  Its factor holds each sector's factor, narrowed
+    to at most d_B columns (`narrow_factor`), on the rows of |x> and columns of
+    its own; its matrix is that factor's Gram."""
+    v, gx = basis.vectors, narrow_factor(_sector_factors(rho, basis))
     factor = (v[:, None, :, None] * gx.transpose(1, 0, 2)[None]).reshape(rho.dim, -1)   # (i, b, x, k)
-    return DensityOperator._built(mat.reshape(rho.dim, rho.dim), rho.layout, factor)
+    return DensityOperator._built(factor @ dagger(factor), rho.layout, factor)
 
 
 def measurement_pmf(rho: DensityOperator, basis: MeasurementBasis) -> Pmf:
-    """Outcome distribution of measuring A in the given basis: p_x = tr rho~_x."""
-    p = np.clip(np.einsum("xaa->x", _sectors(rho, basis)).real, 0.0, None)
+    """Outcome distribution of measuring A in the given basis: p_x = |G_x|_F^2."""
+    p = (np.abs(_sector_factors(rho, basis)) ** 2).sum(axis=(1, 2))
     return Pmf(p / p.sum())

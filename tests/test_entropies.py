@@ -800,6 +800,29 @@ class TestFixedPoint:
             assert mi.iterations == 0 and np.allclose(mi.optimum.mat, marginals, atol=1e-14)
 
 
+def test_solves_read_a_state_through_its_factor_alone():
+    # nothing a solve reads is the matrix: with it NaN, every value is the same
+    rng = trial_rng(57, 0)
+    rho = random_density(6, 4, rng, dims=(2, 3))
+    blind = DensityOperator._built(rho.mat, rho.layout, rho.factor)
+    object.__setattr__(blind, "mat", np.full_like(rho.mat, np.nan))
+    tau_a, tau_b = random_density(2, 2, rng).mat, random_density(3, 3, rng).mat
+    basis = random_onb(2, rng)
+    quantities = {
+        "Hup": lambda x, a: cond_entropy_up(x, a).value,
+        "Idown": lambda x, a: mutual_info_down(x, a).value,
+        "Ialpha": lambda x, a: gen_mutual_info(x, tau_a, a, fixed=0).value,
+        "Hdown": lambda x, a: cond_entropy_down(x, a),
+        "measured Idown": lambda x, a: measured_mutual_info(x, basis, a).value,
+        "measured Ialpha": lambda x, a: measured_mutual_info(x, basis, a, tau_b).value,
+        "measured Hup": lambda x, a: cond_entropy_up(measure(x, basis), a).value,
+    }
+    for alpha in (0.7, 1.0, 2.5, math.inf):
+        for name, quantity in quantities.items():
+            value = quantity(rho, alpha)
+            assert math.isfinite(value) and quantity(blind, alpha) == value, (name, alpha)
+
+
 def alternating_mutual_info_down(rho, alpha, dims):
     """Cold-start alternation over the two marginal weights: a round solves each
     block with the other held fixed, until a round improves less than 1e-9."""

@@ -5,7 +5,14 @@ import numpy as np
 import pytest
 
 from renyi_lab import report
-from renyi_lab.entropies import ALPHA_ONE_WINDOW, cond_entropy_up, renyi_entropy, sandwiched_divergence
+from renyi_lab.entropies import (
+    ALPHA_ONE_WINDOW,
+    cond_entropy_up,
+    gen_mutual_info,
+    mutual_info_down,
+    renyi_entropy,
+    sandwiched_divergence,
+)
 from renyi_lab.inequalities import SUITES, _entropy_weight_term, _rank_deficient_pair, run_suite
 from renyi_lab.linalg import SystemLayout, as_layout, partial_trace, partial_trace_factor
 from renyi_lab.orders import FORWARD, REVERSE, make_triple
@@ -58,23 +65,45 @@ def test_trials_check_no_state_by_its_spectrum(monkeypatch):
         assert all(r.verdict != "error" for r in reports), tag
 
 
-@pytest.mark.parametrize("tag, allowed", [("general", {0, 1, 2}), ("hall-classical", {0})])
-def test_wide_trials_decompose_few_64_by_64_matrices(tag, allowed, monkeypatch):
-    # weights are decomposed through their 8 x 8 factors and a drawn state is
-    # built as G G^dagger, never decomposed: general keeps one sandwich per
-    # divergence, the singular values of the 64 x r matrix sigma^c G (near
-    # alpha = 1, of G); hall-classical reads only its cq state's register sectors
+def decomposed_sizes(monkeypatch) -> list:
+    """The list that records, from here on, the order of every matrix numpy's
+    eigen- and singular value decompositions are handed (each of a stack)."""
     sizes = []
     for name in ("eigh", "eigvalsh", "eig", "eigvals", "svd"):
         def counted(a, *args, _decompose=getattr(np.linalg, name), **kwargs):
             sizes.extend([np.shape(a)[-1]] * math.prod(np.shape(a)[:-2]))
             return _decompose(a, *args, **kwargs)
         monkeypatch.setattr(np.linalg, name, counted)
+    return sizes
+
+
+@pytest.mark.parametrize("tag, allowed", [("general", {0, 1, 2}), ("hall-classical", {0})])
+def test_wide_trials_decompose_few_64_by_64_matrices(tag, allowed, monkeypatch):
+    # weights are decomposed through their 8 x 8 factors and a drawn state is
+    # built as G G^dagger, never decomposed: general keeps one sandwich per
+    # divergence, the singular values of the 64 x r matrix sigma^c G (near
+    # alpha = 1, of G); hall-classical reads only its cq state's register sectors
+    sizes = decomposed_sizes(monkeypatch)
     for seed in range(20):
         sizes.clear()
         reports, _ = run_suite(tag, 1, (8, 8), seed)
         assert reports[0].verdict != "error", reports[0].note
         assert sizes.count(64) in allowed, (seed, sizes.count(64))
+
+
+def test_solves_on_a_rank_8_state_at_8_by_8_decompose_no_64_by_64_matrix(monkeypatch):
+    # the fixed point's Y_x = G^dagger W G is r x r, and its starting marginals
+    # are Grams of 8-row factors: only 8 x 8 matrices are decomposed
+    rng = trial_rng(58, 0)
+    rho = random_density(64, 8, rng, dims=(8, 8))
+    tau = random_density(8, 8, rng).mat
+    sizes = decomposed_sizes(monkeypatch)
+    for name, solve in (("Hup", lambda: cond_entropy_up(rho, 1.5)),
+                        ("Idown", lambda: mutual_info_down(rho, 0.8)),
+                        ("Ialpha", lambda: gen_mutual_info(rho, tau, 2.0, fixed=0))):
+        sizes.clear()
+        assert math.isfinite(solve().value), name
+        assert sizes and sizes.count(64) == 0, (name, sizes.count(64))
 
 
 # the next draw of trial 1's stream after the suite's draw, (tag, dims, seed)
