@@ -76,10 +76,8 @@ class OptimizerDiverged(RuntimeError):
 
 
 def _mat(x) -> np.ndarray:
-    """The matrix of a state or weight given as a DensityOperator or an array."""
-    if isinstance(x, DensityOperator):
-        return x.mat
-    return check_hermitian(x)
+    """The matrix of a state or weight given as a DensityOperator or an array, unchecked."""
+    return x.mat if isinstance(x, DensityOperator) else x
 
 
 def _state(rho) -> np.ndarray:
@@ -99,7 +97,7 @@ def _marginal(g: np.ndarray, layout: SystemLayout, keep) -> np.ndarray:
 
 def _weight(sigma):
     """The `psd_eigh` triple of a weight given as a DensityOperator or an array."""
-    return psd_eigh(_hermitian(sigma.mat if isinstance(sigma, DensityOperator) else sigma))
+    return psd_eigh(_hermitian(_mat(sigma)))
 
 
 # ---------------------------------------------------------------------------
@@ -231,13 +229,20 @@ def sandwiched_divergence(rho, sigma, alpha: float) -> float:
 
 
 def renyi_entropy(rho, alpha: float) -> float:
-    """H_alpha of a density operator; alpha in [0, inf]."""
+    """H_alpha of a density operator, alpha in [0, inf], from its spectrum: a
+    DensityOperator's is its factor's squared singular values, every one kept,
+    as `sandwich_spectrum` reads a sandwich; a raw array's is its checked
+    `psd_eigvalsh`."""
     if alpha < 0.0:
         raise InvalidOrder("entropy order must be nonnegative")
-    rho = _mat(rho)
+    if isinstance(rho, DensityOperator):
+        lam = np.linalg.svd(rho.factor, compute_uv=False)[::-1] ** 2
+        live = lam > 0.0
+    else:
+        lam, live = psd_eigvalsh(check_hermitian(rho))
     if abs(alpha - 1.0) <= ALPHA_ONE_WINDOW:
-        return -float(_tr_log2(rho, psd_eigh(rho)))
-    return -float(_renyi_log_trace(*psd_eigvalsh(rho), alpha))
+        return -float(_xlog2x(lam, live))
+    return -float(_renyi_log_trace(lam, live, alpha))
 
 
 def weighted_norm(y, p: float, sigma, tau) -> float:
@@ -335,11 +340,9 @@ def _block_sizes(layout: SystemLayout, positions) -> tuple[int, int, int]:
     return math.prod(dims[:lo]), math.prod(dims[lo:hi + 1]), math.prod(dims[hi + 1:])
 
 
-def _weight_times(layout: SystemLayout, positions, weight, sigmas):
-    """The `psd_eigh` triple of tau (x) sigma_1 (x) ... in layout order from its
-    factors: the sigma_k on the block `positions`, tau (the triple `weight`) on
-    the subsystems before or after it."""
-    factors = [_weight(s) for s in sigmas]
+def _weight_times(layout: SystemLayout, positions, weight, factors):
+    """The `psd_eigh` triple of tau (x) sigma_1 (x) ... in layout order from its factors'
+    triples: the sigma_k's, `factors`, on the block `positions`, tau's, `weight`, around it."""
     return kron_eigh([weight, *factors] if _block_sizes(layout, positions)[2] == 1 else [*factors, weight])
 
 
@@ -563,23 +566,27 @@ def _solve_fixed_point(problem: _FixedPoint, start) -> OptimizerResult:
     return OptimizerResult(sigmas, point.value, it, gap, stop)
 
 
-def _herm_basis(d: int) -> np.ndarray:
-    """Orthonormal (Frobenius) basis of d x d Hermitian matrices."""
-    mats = []
-    for i in range(d):
-        e = np.zeros((d, d), dtype=complex)
-        e[i, i] = 1.0
-        mats.append(e)
-    for i in range(d):
-        for j in range(i + 1, d):
-            x = np.zeros((d, d), dtype=complex)
-            x[i, j] = x[j, i] = 1.0 / math.sqrt(2.0)
-            mats.append(x)
-            y = np.zeros((d, d), dtype=complex)
-            y[i, j] = -1j / math.sqrt(2.0)
-            y[j, i] = 1j / math.sqrt(2.0)
-            mats.append(y)
-    return np.array(mats)
+@functools.cache
+def _sdp_constants(m: int, n: int):
+    """`_min_entropy_sdp`'s read-only constants, built once per (m, n): an orthonormal
+    basis B_j of n x n Hermitian matrices, diagonal units first, as rows (basis, its
+    conjugate, its transpose, tr B_j); the flat indices that reorder an mn x mn matrix,
+    rows (r, a), columns (s, b), for the Schur matrix: X to (a, b) x (r, s), S^-1 to
+    (r, s) x (b, a), their product from (a', b) x (b', a) to (a', a) x (b, b')."""
+    basis = np.zeros((n * n, n, n), dtype=complex)
+    basis[range(n), range(n), range(n)] = 1.0
+    i, j = np.triu_indices(n, 1)
+    re = n + 2 * np.arange(len(i))                # then B_j, B_j+1 for each i < j
+    basis[re, i, j] = basis[re, j, i] = 1.0 / math.sqrt(2.0)
+    basis[re + 1, i, j], basis[re + 1, j, i] = -1j / math.sqrt(2.0), 1j / math.sqrt(2.0)
+    basis = basis.reshape(n * n, n * n)
+    at = np.arange((m * n) ** 2).reshape(m, n, m, n)
+    constants = (basis, basis.conj(), basis.T.copy(), (np.arange(n * n) < n).astype(float),
+                 at.transpose(1, 3, 0, 2).reshape(n * n, m * m), at.transpose(2, 0, 1, 3).reshape(m * m, n * n),
+                 np.arange(n ** 4).reshape(n, n, n, n).transpose(0, 3, 1, 2).reshape(n * n, n * n))
+    for a in constants:
+        a.flags.writeable = False
+    return constants
 
 
 def _min_entropy_sdp(c: np.ndarray, m: int, n: int):
@@ -591,11 +598,13 @@ def _min_entropy_sdp(c: np.ndarray, m: int, n: int):
     boundary of the cone (separate lengths leave the dual, and so the
     certificate, lagging at the end).  It starts from X = 1/m, which is dual
     feasible, and Y above lambda_max(c), and carries the residual 1_n - tr_R X
-    in the Newton system.  Every iterate certifies the interval
-    [log2 tr cX~, log2 tr Y] around log2 of the optimum: Y is feasible while
-    S = 1 (x) Y - c is positive definite, and X~, X rescaled by congruence
-    with (tr_R X)^(-1/2), is exactly dual feasible; the lower end is worked
-    out once the duality gap tr SX is below SDP_CERTIFY tr Y.
+    in the Newton system, which is solved in the basis of `_sdp_constants`.
+    Every iterate certifies the interval [log2 tr cX~, log2 tr Y] around log2
+    of the optimum: Y is feasible while S = 1 (x) Y - c is positive definite,
+    and X~, X rescaled by congruence with (tr_R X)^(-1/2), is exactly dual
+    feasible; the lower end is worked out once the duality gap tr SX is below
+    SDP_CERTIFY tr Y.  (X, S) and (Delta X, Delta S) are stacks kept for the
+    solve; a lift 1 (x) h is written as h on the diagonal blocks of S or Delta S.
     Returns (Y of the smallest upper bound, lo, hi, iterations, stop), with
     [lo, hi] the best certified interval.  `stop` is "gradient" once it is at
     most SDP_GAP_TOL wide, "ftol" when three iterations did not halve it (a
@@ -603,76 +612,71 @@ def _min_entropy_sdp(c: np.ndarray, m: int, n: int):
     lost positivity to rounding.
     """
     big = m * n
-    basis = _herm_basis(n).reshape(n * n, n * n)  # row j: B_j flattened, the diagonal units first
-    cbasis, basis_t = basis.conj(), basis.T.copy()
-    b = np.zeros(n * n)
-    b[:n] = 1.0                                   # tr of each basis matrix
-    eye_m = np.eye(m)
-
-    def lift(h):                                  # 1_m (x) h
-        return (eye_m[:, None, :, None] * h[None, :, None, :]).reshape(big, big)
+    basis, cbasis, basis_t, b, to_rows, to_cols, to_pairs = _sdp_constants(m, n)
+    xs, dxs = np.zeros((2, 2, big, big), dtype=complex)   # (X, S), (Delta X, Delta S)
+    s, neg_b, neg_c = xs[1], -b, -c
+    s_blocks, ds_blocks = (np.lib.stride_tricks.as_strided(a, (m, n, n), (n * sum(a.strides), *a.strides))
+                           for a in (s, dxs[1]))
 
     def tr_r(g):
-        return np.einsum("rpra->pa", g.reshape(m, n, m, n))
+        return g.reshape(m, n, m, n).trace(axis1=0, axis2=2)
 
     def herm(g):
-        return (g + dagger(g)) / 2.0
+        return (g + g.conj().T) / 2.0
 
     def lower(x):
         """log2 tr cX~, X~ = X rescaled to tr_R X~ = 1; -inf unless tr_R X > 0."""
         w, v = np.linalg.eigh(tr_r(x))
         if not w[0] > 0.0:
             return -math.inf
-        scale = lift((v / np.sqrt(w)) @ dagger(v))
-        return math.log2(np.vdot(scale @ c @ scale, x).real)
+        half = (v / np.sqrt(w)) @ dagger(v)       # X~ = (1 (x) half) X (1 (x) half)
+        return math.log2(np.vdot(half @ (c.reshape(big * m, n) @ half).reshape(m, n, big), x).real)
 
-    def newton_step(x, y, s, li, gap):
-        """The predictor-corrector step from X, Y > 0; li holds the inverse
-        Cholesky factors of X and S.  Returns (Delta X, Delta Y)."""
+    def newton(schur, d, d_basis, rhs):
+        """Delta Y with M Delta y = rhs, M = d^-1 schur d^-1; also written into Delta S."""
+        dy = ds_blocks[...] = (np.linalg.solve(schur, rhs * d) @ d_basis).reshape(n, n)
+        return dy
+
+    def steps(li, li_h):
+        """Step lengths along (Delta X, Delta S): SDP_STEP of the way to the cone's boundary."""
+        e = np.linalg.eigvalsh(li @ dxs @ li_h)[:, 0]
+        return [1.0 if v >= 0.0 else min(1.0, -SDP_STEP / v) for v in e.tolist()]
+
+    def newton_step(x, li, gap):
+        """The predictor-corrector step from X, Y > 0, li the inverse Cholesky
+        factors of X and S: (step length, Delta Y), and Delta X in `dxs`."""
+        dx, ds = dxs
         li_h = li.conj().swapaxes(1, 2)
         z = li_h[1] @ li[1]                      # S^-1
         # the Schur matrix M_jk = tr(E_j X E_k S^-1), E_j = 1 (x) B_j, scaled to a
         # unit diagonal for an accurate solve
-        t = (x.reshape(m, n, m, n).transpose(1, 3, 0, 2).reshape(n * n, m * m)
-             @ z.reshape(m, n, m, n).transpose(2, 0, 1, 3).reshape(m * m, n * n))
-        t = t.reshape(n, n, n, n).transpose(0, 3, 1, 2).reshape(n * n, n * n)
-        schur = (cbasis @ t @ basis_t).real
-        diag = np.diagonal(schur)
+        schur = (cbasis @ (x.take(to_rows) @ z.take(to_cols)).take(to_pairs) @ basis_t).real
+        diag = schur.diagonal()
         if not diag.min() > 0.0:
             raise np.linalg.LinAlgError("the Schur matrix lost positivity")
         d = 1.0 / np.sqrt(diag)
         schur *= d[:, None] * d
-        d_basis = d[:, None] * basis
-
-        def newton(rhs):                         # Delta Y with M dy = rhs
-            return (np.linalg.solve(schur, rhs * d) @ d_basis).reshape(n, n)
-
-        def steps(dx, ds):
-            """Step lengths for X and S: SDP_STEP of the way to the cone's boundary."""
-            e = np.linalg.eigvalsh(li @ np.stack([dx, ds]) @ li_h)[:, 0]
-            return [1.0 if v >= 0.0 else min(1.0, -SDP_STEP / v) for v in e.tolist()]
-
+        system = schur, d, d[:, None] * basis
         # predictor (mu = 0), then the corrector towards sigma mu on the central path
-        dy = newton(-b)
-        ds = lift(dy)
-        dx = -x - herm(x @ ds @ z)
-        ax, ay = steps(dx, ds)
+        newton(*system, neg_b)
+        dx[...] = -x - herm(x @ ds @ z)
+        ax, ay = steps(li, li_h)
         mu = gap / big
         mu_aff = np.vdot(s + ay * ds, x + ax * dx).real / big
         g = (mu_aff / mu) ** 3 * mu * z - dx @ ds @ z
-        dy = newton((cbasis @ tr_r(g).reshape(-1)).real - b)
-        ds = lift(dy)
-        dx = herm(g) - x - herm(x @ ds @ z)
-        step = min(steps(dx, ds))
-        return step * dx, step * dy
+        dy = newton(*system, (cbasis @ tr_r(g).reshape(-1)).real - b)
+        dx[...] = herm(g) - x - herm(x @ ds @ z)
+        return min(steps(li, li_h)), dy
 
     x = np.eye(big, dtype=complex) / m
     y = 2.0 * np.linalg.eigvalsh(c)[-1] * np.eye(n, dtype=complex)
     best_y, top, lo, widths, stop, it, x_pd = y, math.inf, -math.inf, [], "max_iter", 0, x
     while it < MAX_ITER:
-        s = lift(y) - c
+        xs[0] = x
+        s[...] = neg_c
+        s_blocks += y                            # S = 1 (x) Y - c
         try:
-            li = np.linalg.inv(np.linalg.cholesky(np.stack([x, s])))
+            li = np.linalg.inv(np.linalg.cholesky(xs))
         except np.linalg.LinAlgError:
             stop = "ftol"
             break
@@ -681,8 +685,8 @@ def _min_entropy_sdp(c: np.ndarray, m: int, n: int):
             stop = "ftol"
             break
         x_pd = x                                 # X > 0, and Y is feasible: S > 0
-        if np.trace(y).real < top:
-            top, best_y = np.trace(y).real, y
+        if (tr_y := y.trace().real) < top:
+            top, best_y = tr_y, y
         if gap <= SDP_CERTIFY * top:
             lo = max(lo, lower(x))
             widths.append(math.log2(top) - lo)
@@ -694,11 +698,11 @@ def _min_entropy_sdp(c: np.ndarray, m: int, n: int):
                 break
         it += 1
         try:
-            dx, dy = newton_step(x, y, s, li, gap)
+            step, dy = newton_step(x, li, gap)
         except np.linalg.LinAlgError:
             stop = "ftol"
             break
-        x, y = x + dx, y + dy
+        x, y = x + step * dxs[0], y + step * dy
     if not widths:                               # never certified: bound the last X > 0
         lo = lower(x_pd)
     if stop == "max_iter" and math.log2(top) - lo > RESIDUAL_TOL:
@@ -726,15 +730,15 @@ def _solve_min_entropy(g: np.ndarray, layout: SystemLayout, opt_positions, weigh
     h = np.einsum("fbk,fpbr->kpr", u.conj(), g.reshape(front, d, back, -1))
     k = len(h)
     r = h.reshape(k * d, -1) @ dagger(h.reshape(k * d, -1))  # rho' on supp tau, ordered (tau, block)
-    _, u_r, live_r = psd_eigh(np.einsum("rpsp->rs", r.reshape(k, d, k, d)))
-    _, u_p, live_p = psd_eigh(np.einsum("rpra->pa", r.reshape(k, d, k, d)))
+    _, u_r, live_r = psd_eigh(r.reshape(k, d, k, d).trace(axis1=1, axis2=3))
+    _, u_p, live_p = psd_eigh(r.reshape(k, d, k, d).trace(axis1=0, axis2=2))
     u_r, u_p = u_r[:, live_r], u_p[:, live_p]
     m, n = u_r.shape[1], u_p.shape[1]
     comp = (u_r[:, None, :, None] * u_p[None, :, None, :]).reshape(k * d, m * n)
     y, lo, hi, it, stop = _min_entropy_sdp(dagger(comp) @ r @ comp, m, n)
     sigma = u_p @ y @ dagger(u_p)
-    sigma = (sigma + dagger(sigma)) / (2.0 * np.trace(y).real)
-    value = _divergence_any_order(g, _weight_times(layout, opt_positions, weight, [sigma]), math.inf)
+    sigma = (sigma + dagger(sigma)) / (2.0 * np.trace(y).real)   # Hermitian, so `psd_eigh` with no check
+    value = _divergence_any_order(g, _weight_times(layout, opt_positions, weight, [psd_eigh(sigma)]), math.inf)
     return OptimizerResult([sigma], value, it, hi - lo, stop)
 
 
@@ -758,7 +762,8 @@ def _optimize_weight(g: np.ndarray, alpha: float, layout: SystemLayout, blocks, 
     if abs(alpha - 1.0) > ALPHA_ONE_WINDOW:
         return _solve_fixed_point(*_FixedPoint.build(g, alpha, layout, blocks, weight))
     marginals = [_marginal(g, layout, p) for p in blocks]
-    value = _divergence_any_order(g, _weight_times(layout, sum(blocks, []), weight, marginals), alpha)
+    factors = [_weight(x) for x in marginals]
+    value = _divergence_any_order(g, _weight_times(layout, sum(blocks, []), weight, factors), alpha)
     return OptimizerResult(marginals, value, 0, 0.0, STOPS[0])
 
 

@@ -220,16 +220,11 @@ def partial_trace(m: np.ndarray, dims, keep) -> np.ndarray:
     n = len(layout.dims)
     if any(k < 0 or k >= n for k in keep):
         raise LayoutMismatch(f"keep set {keep} out of range for {n} subsystems")
-    t = m.reshape(layout.dims + layout.dims)
-    row = list(range(n))
     col = list(range(n))
-    out: list[int] = []
-    nxt = n
-    for k in keep:
-        col[k] = nxt
-        nxt += 1
-    out = [row[k] for k in keep] + [col[k] for k in keep]
-    reduced = np.einsum(t, row + col, out)
+    for i, k in enumerate(keep):
+        col[k] = n + i                            # a kept system's column index, not summed
+    out = keep + [n + i for i in range(len(keep))]
+    reduced = np.einsum(m.reshape(layout.dims + layout.dims), list(range(n)) + col, out)
     dk = int(np.prod([layout.dims[k] for k in keep])) if keep else 1
     return reduced.reshape(dk, dk)
 

@@ -1157,7 +1157,9 @@ class TestMinEntropy:
     def test_value_is_attained_and_certified(self, monkeypatch):
         bounds = certified_bounds(monkeypatch)
         for i in range(6):
-            for dims in ((2, 2), (3, 2), (2, 3), (3, 3)):
+            # at (2, 4), (4, 2) and (4, 4) rho'_R and rho'_P differ in rank, and a slip
+            # in the Schur matrix's (m, n, m, n) reorderings shows
+            for dims in ((2, 2), (3, 2), (2, 3), (3, 3), (2, 4), (4, 2), (4, 4)):
                 rho = sweep_style_state(55, i, dims).mat
                 tau = random_density(dims[0], dims[0], trial_rng(55, 100 + i)).mat
                 up = cond_entropy_up(rho, math.inf, dims)
@@ -1170,6 +1172,41 @@ class TestMinEntropy:
                     assert lo - 1e-13 <= value <= hi + 1e-13, (i, dims)
                     assert res.residual == hi - lo <= 1e-11, (i, dims)
                     assert res.stop in STOPS and res.iterations >= 1
+
+    # (iterations, stop) of each solve in the test below, recorded from the programme;
+    # a rewrite of its loop that keeps the iterates keeps every one of them
+    RUNS = {
+        ("pure", (2, 2)): [(11, "gradient")] * 4,
+        ("pure", (3, 3)): [(12, "gradient")] * 4,
+        ("pure", (2, 3)): [(11, "gradient")] * 4,
+        ("pure", (2, 4)): [(11, "gradient")] * 4,
+        ("mixed", (2, 2)): [(13, "gradient"), (12, "gradient"), (14, "gradient"),
+                            (12, "gradient"), (12, "gradient"), (12, "gradient")],
+        ("mixed", (3, 3)): [(13, "gradient"), (13, "gradient"), (14, "gradient"),
+                            (12, "gradient"), (12, "gradient"), (13, "gradient")],
+        ("mixed", (2, 3)): [(12, "gradient"), (13, "gradient"), (12, "gradient"),
+                            (13, "gradient"), (11, "gradient"), (11, "gradient")],
+        ("mixed", (2, 4)): [(15, "ftol"), (14, "gradient"), (12, "gradient"),
+                            (13, "gradient"), (11, "gradient"), (12, "gradient")],
+    }
+
+    def test_the_programme_takes_the_recorded_iterations_and_stops(self):
+        # a change to the loop that adds an iteration or changes a stop fails here.
+        # Pure states at the four shapes of perfbench's solve-anchored, then H-up
+        # and I against a tau on sampled states
+        runs = {}
+        for dims, p in (((2, 2), (0.8, 0.2)), ((3, 3), (0.6, 0.3, 0.1)), ((2, 3), (0.8, 0.2)), ((2, 4), (0.8, 0.2))):
+            rng = trial_rng(59, 10 * dims[0] + dims[1])
+            solves = [cond_entropy_up(schmidt_state(p, dims, rng), math.inf, dims) for _ in range(4)]
+            runs["pure", dims] = [(res.iterations, res.stop) for res in solves]
+        for dims in ((2, 2), (3, 3), (2, 3), (2, 4)):
+            runs["mixed", dims] = []
+            for i in range(3):
+                rho = sweep_style_state(59, i, dims)
+                tau = random_density(dims[0], dims[0], trial_rng(59, 100 + i)).mat
+                for res in (cond_entropy_up(rho, math.inf, dims), gen_mutual_info(rho, tau, math.inf, dims, fixed=0)):
+                    runs["mixed", dims].append((res.iterations, res.stop))
+        assert runs == self.RUNS
 
     def test_never_above_order_twenty(self):
         # H^up_alpha falls with alpha: the programme against the fixed point

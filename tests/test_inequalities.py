@@ -1,5 +1,6 @@
 import functools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -93,16 +94,21 @@ def test_wide_trials_decompose_few_64_by_64_matrices(tag, allowed, monkeypatch):
 
 def test_solves_on_a_rank_8_state_at_8_by_8_decompose_no_64_by_64_matrix(monkeypatch):
     # the fixed point's Y_x = G^dagger W G is r x r, and its starting marginals
-    # are Grams of 8-row factors: only 8 x 8 matrices are decomposed
+    # are Grams of 8-row factors: only 8 x 8 matrices are decomposed.  bchain's and
+    # noncond's sides add H(rho_AB), the singular values of the 64 x 8 factor G,
+    # and entropies of 8 x 8 marginals
     rng = trial_rng(58, 0)
     rho = random_density(64, 8, rng, dims=(8, 8))
     tau = random_density(8, 8, rng).mat
+    inst = Instance("bchain", (8, 8), 1.5, 2.0, 0.8, 0.7, FORWARD, rho)
     sizes = decomposed_sizes(monkeypatch)
-    for name, solve in (("Hup", lambda: cond_entropy_up(rho, 1.5)),
-                        ("Idown", lambda: mutual_info_down(rho, 0.8)),
-                        ("Ialpha", lambda: gen_mutual_info(rho, tau, 2.0, fixed=0))):
+    for name, value in (("Hup", lambda: cond_entropy_up(rho, 1.5).value),
+                        ("Idown", lambda: mutual_info_down(rho, 0.8).value),
+                        ("Ialpha", lambda: gen_mutual_info(rho, tau, 2.0, fixed=0).value),
+                        ("bchain", lambda: SUITES["bchain"][1](inst)[0]),
+                        ("noncond", lambda: SUITES["noncond"][1](replace(inst, tag="noncond"))[0])):
         sizes.clear()
-        assert math.isfinite(solve().value), name
+        assert math.isfinite(value()), name
         assert sizes and sizes.count(64) == 0, (name, sizes.count(64))
 
 
